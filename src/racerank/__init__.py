@@ -63,7 +63,6 @@ from .montecarlo import (
     curve_sweep,
     empirical_rank_moments,
     middle_band_grid,
-    random_permutation,
     simulate,
 )
 
@@ -122,7 +121,6 @@ __all__ = [
     "SimResult",
     "RankMomentsEstimate",
     "CurvePoint",
-    "random_permutation",
     "simulate",
     "empirical_rank_moments",
     "curve_sweep",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import secrets
 import sys
 from dataclasses import dataclass, field
@@ -600,9 +601,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CLIError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`): point it at /dev/null so
+        # the interpreter's flush at exit stays quiet, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (CLIError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

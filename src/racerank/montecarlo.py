@@ -18,9 +18,20 @@ the configuration, and raw 64-bit outputs become doubles as
 ``(word >> 11) * 2**-53``.  Chunk size and worker count therefore cannot
 change any result: a SimConfig determines its SimResult bit for bit.
 
-Uniform variates are turned into rank permutations by ranking them within
-each row; the sort is stable, so even the astronomically unlikely exact tie
-resolves deterministically.
+Each race's row of uniforms becomes a rank permutation by its sort order.
+The rule is stated on the words, so it holds exactly:
+
+* a row is ordered by the 53-bit integers ``word >> 11``, which order
+  exactly like the doubles they scale to;
+* exact ties in those 53 bits, astronomically unlikely, break by column
+  index, so the order is that of a stable sort;
+* rows up to 2048 wide sort the unique keys ``(word & ~0x7FF) | column``
+  (the column fits in the 11 bits the double discards); wider rows take a
+  stable argsort of ``word >> 11``.  Both give the same order.
+
+Virtual mode and the moments estimator scatter ranks 1..width along that
+order (position j receives the rank of its uniform); tracked mode gathers
+the leftover rank values along it.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ __all__ = [
     "SimResult",
     "RankMomentsEstimate",
     "CurvePoint",
-    "random_permutation",
     "simulate",
     "empirical_rank_moments",
     "curve_sweep",
@@ -51,13 +61,17 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_CHUNK_DOUBLES = 1 << 22  # ~4.2M doubles (~34 MB) generated per chunk
+_CHUNK_DOUBLES = 1 << 22  # ~4.2M words (~34 MB) generated per chunk
+_COLUMN_BITS = 11  # low word bits that (word >> 11) * 2**-53 discards
+_COLUMN_MASK = np.uint64((1 << _COLUMN_BITS) - 1)
 
 
 def _philox_key(seed: int, stream: int) -> int:
     return (seed & _MASK64) | ((stream & _MASK64) << 64)
 
 
+# _trial_uniforms and _rank_rows are the reference definition of the
+# ranking rule; the keyed-sort kernel below reproduces them bit for bit.
 def _trial_uniforms(
     seed: int, stream: int, first_trial: int, n_trials: int, per_trial: int
 ) -> np.ndarray:
@@ -90,20 +104,55 @@ def _rank_rows(u: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _trial_orders(
+    seed: int, stream: int, first_trial: int, n_trials: int, n_r: int, width: int
+) -> np.ndarray:
+    """Row orders for trials [first_trial, first_trial + n_trials), int64
+    of shape (n_trials, n_r, width): entry [t, r] lists race r's columns by
+    ascending uniform.  Equal to the stable argsort of
+    ``_trial_uniforms(seed, stream, first_trial, n_trials, n_r * width)``
+    reshaped to (n_trials, n_r, width), from the same counter blocks, but
+    sorted as integer keys without forming a double."""
+    per_trial = n_r * width
+    blocks = -(-per_trial // 4)
+    bitgen = np.random.Philox(
+        key=_philox_key(seed, stream), counter=first_trial * blocks
+    )
+    words = bitgen.random_raw(n_trials * blocks * 4).reshape(n_trials, blocks * 4)
+    if blocks * 4 != per_trial:
+        words = np.ascontiguousarray(words[:, :per_trial])
+    return _order_words(words.reshape(n_trials, n_r, width))
+
+
+def _order_words(words: np.ndarray) -> np.ndarray:
+    """Order each last-axis row of raw uint64 words as a stable sort of the
+    doubles ``(word >> 11) * 2**-53`` would.  Overwrites ``words``; the
+    int64 result is a view of them for rows of up to 2048 columns."""
+    width = words.shape[-1]
+    if width > 1 << _COLUMN_BITS:
+        words >>= np.uint64(_COLUMN_BITS)
+        return np.argsort(words, axis=-1, kind="stable")
+    words &= ~_COLUMN_MASK
+    words |= np.arange(width, dtype=np.uint64)
+    words.sort(axis=-1)
+    words &= _COLUMN_MASK
+    return words.view(np.int64)
+
+
+def _ranks(orders: np.ndarray) -> np.ndarray:
+    """Invert row orders: position j receives its rank 1..width (int32)."""
+    ranks = np.empty(orders.shape, dtype=np.int32)
+    width = orders.shape[-1]
+    np.put_along_axis(
+        ranks, orders, np.arange(1, width + 1, dtype=np.int32), axis=-1
+    )
+    return ranks
+
+
 def _chunked(trials: int, per_trial: int) -> Iterator[tuple[int, int]]:
     step = max(1, _CHUNK_DOUBLES // max(per_trial, 1))
     for start in range(0, trials, step):
         yield start, min(step, trials - start)
-
-
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random permutation of 1..n via the generator's in-place
-    Fisher-Yates shuffle; deterministic for a fixed generator state."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = np.arange(1, n + 1, dtype=np.int64)
-    rng.shuffle(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -203,8 +252,7 @@ def _simulate_virtual(config: SimConfig) -> np.ndarray:
     per_trial = n_r * n_b
     counts = np.zeros(n_b + 2, dtype=np.int64)
     for start, n in _chunked(config.trials, per_trial):
-        u = _trial_uniforms(config.seed, config.stream, start, n, per_trial)
-        ranks = _rank_rows(u.reshape(n * n_r, n_b)).reshape(n, n_r, n_b)
+        ranks = _ranks(_trial_orders(config.seed, config.stream, start, n, n_r, n_b))
         if config.drop_worst:
             scores = ranks.sum(axis=1) - ranks.max(axis=1)
         else:
@@ -229,8 +277,7 @@ def _simulate_tracked(config: SimConfig) -> np.ndarray:
     )
     per_trial = n_r * others
     for start, n in _chunked(config.trials, per_trial):
-        u = _trial_uniforms(config.seed, config.stream, start, n, per_trial)
-        order = np.argsort(u.reshape(n, n_r, others), axis=-1, kind="stable")
+        order = _trial_orders(config.seed, config.stream, start, n, n_r, others)
         vals = np.take_along_axis(
             np.broadcast_to(leftover, (n, n_r, others)), order, axis=-1
         )
@@ -278,8 +325,8 @@ def empirical_rank_moments(
         raise ValueError("too few trials per batch")
     x01 = np.empty((trials, 2), dtype=np.int64)
     for start, n in _chunked(trials, n_b):
-        u = _trial_uniforms(seed, stream, start, n, n_b)
-        x01[start : start + n] = _rank_rows(u)[:, :2]
+        orders = _trial_orders(seed, stream, start, n, 1, n_b)
+        x01[start : start + n] = _ranks(orders)[:, 0, :2]
     size = trials // batches
     used = batches * size
     x0 = x01[:used, 0].reshape(batches, size).astype(np.float64)

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import racerank
+from racerank import montecarlo
 from racerank.cli import CURVE_COLUMNS, main
 from racerank.two_race import full_distribution
 
@@ -179,3 +185,31 @@ def test_simulate_bad_tracked_ranks(capsys):
 def test_simulate_missing_score(capsys):
     code, _, err = run_cli(capsys, "simulate", "3", "2", "--seed", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError("Unable to allocate 34.3 GiB"), MemoryError(), ArithmeticError("overflow")],
+)
+def test_resource_errors_are_one_line(capsys, monkeypatch, exc):
+    def fail(config):
+        raise exc
+
+    monkeypatch.setattr(montecarlo, "simulate", fail)
+    code, out, err = run_cli(capsys, "simulate", "3", "2", "--n-t", "4", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {str(exc) or type(exc).__name__}\n"
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(racerank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "racerank.cli", "curve", "20", "5", "--trials", "200", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

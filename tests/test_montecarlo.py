@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import racerank.montecarlo as mc
 from racerank.asymptotics import rank_moments_theory
@@ -14,7 +16,6 @@ from racerank.montecarlo import (
     curve_sweep,
     empirical_rank_moments,
     middle_band_grid,
-    random_permutation,
     simulate,
 )
 from racerank.two_race import full_distribution
@@ -47,45 +48,44 @@ def test_rank_rows_are_permutations():
         assert sorted(row) == [1, 2, 3, 4, 5, 6]
 
 
-def test_random_permutation_basics():
-    rng = np.random.Generator(np.random.Philox(key=SEED))
-    assert list(random_permutation(1, rng)) == [1]
-    out = random_permutation(6, rng)
-    assert sorted(out) == list(range(1, 7))
-    with pytest.raises(ValueError):
-        random_permutation(0, rng)
-
-
-def test_random_permutation_deterministic():
-    first = [
-        tuple(random_permutation(5, np.random.Generator(np.random.Philox(key=SEED))))
-        for _ in range(1)
-    ]
-    second = [
-        tuple(random_permutation(5, np.random.Generator(np.random.Philox(key=SEED))))
-        for _ in range(1)
-    ]
-    assert first == second
-
-
-def test_random_permutation_uniformity_4_sigma():
-    draws = 60_000
-    rng = np.random.Generator(np.random.Philox(key=SEED))
-    counts = Counter(tuple(random_permutation(3, rng)) for _ in range(draws))
-    assert len(counts) == 6
-    tol = 4 * math.sqrt(draws * (1 / 6) * (5 / 6))
-    for perm in itertools.permutations((1, 2, 3)):
-        assert abs(counts[perm] - draws / 6) <= tol
-
-
 def test_permutation_sum_rule_exact_on_samples():
-    rng = np.random.Generator(np.random.Philox(key=SEED))
     for n_b in (3, 10, 50):
-        for _ in range(200):
-            assert random_permutation(n_b, rng).sum() == n_b * (n_b + 1) // 2
-    # also on the vectorized path used by simulate
-    ranks = mc._rank_rows(mc._trial_uniforms(SEED, 0, 0, 500, 10))
-    assert (ranks.sum(axis=1) == 55).all()
+        ranks = mc._rank_rows(mc._trial_uniforms(SEED, 0, 0, 500, n_b))
+        assert (ranks.sum(axis=1) == n_b * (n_b + 1) // 2).all()
+        # also on the keyed-sort path used by simulate
+        fast = mc._ranks(mc._trial_orders(SEED, 0, 0, 500, 1, n_b))[:, 0]
+        assert (fast == ranks).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 200, 2048, 2049])
+@pytest.mark.parametrize("n_r", [1, 3])
+def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
+    n_trials = 5 if width > 100 else 300
+    first = 17  # a run that does not start at trial 0
+    orders = mc._trial_orders(SEED, 2, first, n_trials, n_r, width)
+    u = mc._trial_uniforms(SEED, 2, first, n_trials, n_r * width)
+    expected = np.argsort(u.reshape(n_trials, n_r, width), axis=-1, kind="stable")
+    assert orders.dtype == np.int64
+    assert (orders == expected).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 3, 7, 200, 2048, 2049]),
+    rows=st.integers(1, 4),
+    distinct=st.integers(1, 3),
+    base=st.integers(0, (1 << 53) - 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_words_breaks_exact_ties_by_column(width, rows, distinct, base, seed):
+    # top 53 bits from at most three adjacent values, so most columns tie
+    # exactly on the double and differ only in the 11 discarded low bits
+    rng = np.random.default_rng(seed)
+    high = base + rng.integers(0, distinct, size=(rows, width), dtype=np.uint64)
+    low = rng.integers(0, 1 << 11, size=(rows, width), dtype=np.uint64)
+    words = (high << np.uint64(11)) | low
+    expected = np.argsort((words >> np.uint64(11)) * 2.0**-53, axis=-1, kind="stable")
+    assert (mc._order_words(words.copy()) == expected).all()
 
 
 def test_simconfig_validation():

@@ -1,0 +1,94 @@
+"""Golden seeded outputs: the Monte Carlo reproducibility contract as a gate.
+
+Every value below was recorded with the original kernel, which ranked each
+row by a stable argsort of the doubles ``(word >> 11) * 2**-53``.  Any kernel
+change must reproduce them bit for bit; a changed value here is a break of
+the reproducibility contract, not a test to update.
+"""
+
+import contextlib
+import hashlib
+import io
+from dataclasses import astuple
+
+import pytest
+
+from racerank.cli import main
+from racerank.montecarlo import SimConfig, empirical_rank_moments, simulate
+
+SEED = 20260809
+
+
+def _digest(counts: tuple[int, ...]) -> str:
+    return hashlib.sha256(repr(counts).encode()).hexdigest()
+
+
+def test_virtual_200x30_counts():
+    res = simulate(SimConfig(n_b=200, n_r=30, trials=1000, seed=SEED, n_t=3015))
+    assert sum(res.counts) == 1000
+    assert res.mean == 100.837
+    assert _digest(res.counts) == (
+        "ab4ed434eab370f3f20341f9b52dc20a46be08256fbb141810370e1c9213ceb1"
+    )
+
+
+def test_virtual_drop_worst_padded_counts():
+    # 5 races x 10 boats = 50 words per trial, padded to 52
+    res = simulate(
+        SimConfig(n_b=10, n_r=5, trials=20_000, seed=SEED, n_t=20, drop_worst=True)
+    )
+    assert res.counts == (0, 0, 5, 162, 1865, 6640, 7795, 3149, 372, 12, 0)
+
+
+@pytest.mark.parametrize(
+    "tracked, counts",
+    [((2, 2, 2), (0, 20_000, 0)), ((1, 2, 3), (5082, 14918, 0))],
+)
+def test_tracked_padded_counts(tracked, counts):
+    # 3 races x 2 other boats = 6 words per trial, padded to 8
+    res = simulate(SimConfig(n_b=3, n_r=3, trials=20_000, seed=SEED, tracked_ranks=tracked))
+    assert res.counts == counts
+
+
+def test_tracked_drop_worst_counts():
+    res = simulate(
+        SimConfig(
+            n_b=10, n_r=3, trials=20_000, seed=SEED, tracked_ranks=(1, 5, 10), drop_worst=True
+        )
+    )
+    assert res.counts == (537, 5179, 9703, 4215, 362, 4, 0, 0, 0, 0)
+
+
+def test_rows_wider_than_2048_counts():
+    virtual = simulate(SimConfig(n_b=2100, n_r=2, trials=300, seed=SEED, n_t=2101))
+    assert _digest(virtual.counts) == (
+        "590e62cc0ff72d6fef32c1edb4e1cf345bb83771c0f1f37ec793e032ee918bbb"
+    )
+    tracked = simulate(
+        SimConfig(n_b=2100, n_r=2, trials=300, seed=SEED, tracked_ranks=(700, 1400))
+    )
+    assert _digest(tracked.counts) == (
+        "79443804deb6e2c7430972a7ab4c89f12dda8387cda85f3a4e5602e378ff9169"
+    )
+
+
+@pytest.mark.parametrize(
+    "n_b, expected",
+    [
+        (3, (3, 10_000, 2.0053, 0.6669914572864322, -0.3301090452261306,
+             0.007844678425011234, 0.004626550170976325, 0.004740098917828498)),
+        (10, (10, 10_000, 5.567699999999999, 8.266321105527638, -0.9364989949748742,
+              0.026196747733959927, 0.0639128316433339, 0.08324093399683635)),
+    ],
+)
+def test_rank_moments_values(n_b, expected):
+    assert astuple(empirical_rank_moments(n_b, 10_000, seed=SEED)) == expected
+
+
+def test_curve_csv_digest():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["curve", "20", "5", "--trials", "2000", "--seed", "42"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "98f441d1e6788ab680affccdb7231ddb8773aeb12cac295336296281116896bf"
+    )
