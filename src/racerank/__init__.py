@@ -22,7 +22,6 @@ from .two_race import (
     full_distribution,
     p_exact,
     p_middle,
-    p_reflected,
     p_stirling_form,
     reflect_distribution,
     stirling_form_distribution,
@@ -44,7 +43,6 @@ from .series import (
     middle_score_gf,
     second_gf_expand,
     series_div_exact,
-    series_integrate,
 )
 from .asymptotics import (
     AsymptoticParams,
@@ -83,7 +81,6 @@ __all__ = [
     "RankDistribution",
     "ExcedanceHistogram",
     "p_exact",
-    "p_reflected",
     "p_middle",
     "p_stirling_form",
     "full_distribution",
@@ -103,7 +100,6 @@ __all__ = [
     "SeriesX",
     "exp_xy",
     "series_div_exact",
-    "series_integrate",
     "eulerian_gf",
     "middle_score_gf",
     "second_gf_expand",

@@ -7,7 +7,7 @@ dist N_B N_T [--form ...]    exact rank distribution, four independent routes
 curve N_B N_R [...]          CSV sweep: Monte Carlo vs normal-limit columns
 approx N_B N_R N_T           normal-limit numbers for one score
 simulate N_B N_R [...]       one Monte Carlo run
-verify [--level quick|full]  run the cross-check suite; exit 1 on any failure
+verify [--level quick|full]  run the racerank.checks suite; exit 1 on any failure
 
 Exact values are printed as integers or "p/q" rational strings, never
 silently as floats; ``--json`` wraps any command's output in a machine
@@ -24,12 +24,12 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import (
     asymptotics,
+    checks,
     combinatorics,
     lattice_oracle,
     montecarlo,
@@ -64,15 +64,7 @@ class OutputRecord:
     provenance: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "results": self.results,
-                "provenance": self.provenance,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _emit(args: argparse.Namespace, record: OutputRecord, human: Callable[[], None]) -> None:
@@ -90,30 +82,21 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------- triangles
 
 
-def _cmd_eulerian(args: argparse.Namespace) -> int:
-    if args.n_max > args.cap:
-        raise CLIError(f"n_max {args.n_max} exceeds cap {args.cap} (raise --cap)")
-    rows = combinatorics.eulerian_triangle(args.n_max)
-    record = OutputRecord(
-        "eulerian", {"n_max": args.n_max}, {"rows": rows}, "combinatorics"
-    )
-    _emit(args, record, lambda: print("\n".join(" ".join(map(str, r)) for r in rows)))
-    return 0
+_TRIANGLES = {
+    "eulerian": combinatorics.eulerian_triangle,
+    "stirling": combinatorics.stirling_triangle,
+}
 
 
-def _cmd_stirling(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.n_max > args.cap:
         raise CLIError(f"n_max {args.n_max} exceeds cap {args.cap} (raise --cap)")
-    rows = combinatorics.stirling_triangle(args.n_max)
+    rows = _TRIANGLES[args.command](args.n_max)
     record = OutputRecord(
-        "stirling", {"n_max": args.n_max}, {"rows": rows}, "combinatorics"
+        args.command, {"n_max": args.n_max}, {"rows": rows}, "combinatorics"
     )
     _emit(args, record, lambda: print("\n".join(" ".join(map(str, r)) for r in rows)))
     return 0
@@ -151,7 +134,7 @@ def _dist_distribution(args: argparse.Namespace) -> tuple[two_race.RankDistribut
 
 def _cmd_dist(args: argparse.Namespace) -> int:
     dist, provenance = _dist_distribution(args)
-    probs = [_frac_str(p) for p in dist.probs]
+    probs = [str(p) for p in dist.probs]
     record = OutputRecord(
         "dist",
         {"n_b": args.n_b, "n_t": args.n_t, "form": args.form},
@@ -217,8 +200,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     mean = asymptotics.mean_final_rank(args.n_b, args.n_r, args.n_t)
     var = asymptotics.variance_final_rank(args.n_b, args.n_r, args.n_t)
     results = {
-        "middle_score": _frac_str(params.middle_score),
-        "lambda": _frac_str(params.lam),
+        "middle_score": str(params.middle_score),
+        "lambda": str(params.lam),
         "centered_score": centered,
         "mean_final_rank": mean,
         "variance_final_rank": var,
@@ -296,217 +279,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
-@dataclass
-class _Check:
-    name: str
-    scope: str
-    run: Callable[[], bool]
-
-
-def _eulerian_reference_ok() -> bool:
-    expected = [
-        [1],
-        [1, 1],
-        [1, 4, 1],
-        [1, 11, 11, 1],
-        [1, 26, 66, 26, 1],
-        [1, 57, 302, 302, 57, 1],
-        [1, 120, 1191, 2416, 1191, 120, 1],
-    ]
-    return combinatorics.eulerian_triangle(7) == expected
-
-
-def _corrupted_reference_ok() -> bool:
-    corrupted = [[1], [1, 1], [1, 4, 1], [1, 11, 12, 1]]
-    return combinatorics.eulerian_triangle(4) == corrupted
-
-
-def _row_properties_ok(n_max: int) -> bool:
-    for n in range(1, n_max + 1):
-        row = combinatorics.eulerian_triangle(n)[-1]
-        if sum(row) != combinatorics.factorial(n) or row != row[::-1]:
-            return False
-    return True
-
-
-def _stirling_diagonal_ok(n_max: int) -> bool:
-    return all(
-        combinatorics.stirling_diagonal(score, i)
-        == combinatorics.stirling2(score - 1, score - i)
-        for score in range(2, n_max + 1)
-        for i in range(1, score)
-    )
-
-
-def _eulerian_from_stirling_ok(n_max: int) -> bool:
-    return all(
-        combinatorics.eulerian_from_stirling(n, k) == combinatorics.eulerian(n, k)
-        for n in range(1, n_max + 1)
-        for k in range(n)
-    )
-
-
-def _stirling_sum_ok(n_max: int) -> bool:
-    return all(
-        combinatorics.stirling_binomial_sum(n, k) == combinatorics.stirling2(n + 1, k + 1)
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-    )
-
-
-def _forms_agree_ok(n_b_max: int) -> bool:
-    for n_b in range(1, n_b_max + 1):
-        for n_t in range(2, n_b + 2):
-            for m in range(1, n_b + 2):
-                if two_race.p_exact(n_b, n_t, m) != two_race.p_stirling_form(n_b, n_t, m):
-                    return False
-    return True
-
-
-def _oracle_agrees_ok(n_b_max: int) -> bool:
-    for n_b in range(1, n_b_max + 1):
-        for n_t in range(2, 2 * n_b + 2):
-            if two_race.full_distribution(n_b, n_t) != lattice_oracle.brute_force_two_race(n_b, n_t):
-                return False
-    return True
-
-
-def _excedance_ok(n_max: int) -> bool:
-    for n in range(1, n_max + 1):
-        hist = two_race.excedance_distribution(n)
-        if list(hist.counts) != combinatorics.eulerian_triangle(n)[-1]:
-            return False
-    return True
-
-
-def _lattice_counts_ok(n_t_max: int) -> bool:
-    for n_t in range(2, n_t_max + 1):
-        n_b = n_t - 1
-        for i in range(n_t - 1):
-            if lattice_oracle.count_compatible_subsets(n_b, n_t, i) != combinatorics.stirling_diagonal(n_t, i + 1):
-                return False
-    return True
-
-
-def _lattice_recurrence_ok(n_t_max: int) -> bool:
-    def count(n_t: int, i: int) -> int:
-        return lattice_oracle.count_compatible_subsets(n_t, n_t + 1, i)
-
-    for n_t in range(2, n_t_max + 1):
-        for i in range(n_t - 1):
-            rhs = sum(
-                count(n_t - kp - 1, i - kp) * combinatorics.binomial(n_t - 1, kp)
-                for kp in range(i + 1)
-                if n_t - kp >= 2
-            )
-            if count(n_t, i) != rhs:
-                return False
-        if count(n_t, n_t - 1) != 1:
-            return False
-    return True
-
-
-def _series_rows_ok(order: int) -> bool:
-    g = series.eulerian_gf(order)
-    for n in range(1, order + 1):
-        poly = g.coefficient(n) * combinatorics.factorial(n)
-        if [poly[k] for k in range(n)] != combinatorics.eulerian_triangle(n)[-1]:
-            return False
-    second = series.second_gf_expand(order)
-    for n_b in range(2, order + 1):
-        dist = series.coefficient_to_distribution(second, n_b, n_t=n_b)
-        if dist != two_race.full_distribution(n_b, n_b):
-            return False
-    return True
-
-
-def _middle_identity_ok(n_b_max: int) -> bool:
-    return all(
-        two_race.p_middle(n_b, m) * combinatorics.factorial(n_b)
-        == combinatorics.eulerian(n_b, m - 1)
-        for n_b in range(1, n_b_max + 1)
-        for m in range(1, n_b + 2)
-    )
-
-
-def _verify_checks(level: str, inject_failure: bool) -> list[_Check]:
-    deep = level == "full"
-    checks = [
-        _Check("eulerian rows vs reference table", "n <= 7", _eulerian_reference_ok),
-        _Check(
-            "eulerian row sums and palindrome",
-            f"n <= {12 if deep else 8}",
-            lambda: _row_properties_ok(12 if deep else 8),
-        ),
-        _Check(
-            "diagonal Stirling vs recurrence Stirling",
-            f"score <= {12 if deep else 8}",
-            lambda: _stirling_diagonal_ok(12 if deep else 8),
-        ),
-        _Check(
-            "Eulerian via Stirling transform",
-            f"n <= {10 if deep else 8}",
-            lambda: _eulerian_from_stirling_ok(10 if deep else 8),
-        ),
-        _Check(
-            "binomial-weighted Stirling sum",
-            f"n <= {12 if deep else 8}",
-            lambda: _stirling_sum_ok(12 if deep else 8),
-        ),
-        _Check(
-            "alternating-sum form vs Stirling form",
-            f"n_b <= {8 if deep else 6}",
-            lambda: _forms_agree_ok(8 if deep else 6),
-        ),
-        _Check(
-            "closed form vs brute-force enumeration",
-            f"n_b <= {7 if deep else 5}",
-            lambda: _oracle_agrees_ok(7 if deep else 5),
-        ),
-        _Check(
-            "excedance histogram vs Eulerian rows",
-            f"n <= {8 if deep else 6}",
-            lambda: _excedance_ok(8 if deep else 6),
-        ),
-        _Check(
-            "lattice subset counts vs diagonal Stirling",
-            f"score <= {8 if deep else 6}",
-            lambda: _lattice_counts_ok(8 if deep else 6),
-        ),
-        _Check(
-            "lattice partition recurrence",
-            f"score <= {8 if deep else 6}",
-            lambda: _lattice_recurrence_ok(8 if deep else 6),
-        ),
-        _Check(
-            "generating-function rows vs exact rows",
-            f"order <= {12 if deep else 8}",
-            lambda: _series_rows_ok(12 if deep else 8),
-        ),
-        _Check(
-            "middle-score identity",
-            f"n_b <= {10 if deep else 8}",
-            lambda: _middle_identity_ok(10 if deep else 8),
-        ),
-    ]
-    if inject_failure:
-        checks.insert(
-            0,
-            _Check(
-                "eulerian rows vs corrupted table (test fixture)",
-                "n <= 4",
-                _corrupted_reference_ok,
-            ),
-        )
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = _verify_checks(args.level, args.inject_failure)
-    outcomes = []
-    for check in checks:
-        ok = bool(check.run())
-        outcomes.append({"name": check.name, "scope": check.scope, "ok": ok})
+    outcomes = checks.run(args.level)
     failed = [o for o in outcomes if not o["ok"]]
     if args.json:
         record = OutputRecord(
@@ -534,17 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eulerian", help="print Eulerian triangle rows 1..N")
-    p.add_argument("n_max", type=int)
-    p.add_argument("--cap", type=int, default=60, help="largest allowed depth")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_eulerian)
-
-    p = sub.add_parser("stirling", help="print Stirling triangle rows 1..N")
-    p.add_argument("n_max", type=int)
-    p.add_argument("--cap", type=int, default=60, help="largest allowed depth")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_stirling)
+    for name in _TRIANGLES:
+        p = sub.add_parser(name, help=f"print {name.capitalize()} triangle rows 1..N")
+        p.add_argument("n_max", type=int)
+        p.add_argument("--cap", type=int, default=60, help="largest allowed depth")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("dist", help="exact final-rank distribution for a score")
     p.add_argument("n_b", type=int)
@@ -579,20 +348,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one seeded Monte Carlo run")
     p.add_argument("n_b", type=int)
     p.add_argument("n_r", type=int)
-    p.add_argument("--n-t", type=int, default=None, help="virtual competitor's score")
+    competitor = p.add_mutually_exclusive_group()
+    competitor.add_argument("--n-t", type=int, default=None,
+                            help="virtual competitor's score")
+    competitor.add_argument("--tracked-ranks", type=str, default=None,
+                            help="comma-separated fixed ranks of a tracked real boat")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--drop-worst", action="store_true",
                    help="drop each boat's single worst rank from its score")
-    p.add_argument("--tracked-ranks", type=str, default=None,
-                   help="comma-separated fixed ranks of a tracked real boat")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the identity cross-check suite")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     return parser

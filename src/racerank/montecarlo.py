@@ -372,8 +372,12 @@ def middle_band_grid(
     """Evenly spaced integer scores centered on the middle score, spanning
     +- half_width_sigmas * sqrt(lam) and clipped to the attainable range.
     Duplicates after rounding are merged, so very narrow ranges may return
-    fewer than ``points`` values."""
+    fewer than ``points`` values.  A single point is the middle score, rounded."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     params = AsymptoticParams(n_b, n_r)
+    if points == 1:
+        return [round(params.middle_score)]
     mid = float(params.middle_score)
     w = half_width_sigmas * math.sqrt(float(params.lam))
     lo = max(float(n_r), mid - w)

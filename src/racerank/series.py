@@ -34,7 +34,6 @@ __all__ = [
     "x_monomial",
     "exp_xy",
     "series_div_exact",
-    "series_integrate",
     "eulerian_gf",
     "middle_score_gf",
     "second_gf_expand",
@@ -304,11 +303,6 @@ def series_div_exact(num: SeriesX, den: SeriesX) -> SeriesX:
             residual = residual - q[n - j] * den.coeffs[j]
         q.append(residual.div_exact(pivot))
     return SeriesX(num.order, q)
-
-
-def series_integrate(s: SeriesX) -> SeriesX:
-    """Module-level alias for :meth:`SeriesX.integrate`."""
-    return s.integrate()
 
 
 def eulerian_gf(order: int) -> SeriesX:

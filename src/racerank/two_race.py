@@ -24,7 +24,6 @@ __all__ = [
     "RankDistribution",
     "ExcedanceHistogram",
     "p_exact",
-    "p_reflected",
     "p_middle",
     "p_stirling_form",
     "full_distribution",
@@ -83,7 +82,8 @@ def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
         (1 + n_b) * sum_{k=0}^{m-1} (-1)^k (1+n_b-n_t+m-k)^(n_t-1)
                     (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!),
 
-    valid for 2 <= n_t <= n_b + 1 (use :func:`p_reflected` above that).
+    valid for 2 <= n_t <= n_b + 1 (:func:`full_distribution` covers the upper
+    half through :func:`reflect_distribution`).
     Summands containing the factorial of a negative integer vanish; that
     convention makes the one formula cover every (n_t, m) corner.
     """
@@ -103,20 +103,6 @@ def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
         )
         total += -term if k % 2 else term
     return (1 + n_b) * total
-
-
-def p_reflected(n_b: int, n_t: int, m: int) -> Fraction:
-    """P(final rank = m) for scores above the middle, n_b+2 <= n_t <= 2n_b+1,
-    via the reflection P(n_b+1+i, m) = P(n_b+2-i, n_b+2-m)."""
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not n_b + 2 <= n_t <= 2 * n_b + 1:
-        raise ValueError(
-            f"p_reflected: n_t must be in [{n_b + 2}, {2 * n_b + 1}], got {n_t}"
-        )
-    _check_rank(n_b, m)
-    i = n_t - n_b - 1
-    return p_exact(n_b, n_b + 2 - i, n_b + 2 - m)
 
 
 def p_middle(n_b: int, m: int) -> Fraction:
@@ -155,14 +141,11 @@ def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
 def _assemble(n_b: int, n_t: int, low_form) -> RankDistribution:
     if not 2 <= n_t <= 2 * n_b + 1:
         raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
-    if n_t <= n_b + 1:
-        probs = tuple(low_form(n_b, n_t, m) for m in range(1, n_b + 2))
-    else:
-        i = n_t - n_b - 1
-        probs = tuple(
-            low_form(n_b, n_b + 2 - i, n_b + 2 - m) for m in range(1, n_b + 2)
-        )
-    return RankDistribution(n_b, n_t, probs)
+    if n_t > n_b + 1:
+        return reflect_distribution(_assemble(n_b, 2 * n_b + 3 - n_t, low_form))
+    return RankDistribution(
+        n_b, n_t, tuple(low_form(n_b, n_t, m) for m in range(1, n_b + 2))
+    )
 
 
 def full_distribution(n_b: int, n_t: int) -> RankDistribution:

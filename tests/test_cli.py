@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import racerank
-from racerank import montecarlo
+from racerank import combinatorics, montecarlo
 from racerank.cli import CURVE_COLUMNS, main
 from racerank.two_race import full_distribution
 
@@ -19,6 +20,48 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# SHA-256 of stdout, recorded before the identity checks moved out of cli.py;
+# every byte these commands print must stay the same.
+GOLDEN_STDOUT = [
+    ("verify --level quick", "bfc0d690477b5f56d74c35bd0321801e0da96bbb3a5c30df52f773efd4bbd0aa"),
+    ("verify --level quick --json", "cd491ba7351a623a72bb0c0cc92f9b25832acb8f1aa1e9f926b751b3f1b13b58"),
+    ("verify --level full", "56a55774413842601caa0168f8fb79fda405e6bad195d175d0fc9d994ad4432b"),
+    ("verify --level full --json", "80952d0cb92f4fa010ca0cc76a90bd99ff60dda6c6990b2eca5369fcaf35b213"),
+    ("dist 6 2 --form exact", "e9017b87965cc312b89e272ab4c0666c7ea37db5c912e3db7aaff7b4d6e1cda2"),
+    ("dist 6 2 --form stirling", "4dc6f34b656c9ddd70535a4ec9522dd157592df15d5827f8b4e89777f9953a2b"),
+    ("dist 6 2 --form bruteforce", "eeedee936180b039fedff56f74e0b2bc6374aafb33a50c8ab34cb0c487a6b473"),
+    ("dist 6 5 --form exact", "6f63b21e1a16e9a11d5ea2596b0f503a3419efe5c8a57e27f780bdac4ee60218"),
+    ("dist 6 5 --form stirling", "9050390b0870b08d15e3f10e42c6bf5da676848c7d27cf52219951747af12e25"),
+    ("dist 6 5 --form bruteforce", "d8c432597f016b9926945ccd68ec97ba06852bc7aec902d1c1bc2ee45e1f03ee"),
+    ("dist 6 7 --form exact", "93446b34c4f5f96d0e66e0133a41a4d783558663f993035e8b2c26ff0adeb513"),
+    ("dist 6 7 --form stirling", "77ce4e42c5905be8dff27512b01edadc1bee6b93fb4ad5caa25fecaad6060a72"),
+    ("dist 6 7 --form bruteforce", "87ddd8743d0e09a2350fd3f1535170e13595feeee500fe7b2488abbf85401de7"),
+    ("dist 6 8 --form exact", "af47fea09ec8dc3205a8323c50609ff2f00e178e751dc79ab97f8be2342537bf"),
+    ("dist 6 8 --form stirling", "49175a333d179d126a50abdc324da1318c18fc47cd87d4066f44db355a4cf662"),
+    ("dist 6 8 --form bruteforce", "4dca87fde66f011b5738abd597ebc89bb621c924052f9dabf388979105e37448"),
+    ("dist 6 9 --form exact", "59149b9325c8a2bf9bd0d1982db180f7fc47c1125df445274039210558247a14"),
+    ("dist 6 9 --form stirling", "55f7e4bb3ef9e608498fee9a095c37fbab53423463e59a01126d19c9a4a35d3b"),
+    ("dist 6 9 --form bruteforce", "3891c52af37da8a171683dd3643ea5318110d8ad5259245f2b1fb090d874a245"),
+    ("dist 6 11 --form exact", "fff0045ae8bd5b8a835042c00d96d47cc2fdbb9f61a8accfbf03a44be6d6e6e0"),
+    ("dist 6 11 --form stirling", "2d4ed143968509cade2f2adcb1ef6c0630dc1bffdee01e4fdaf91e07c2e91bd9"),
+    ("dist 6 11 --form bruteforce", "67c375f1103286ba38b4d90567df54bd08d6830b034202185257cc905f604569"),
+    ("dist 6 13 --form exact", "c089cf1101ce9ac9a5c20faf7d18389d6f1386b5b8a36a197381d6dfe1aa3e82"),
+    ("dist 6 13 --form stirling", "573185e735d02a8b8470c5b4d4f4d6843f607582bdf224621acd934d1b11cda3"),
+    ("dist 6 13 --form bruteforce", "ab6541866f17ac7d6b297aef74371a1b0735e1c3fa945db605961a71c3cfecc5"),
+    ("approx 200 30 3015", "753ba12ac7997ea404caa92af74dbfedce505a07ea19745136239803b415a159"),
+    ("approx 200 30 3015 --json", "65e202f5553d08d4366b746d4c950e9942506f46fe6910da2f125e77e64f89b0"),
+    ("eulerian 6 --json", "fb9163a92f167f5955f4df2bb0b7692dc686881264fecaa9697b96f6457149c2"),
+    ("stirling 6", "bc5182a4d44f24072c6eb06dc3641aa5d157a226cb61b44f86411900e8ac7eef"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_STDOUT, ids=[c for c, _ in GOLDEN_STDOUT])
+def test_cli_output_golden(capsys, command, digest):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_eulerian_rows(capsys):
@@ -95,10 +138,22 @@ def test_verify_full_passes(capsys):
     assert code == 0
 
 
-def test_verify_corrupted_table_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--inject-failure")
+def test_verify_corrupted_table_fails(capsys, monkeypatch):
+    real = combinatorics.eulerian_triangle
+
+    def corrupted(n_max):
+        rows = real(n_max)
+        if n_max >= 4:
+            rows[3] = [1, 11, 12, 1]
+        return rows
+
+    monkeypatch.setattr(combinatorics, "eulerian_triangle", corrupted)
+    code, out, _ = run_cli(capsys, "verify")
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines()[0] == "FAIL eulerian rows vs reference table (n <= 7)"
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 1
+    assert json.loads(out)["results"]["ok"] is False
 
 
 def test_verify_json(capsys):
@@ -138,6 +193,22 @@ def test_curve_csv_deterministic(capsys):
         assert row["n_t"] == str(int(row["n_t"]))
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_curve_rejects_empty_grid(capsys, points):
+    code, out, err = run_cli(capsys, "curve", "21", "4", "--points", points, "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: points must be >= 1, got {points}\n"
+
+
+def test_curve_single_point_is_middle_score(capsys):
+    code, out, _ = run_cli(
+        capsys, "curve", "200", "30", "--points", "1", "--trials", "100", "--seed", "1"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["n_t"] for row in rows] == ["3015"]
+
+
 def test_curve_logs_generated_seed(capsys):
     code, out, err = run_cli(capsys, "curve", "21", "4", "--points", "3", "--trials", "200")
     assert code == 0
@@ -173,6 +244,14 @@ def test_simulate_tracked_ranks(capsys):
     )
     record = json.loads(out)
     assert record["results"]["empirical_probs"] == [0.0, 1.0, 0.0]
+
+
+def test_simulate_score_and_tracked_ranks_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "3", "3", "--n-t", "4", "--tracked-ranks", "2,2,2", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tracked-ranks: not allowed with argument --n-t" in err
 
 
 def test_simulate_bad_tracked_ranks(capsys):

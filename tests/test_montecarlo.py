@@ -200,6 +200,11 @@ def test_middle_band_grid():
     assert grid == sorted(grid)
     assert 3015 in grid  # odd point count centers the middle score
     assert all(30 <= v <= 6000 for v in grid)
+    assert middle_band_grid(200, 30, points=1) == [3015]
+    assert middle_band_grid(21, 4, points=1) == [44]
+    for points in (0, -1):
+        with pytest.raises(ValueError):
+            middle_band_grid(200, 30, points=points)
 
 
 def test_curve_sweep_deterministic_and_sane():

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racerank.combinatorics import eulerian, factorial
 from racerank.two_race import (
@@ -12,7 +14,6 @@ from racerank.two_race import (
     full_distribution,
     p_exact,
     p_middle,
-    p_reflected,
     p_stirling_form,
     reflect_distribution,
     stirling_form_distribution,
@@ -47,26 +48,24 @@ def test_p_exact_matches_brute_force():
 
 def test_p_exact_rejects_out_of_range():
     with pytest.raises(ValueError):
-        p_exact(3, 5, 1)  # upper range needs p_reflected
+        p_exact(3, 5, 1)  # upper range: full_distribution reflects
     with pytest.raises(ValueError):
         p_exact(3, 1, 1)
     with pytest.raises(ValueError):
         p_exact(3, 3, 5)
 
 
-def test_p_reflected():
-    assert p_reflected(3, 7, 4) == 1  # highest score -> always last
+def test_upper_half_reflection():
+    assert full_distribution(3, 7).p(4) == 1  # highest score -> always last
     for m in range(1, 5):
-        assert p_reflected(3, 5, m) == p_exact(3, 4, 5 - m)
-    assert p_reflected(4, 6, 3) == p_exact(4, 5, 3)
+        assert full_distribution(3, 5).p(m) == p_exact(3, 4, 5 - m)
+    assert full_distribution(4, 6).p(3) == p_exact(4, 5, 3)
     # both sides against brute force
     expected = brute_distribution(4, 6)
     for m in range(1, 6):
-        assert p_reflected(4, 6, m) == expected[m - 1]
+        assert full_distribution(4, 6).p(m) == expected[m - 1]
     with pytest.raises(ValueError):
-        p_reflected(3, 4, 1)
-    with pytest.raises(ValueError):
-        p_reflected(3, 8, 1)
+        full_distribution(3, 8)
 
 
 def test_p_middle_rows():
@@ -155,6 +154,29 @@ def test_reflection_involution():
             r = reflect_distribution(d)
             assert r == full_distribution(n_b, r.n_t)
             assert reflect_distribution(r) == d
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n_b: st.tuples(st.just(n_b), st.integers(2, 2 * n_b + 1))
+    )
+)
+def test_exact_route_properties(case):
+    n_b, n_t = case
+    d = full_distribution(n_b, n_t)
+    assert len(d.probs) == n_b + 1 and sum(d.probs) == 1
+    r = reflect_distribution(d)
+    assert r == full_distribution(n_b, r.n_t)
+    assert reflect_distribution(r) == d
+    assert stirling_form_distribution(n_b, n_t) == d
+    if n_t < 2 * n_b + 1:
+        # a higher score never makes a better rank more likely
+        higher = full_distribution(n_b, n_t + 1)
+        assert all(
+            a <= b
+            for a, b in zip(itertools.accumulate(higher.probs), itertools.accumulate(d.probs))
+        )
 
 
 def test_distribution_moments():
