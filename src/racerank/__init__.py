@@ -15,10 +15,8 @@ from .combinatorics import (
     stirling_triangle,
 )
 from .two_race import (
-    ExcedanceHistogram,
     RankDistribution,
     distribution_moments,
-    excedance_distribution,
     full_distribution,
     p_exact,
     p_middle,
@@ -79,7 +77,6 @@ __all__ = [
     "stirling_binomial_sum",
     # two_race
     "RankDistribution",
-    "ExcedanceHistogram",
     "p_exact",
     "p_middle",
     "p_stirling_form",
@@ -87,7 +84,6 @@ __all__ = [
     "stirling_form_distribution",
     "reflect_distribution",
     "distribution_moments",
-    "excedance_distribution",
     # lattice_oracle
     "below_diagonal_points",
     "count_compatible_subsets",

@@ -81,9 +81,12 @@ def _oracle_agrees_ok(n_b_max: int) -> bool:
 
 
 def _excedance_ok(n_max: int) -> bool:
+    # the excedance statistic #{i : a(i) <= n - i} is the number of boats a
+    # middle-score (n + 1) competitor loses to, so m - 1 carries its histogram
     for n in range(1, n_max + 1):
-        hist = two_race.excedance_distribution(n)
-        if list(hist.counts) != combinatorics.eulerian_triangle(n)[-1]:
+        dist = lattice_oracle.brute_force_two_race(n, n + 1)
+        counts = [p * combinatorics.factorial(n) for p in dist.probs]
+        if counts != combinatorics.eulerian_triangle(n)[-1] + [0]:
             return False
     return True
 
@@ -131,8 +134,7 @@ def _series_rows_ok(order: int) -> bool:
 
 def _middle_identity_ok(n_b_max: int) -> bool:
     return all(
-        two_race.p_middle(n_b, m) * combinatorics.factorial(n_b)
-        == combinatorics.eulerian(n_b, m - 1)
+        two_race.p_middle(n_b, m) == two_race.p_exact(n_b, n_b + 1, m)
         for n_b in range(1, n_b_max + 1)
         for m in range(1, n_b + 2)
     )

@@ -117,7 +117,7 @@ def _dist_distribution(args: argparse.Namespace) -> tuple[two_race.RankDistribut
             "lattice_oracle",
         )
     if form == "series":
-        order = max(args.order, n_b, 2)
+        order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
         if n_t == n_b + 1:
             dist = series.coefficient_to_distribution(
                 series.middle_score_gf(order), n_b
@@ -323,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["exact", "stirling", "bruteforce", "series"],
         default="exact",
     )
-    p.add_argument("--order", type=int, default=12, help="series truncation order")
     p.add_argument("--cap", type=int, default=lattice_oracle.DEFAULT_BUDGET,
                    help="enumeration budget for --form=bruteforce")
     p.add_argument("--json", action="store_true")

@@ -159,13 +159,12 @@ def _chunked(trials: int, per_trial: int) -> Iterator[tuple[int, int]]:
 class SimConfig:
     """Parameters of one simulation run.
 
-    ``n_t`` is the virtual competitor's score and is required unless
-    ``tracked_ranks`` is given, in which case the tracked boat's fixed
-    per-race ranks define its score and ``n_t`` is ignored.  ``stream``
-    selects an independent substream of the same seed (curve sweeps use the
-    grid index).  With ``drop_worst`` every real boat's score drops its
-    single worst rank; a virtual competitor's ``n_t`` is compared as given,
-    i.e. it is taken to be an already-improved score.
+    Give exactly one of ``n_t``, the virtual competitor's score, and
+    ``tracked_ranks``, the tracked boat's fixed per-race ranks (which define
+    its score).  ``stream`` selects an independent substream of the same
+    seed (curve sweeps use the grid index).  With ``drop_worst`` every real
+    boat's score drops its single worst rank; a virtual competitor's ``n_t``
+    is compared as given, i.e. it is taken to be an already-improved score.
     """
 
     n_b: int
@@ -189,6 +188,8 @@ class SimConfig:
         if self.tracked_ranks is None:
             if self.n_t is None:
                 raise ValueError("n_t is required unless tracked_ranks is given")
+        elif self.n_t is not None:
+            raise ValueError("give n_t or tracked_ranks, not both")
         else:
             object.__setattr__(self, "tracked_ranks", tuple(self.tracked_ranks))
             if len(self.tracked_ranks) != self.n_r:
@@ -240,54 +241,30 @@ def simulate(config: SimConfig) -> SimResult:
     randomness layout).  Virtual mode tallies m = 1 + #{boats scoring
     strictly below n_t}; tracked mode m = 1 + #{other boats scoring
     strictly below the tracked boat}."""
-    if config.tracked_ranks is None:
-        counts = _simulate_virtual(config)
+    n_b, n_r, tracked = config.n_b, config.n_r, config.tracked_ranks
+    if tracked is None:
+        width, threshold, values = n_b, config.n_t, _ranks
     else:
-        counts = _simulate_tracked(config)
-    return _result_from_counts(config, counts)
-
-
-def _simulate_virtual(config: SimConfig) -> np.ndarray:
-    n_b, n_r, n_t = config.n_b, config.n_r, config.n_t
-    per_trial = n_r * n_b
-    counts = np.zeros(n_b + 2, dtype=np.int64)
-    for start, n in _chunked(config.trials, per_trial):
-        ranks = _ranks(_trial_orders(config.seed, config.stream, start, n, n_r, n_b))
-        if config.drop_worst:
-            scores = ranks.sum(axis=1) - ranks.max(axis=1)
-        else:
-            scores = ranks.sum(axis=1)
-        m = 1 + (scores < n_t).sum(axis=1)
-        counts += np.bincount(m, minlength=n_b + 2)
-    return counts[1:]
-
-
-def _simulate_tracked(config: SimConfig) -> np.ndarray:
-    n_b, n_r = config.n_b, config.n_r
-    others = n_b - 1
-    assert config.tracked_ranks is not None
-    tracked = config.tracked_ranks
-    tracked_score = sum(tracked) - (max(tracked) if config.drop_worst else 0)
-    counts = np.zeros(n_b + 1, dtype=np.int64)
-    if others == 0:
-        counts[1] = config.trials
-        return counts[1:]
-    leftover = np.array(
-        [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int64
-    )
-    per_trial = n_r * others
-    for start, n in _chunked(config.trials, per_trial):
-        order = _trial_orders(config.seed, config.stream, start, n, n_r, others)
-        vals = np.take_along_axis(
-            np.broadcast_to(leftover, (n, n_r, others)), order, axis=-1
+        width = n_b - 1
+        threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
+        leftover = np.array(
+            [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int64
         )
+
+        def values(orders: np.ndarray) -> np.ndarray:
+            return np.take_along_axis(
+                np.broadcast_to(leftover, orders.shape), orders, axis=-1
+            )
+
+    counts = np.zeros(width + 2, dtype=np.int64)
+    for start, n in _chunked(config.trials, n_r * width):
+        vals = values(_trial_orders(config.seed, config.stream, start, n, n_r, width))
+        scores = vals.sum(axis=1)
         if config.drop_worst:
-            scores = vals.sum(axis=1) - vals.max(axis=1)
-        else:
-            scores = vals.sum(axis=1)
-        m = 1 + (scores < tracked_score).sum(axis=1)
-        counts += np.bincount(m, minlength=n_b + 1)
-    return counts[1:]
+            scores -= vals.max(axis=1)
+        m = 1 + (scores < threshold).sum(axis=1)
+        counts += np.bincount(m, minlength=width + 2)
+    return _result_from_counts(config, counts[1:])
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,13 @@ reflection identity covers the upper half.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial, eulerian, factorial, stirling_diagonal
 
 __all__ = [
-    "EXCEDANCE_CAP",
     "RankDistribution",
-    "ExcedanceHistogram",
     "p_exact",
     "p_middle",
     "p_stirling_form",
@@ -30,11 +27,7 @@ __all__ = [
     "stirling_form_distribution",
     "reflect_distribution",
     "distribution_moments",
-    "excedance_distribution",
 ]
-
-EXCEDANCE_CAP = 10
-
 
 @dataclass(frozen=True)
 class RankDistribution:
@@ -60,15 +53,6 @@ class RankDistribution:
         if not 1 <= m <= len(self.probs):
             raise ValueError(f"rank m must be in [1, {len(self.probs)}], got {m}")
         return self.probs[m - 1]
-
-
-@dataclass(frozen=True)
-class ExcedanceHistogram:
-    """counts[c] = number of permutations of 1..n with exactly c low positions
-    (see :func:`excedance_distribution`); counts sum to n!."""
-
-    n: int
-    counts: tuple[int, ...]
 
 
 def _check_rank(n_b: int, m: int) -> None:
@@ -174,22 +158,3 @@ def distribution_moments(d: RankDistribution) -> tuple[Fraction, Fraction]:
     second = sum((p * m * m for m, p in enumerate(d.probs, start=1)), Fraction(0))
     return mean, second - mean * mean
 
-
-def excedance_distribution(n: int, cap: int = EXCEDANCE_CAP) -> ExcedanceHistogram:
-    """Histogram, over all n! permutations a of 1..n, of the statistic
-    #{i : a(i) <= n - i} -- the count of first-race positions whose holder
-    beats a middle-score competitor.  The histogram equals the Eulerian row
-    of order n.
-
-    Enumerates every permutation; n is capped (default 10) to keep runtime
-    bounded.  Raise ``cap`` explicitly for deeper rows.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"excedance_distribution: n={n} above enumeration cap {cap}")
-    counts = [0] * n
-    for a in itertools.permutations(range(1, n + 1)):
-        c = sum(1 for i, ai in enumerate(a, start=1) if ai <= n - i)
-        counts[c] += 1
-    return ExcedanceHistogram(n, tuple(counts))

@@ -57,7 +57,6 @@ from racerank.series import (
     second_gf_expand,
 )
 from racerank.two_race import (
-    excedance_distribution,
     full_distribution,
     p_exact,
     p_middle,
@@ -129,10 +128,13 @@ def test_04_oracle_equivalence():
 
 
 def test_05_excedance_statistic():
-    ok = excedance_distribution(3).counts == (1, 4, 1)
+    # #{i : a(i) <= n - i} is the number of boats beating score n + 1
+    def histogram(n):
+        return [p * factorial(n) for p in brute_force_two_race(n, n + 1).probs]
+
+    ok = histogram(3) == [1, 4, 1, 0]
     for n in range(1, 9):
-        hist = excedance_distribution(n)
-        ok = ok and list(hist.counts) == [eulerian(n, k) for k in range(n)]
+        ok = ok and histogram(n) == [eulerian(n, k) for k in range(n)] + [0]
     report("05", "excedance histogram = Eulerian rows (n <= 8)", ok)
     assert ok
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import racerank
-from racerank import combinatorics, montecarlo
+from racerank import combinatorics, montecarlo, two_race
 from racerank.cli import CURVE_COLUMNS, main
 from racerank.two_race import full_distribution
 
@@ -104,6 +104,18 @@ def test_dist_reflection_case(capsys):
         assert out.splitlines()[-1] == "0 0 0 1"
 
 
+@pytest.mark.parametrize(
+    "n_b,n_t",
+    [(n_b, n_b + 1) for n_b in range(1, 15)] + [(n_b, n_b) for n_b in range(2, 15)],
+)
+def test_dist_series_equals_exact(capsys, n_b, n_t):
+    # dist truncates the series at order max(n_b, 2), so this reaches orders above 12
+    _, exact, _ = run_cli(capsys, "dist", str(n_b), str(n_t), "--form", "exact")
+    code, out, _ = run_cli(capsys, "dist", str(n_b), str(n_t), "--form", "series")
+    assert code == 0
+    assert out.splitlines()[-1] == exact.splitlines()[-1]
+
+
 def test_dist_series_domain_restriction(capsys):
     code, _, err = run_cli(capsys, "dist", "3", "7", "--form", "series")
     assert code == 2
@@ -154,6 +166,22 @@ def test_verify_corrupted_table_fails(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--json")
     assert code == 1
     assert json.loads(out)["results"]["ok"] is False
+
+
+def test_verify_middle_identity_catches_wrong_eulerian(capsys, monkeypatch):
+    # the same wrong value in both modules: only a check that compares
+    # p_middle with a route free of Eulerian numbers can see it
+    real = combinatorics.eulerian
+
+    def wrong(n, k):
+        return real(n, k) + (n == 4 and k == 1)
+
+    monkeypatch.setattr(combinatorics, "eulerian", wrong)
+    monkeypatch.setattr(two_race, "eulerian", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 1
+    outcomes = {c["name"]: c["ok"] for c in json.loads(out)["results"]["checks"]}
+    assert outcomes["middle-score identity"] is False
 
 
 def test_verify_json(capsys):

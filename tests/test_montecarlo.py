@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -93,26 +94,47 @@ def test_simconfig_validation():
         SimConfig(n_b=0, n_r=2, trials=10, seed=1, n_t=4)
     with pytest.raises(ValueError):
         SimConfig(n_b=3, n_r=2, trials=0, seed=1, n_t=4)
-    with pytest.raises(ValueError):
-        SimConfig(n_b=3, n_r=2, trials=10, seed=1)  # n_t missing
+    with pytest.raises(ValueError, match="n_t is required unless tracked_ranks is given"):
+        SimConfig(n_b=3, n_r=2, trials=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=(1, 2, 3))
     with pytest.raises(ValueError):
         SimConfig(n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=(0, 2))
     with pytest.raises(ValueError):
         SimConfig(n_b=3, n_r=2, trials=10, seed=-1, n_t=4)
+    with pytest.raises(ValueError, match="not both"):
+        SimConfig(n_b=3, n_r=3, trials=10, seed=1, n_t=4, tracked_ranks=(2, 2, 2))
     cfg = SimConfig(n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=[1, 2])
     assert cfg.tracked_ranks == (1, 2)
 
 
-def test_simulate_bit_identical_and_chunk_independent(monkeypatch):
-    cfg = SimConfig(n_b=5, n_r=3, trials=4000, seed=SEED, n_t=9)
-    r1 = simulate(cfg)
-    r2 = simulate(cfg)
-    assert r1 == r2
-    monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 64)  # force many tiny chunks
-    r3 = simulate(cfg)
-    assert r3 == r1
+# one config per path through simulate's chunk loop
+CHUNK_CASES = [
+    SimConfig(n_b=5, n_r=3, trials=300, seed=SEED, n_t=9),
+    SimConfig(n_b=5, n_r=3, trials=300, seed=SEED, n_t=7, drop_worst=True),
+    SimConfig(n_b=3, n_r=3, trials=300, seed=SEED, tracked_ranks=(1, 2, 3)),  # width 2, padded
+    SimConfig(n_b=6, n_r=3, trials=300, seed=SEED, tracked_ranks=(1, 4, 6), drop_worst=True),
+    SimConfig(n_b=1, n_r=2, trials=300, seed=SEED, tracked_ranks=(1, 1)),  # width 0
+]
+
+
+def _chunk_case_results():
+    return (
+        [simulate(cfg) for cfg in CHUNK_CASES],
+        empirical_rank_moments(4, 1000, seed=SEED, batches=10),
+    )
+
+
+_reference_results = functools.cache(_chunk_case_results)  # at the default chunk size
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunk_doubles=st.one_of(st.just(mc._CHUNK_DOUBLES), st.integers(1, 100)))
+def test_simulate_bit_identical_and_chunk_independent(chunk_doubles):
+    reference = _reference_results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_CHUNK_DOUBLES", chunk_doubles)
+        assert _chunk_case_results() == reference
 
 
 def test_simulate_counts_sum_to_trials():

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racerank.combinatorics import eulerian, factorial
+from racerank.lattice_oracle import brute_force_two_race
 from racerank.two_race import (
     RankDistribution,
     distribution_moments,
-    excedance_distribution,
     full_distribution,
     p_exact,
     p_middle,
@@ -201,22 +201,21 @@ def test_rank_distribution_validation():
         d.p(5)
 
 
+def excedance_histogram(n):
+    """counts[c] = number of permutations a of 1..n with c positions
+    a(i) <= n - i, i.e. c boats scoring below n + 1; the last bin is 0."""
+    return [p * factorial(n) for p in brute_force_two_race(n, n + 1).probs]
+
+
 def test_excedance_small_cases():
     # per-permutation counts for n=3 are 1,1,2,1,1,0 -> histogram (1,4,1)
-    assert excedance_distribution(3).counts == (1, 4, 1)
-    assert excedance_distribution(1).counts == (1,)
-    assert excedance_distribution(4).counts == (1, 11, 11, 1)
+    assert excedance_histogram(3) == [1, 4, 1, 0]
+    assert excedance_histogram(1) == [1, 0]
+    assert excedance_histogram(4) == [1, 11, 11, 1, 0]
 
 
 def test_excedance_matches_eulerian_rows():
     for n in range(1, 9):
-        hist = excedance_distribution(n)
-        assert sum(hist.counts) == factorial(n)
-        assert list(hist.counts) == [eulerian(n, k) for k in range(n)]
-
-
-def test_excedance_cap():
-    with pytest.raises(ValueError):
-        excedance_distribution(11)
-    # configurable
-    assert excedance_distribution(6, cap=6).n == 6
+        hist = excedance_histogram(n)
+        assert sum(hist) == factorial(n)
+        assert hist == [eulerian(n, k) for k in range(n)] + [0]
