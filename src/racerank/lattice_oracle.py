@@ -4,13 +4,26 @@ Everything here counts finite configurations directly -- lattice points,
 non-attacking placements, exhaustive race outcomes -- without consulting the
 formulas in `combinatorics` or `two_race`, so agreement between the two
 routes is meaningful evidence.
+
+The race oracles share one enumeration rule.  Boat j scores a fixed part
+plus its value in each race; every race deals its values to the boats in
+every order, and the final rank is m = 1 + #{boats scoring strictly below
+the threshold}, so ties do not push it down.  The budget is checked before
+any permutation is generated.  Score mode (``brute_force_score``, whose
+n_r = 2 case is ``brute_force_two_race``) relabels the first race to the
+identity, which leaves the law of m unchanged: boat i's fixed part is i and
+the other n_r - 1 races deal 1..n_b.  Composition mode
+(``brute_force_composition``) gives the other n_b - 1 boats fixed part 0 and
+deals each race the values the tracked boat's rank left over; the threshold
+is the tracked boat's score.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+import operator
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,77 +99,63 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
 def brute_force_two_race(
     n_b: int, n_t: int, budget: int = DEFAULT_BUDGET
 ) -> RankDistribution:
-    """Exact final-rank distribution of a score-n_t competitor by enumerating
-    every second-race permutation, the first race relabeled to the identity
-    (boat i scores i + a(i))."""
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= 2 * n_b + 1:
-        raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
-    need = math.factorial(n_b)
-    if need > budget:
-        raise ValueError(f"enumeration needs {need} configurations, budget is {budget}")
-    counts = [0] * (n_b + 2)
-    for a in itertools.permutations(range(1, n_b + 1)):
-        m = 1 + sum(1 for i, ai in enumerate(a, start=1) if i + ai < n_t)
-        counts[m] += 1
-    return RankDistribution(n_b, n_t, tuple(Fraction(c, need) for c in counts[1:]))
+    """Exact final-rank distribution of a score-n_t competitor over two
+    races, 2 <= n_t <= 2 n_b + 1: boat i scores i + a(i) over the n_b!
+    permutations a.  Equal to ``brute_force_score(n_b, 2, n_t)``."""
+    return _score_law(n_b, 2, n_t, budget)
 
 
 def brute_force_score(
     n_b: int, n_r: int, n_t: int, budget: int = DEFAULT_BUDGET
 ) -> RankDistribution:
-    """Exact final-rank distribution of a score-n_t competitor over n_r races:
-    the first race is relabeled to the identity and the other n_r - 1 races
-    run over all permutation tuples ((n_b!)^(n_r - 1) configurations)."""
-    if n_b < 1 or n_r < 1:
-        raise ValueError("n_b and n_r must be >= 1")
-    need = math.factorial(n_b) ** (n_r - 1)
-    if need > budget:
-        raise ValueError(f"enumeration needs {need} configurations, budget is {budget}")
-    perms = list(itertools.permutations(range(1, n_b + 1)))
-    counts = [0] * (n_b + 2)
-    for races in itertools.product(perms, repeat=n_r - 1):
-        m = 1
-        for i in range(1, n_b + 1):
-            if i + sum(race[i - 1] for race in races) < n_t:
-                m += 1
-        counts[m] += 1
-    return RankDistribution(n_b, n_t, tuple(Fraction(c, need) for c in counts[1:]))
+    """Exact final-rank distribution of a score-n_t competitor over n_r
+    races, n_r <= n_t <= n_r n_b + 1, by score-mode enumeration
+    ((n_b!)^(n_r - 1) configurations)."""
+    return _score_law(n_b, n_r, n_t, budget)
 
 
 def brute_force_composition(
     n_b: int, ranks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> RankDistribution:
-    """Exact final-rank distribution of a real tracked boat whose per-race
-    ranks are fixed, while in every race the other n_b - 1 boats permute
-    over the leftover rank values (((n_b - 1)!)^n_r configurations).
-
-    The tracked boat's rank runs over 1..n_b and counts only strictly
-    smaller scores, so boats tying it do not push it down.
-    """
+    """Exact final-rank distribution, over 1..n_b, of a real tracked boat
+    whose per-race ranks are fixed, by composition-mode enumeration
+    (((n_b - 1)!)^n_r configurations)."""
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
-    n_r = len(ranks)
-    if n_r < 1:
+    if len(ranks) < 1:
         raise ValueError("need at least one race")
     if any(not 1 <= r <= n_b for r in ranks):
         raise ValueError(f"tracked ranks must lie in [1, {n_b}], got {tuple(ranks)}")
-    need = math.factorial(n_b - 1) ** n_r
+    leftovers = [[v for v in range(1, n_b + 1) if v != r] for r in ranks]
+    score = sum(ranks)
+    probs = _rank_law([0] * (n_b - 1), leftovers, score, budget)
+    return RankDistribution(n_b, score, probs)
+
+
+def _score_law(n_b: int, n_r: int, n_t: int, budget: int) -> RankDistribution:
+    if n_r < 1:
+        raise ValueError(f"n_r must be >= 1, got {n_r}")
+    if n_b < 1:
+        raise ValueError(f"n_b must be >= 1, got {n_b}")
+    if not n_r <= n_t <= n_r * n_b + 1:
+        raise ValueError(f"score n_t must be in [{n_r}, {n_r * n_b + 1}], got {n_t}")
+    values = range(1, n_b + 1)
+    probs = _rank_law(values, [values] * (n_r - 1), n_t, budget)
+    return RankDistribution(n_b, n_t, probs)
+
+
+def _rank_law(
+    fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int, budget: int
+) -> tuple[Fraction, ...]:
+    """P(m = k + 1) for k = 0..len(fixed) under the module's enumeration
+    rule: boat j scores fixed[j] plus its value in each of ``races``."""
+    need = math.prod(math.factorial(len(race)) for race in races)
     if need > budget:
         raise ValueError(f"enumeration needs {need} configurations, budget is {budget}")
-    tracked_score = sum(ranks)
-    race_perms = [
-        list(itertools.permutations([v for v in range(1, n_b + 1) if v != r]))
-        for r in ranks
-    ]
-    counts = [0] * (n_b + 1)
-    for assignment in itertools.product(*race_perms):
-        m = 1
-        for j in range(n_b - 1):
-            if sum(race[j] for race in assignment) < tracked_score:
-                m += 1
-        counts[m] += 1
-    return RankDistribution(
-        n_b, tracked_score, tuple(Fraction(c, need) for c in counts[1:])
-    )
+    counts: Counter[int] = Counter()
+    # The last race is walked lazily: listing all its orders costs memory.
+    for head in itertools.product(*map(itertools.permutations, races[:-1])):
+        limits = [threshold - sum(parts) for parts in zip(fixed, *head)]
+        tails = itertools.permutations(races[-1]) if races else [(0,) * len(fixed)]
+        counts.update(sum(map(operator.lt, tail, limits)) for tail in tails)
+    return tuple(Fraction(counts[k], need) for k in range(len(fixed) + 1))

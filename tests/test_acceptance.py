@@ -286,7 +286,7 @@ def test_12_correlated_rank_moments():
         # sum rule holds exactly on every sample the estimator consumed
         expected_sum = n_b * (n_b + 1) // 2
         for start, n in mc._chunked(trials, n_b):
-            ranks = mc._rank_rows(mc._trial_uniforms(SEED, 0, start, n, n_b))
+            ranks = mc._ranks(mc._trial_orders(SEED, 0, start, n, 1, n_b))[:, 0]
             ok = ok and bool((ranks.sum(axis=1) == expected_sum).all())
     report("12", "permutation moments match theory at 4 SE; sum rule exact", ok)
     assert ok

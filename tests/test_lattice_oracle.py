@@ -1,9 +1,11 @@
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from racerank import lattice_oracle
 from racerank.combinatorics import binomial, stirling_diagonal
 from racerank.lattice_oracle import (
     below_diagonal_points,
@@ -92,8 +94,14 @@ def test_brute_force_two_race_examples():
 def test_brute_force_two_race_budget_and_range():
     with pytest.raises(ValueError, match="budget"):
         brute_force_two_race(9, 5, budget=1000)
-    with pytest.raises(ValueError):
-        brute_force_two_race(3, 8)
+    # `racerank dist --form bruteforce` prints these messages verbatim
+    for args, message in (
+        ((3, 8), "score n_t must be in [2, 7], got 8"),
+        ((3, 1), "score n_t must be in [2, 7], got 1"),
+        ((0, 2), "n_b must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            brute_force_two_race(*args)
 
 
 def test_brute_force_matches_closed_form():
@@ -119,8 +127,13 @@ def test_brute_force_score_frozen_values():
     assert brute_force_score(2, 3, 4).probs == (Fraction(3, 4), Fraction(1, 4), 0)
 
 
-def test_brute_force_score_unrelabeled_crosscheck():
-    n_b, n_r, n_t = 3, 3, 6
+@pytest.mark.parametrize(
+    "n_b, n_r, n_t",
+    [(3, 3, 6)]
+    + [(n_b, 1, n_t) for n_b in range(1, 5) for n_t in range(1, n_b + 2)]
+    + [(4, 3, n_t) for n_t in (5, 8, 11)],
+)
+def test_brute_force_score_unrelabeled_crosscheck(n_b, n_r, n_t):
     perms = list(itertools.permutations(range(1, n_b + 1)))
     counts = Counter()
     for races in itertools.product(perms, repeat=n_r):
@@ -138,6 +151,39 @@ def test_brute_force_score_budget():
         brute_force_score(6, 5, 12, budget=10**6)
 
 
+@pytest.mark.parametrize(
+    "n_b, n_r, n_t, message",
+    [
+        (3, 2, 1, "score n_t must be in [2, 7], got 1"),
+        (3, 2, 8, "score n_t must be in [2, 7], got 8"),
+        (2, 3, 2, "score n_t must be in [3, 7], got 2"),
+        (2, 3, 8, "score n_t must be in [3, 7], got 8"),
+        (4, 1, 0, "score n_t must be in [1, 5], got 0"),
+    ],
+)
+def test_brute_force_score_rejects_unreachable_scores(n_b, n_r, n_t, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        brute_force_score(n_b, n_r, n_t)
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (brute_force_two_race, (9, 5)),
+        (brute_force_score, (6, 2, 7)),
+        (brute_force_score, (4, 3, 7)),
+        (brute_force_composition, (5, (1, 2, 3))),
+    ],
+)
+def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
+    def refuse(*_):
+        raise AssertionError("a permutation was generated over budget")
+
+    monkeypatch.setattr(lattice_oracle.itertools, "permutations", refuse)
+    with pytest.raises(ValueError, match="budget"):
+        oracle(*args, budget=10)
+
+
 def test_brute_force_composition_dependence():
     d_equal = brute_force_composition(3, (2, 2, 2))
     d_split = brute_force_composition(3, (1, 2, 3))
@@ -145,6 +191,23 @@ def test_brute_force_composition_dependence():
     assert d_equal.probs == (0, 1, 0)
     assert d_split.probs == (Fraction(1, 4), Fraction(3, 4), 0)
     assert d_equal.probs != d_split.probs
+
+
+@pytest.mark.parametrize("n_b, ranks", [(1, (1, 1)), (4, (3,)), (4, (1, 4, 2))])
+def test_brute_force_composition_unrelabeled_crosscheck(n_b, ranks):
+    # every full race tuple in which boat 0 holds its fixed rank in each race
+    perms = list(itertools.permutations(range(1, n_b + 1)))
+    score = sum(ranks)
+    counts = Counter()
+    for races in itertools.product(perms, repeat=len(ranks)):
+        if all(r[0] == rank for r, rank in zip(races, ranks)):
+            m = 1 + sum(
+                1 for i in range(1, n_b) if sum(r[i] for r in races) < score
+            )
+            counts[m] += 1
+    total = sum(counts.values())
+    expected = tuple(Fraction(counts[m], total) for m in range(1, n_b + 1))
+    assert brute_force_composition(n_b, ranks).probs == expected
 
 
 def test_brute_force_composition_trivial_and_errors():
