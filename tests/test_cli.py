@@ -295,6 +295,27 @@ def test_simulate_missing_score(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "5000", "1000", "--n-t", "4", "--seed", "1"],
+        ["simulate", "5000", "1000", "--tracked-ranks", ",".join(["1"] * 1000), "--seed", "1"],
+        ["curve", "5000", "1000", "--seed", "1"],
+    ],
+)
+def test_trial_budget_is_one_error_line(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Philox reached past the budget check")
+
+    monkeypatch.setattr(montecarlo.np.random, "Philox", unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: one trial needs n_b*n_r = 5000000 words, "
+        f"budget is {montecarlo.TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "exc",
     [MemoryError("Unable to allocate 34.3 GiB"), MemoryError(), ArithmeticError("overflow")],
 )

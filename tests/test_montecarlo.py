@@ -21,37 +21,39 @@ from racerank.montecarlo import (
 )
 from racerank.two_race import full_distribution
 
+from _reference import inverse_orders, rank_rows, trial_uniforms
+
 SEED = 20260809
 
 
 def test_trial_uniforms_blocking_invariance():
-    whole = mc._trial_uniforms(SEED, 0, 0, 10, 7)
+    whole = trial_uniforms(SEED, 0, 0, 10, 7)
     split = np.vstack(
-        [mc._trial_uniforms(SEED, 0, 0, 3, 7), mc._trial_uniforms(SEED, 0, 3, 7, 7)]
+        [trial_uniforms(SEED, 0, 0, 3, 7), trial_uniforms(SEED, 0, 3, 7, 7)]
     )
-    singles = np.vstack([mc._trial_uniforms(SEED, 0, t, 1, 7) for t in range(10)])
+    singles = np.vstack([trial_uniforms(SEED, 0, t, 1, 7) for t in range(10)])
     assert (whole == split).all()
     assert (whole == singles).all()
 
 
 def test_trial_uniforms_streams_differ():
-    a = mc._trial_uniforms(SEED, 0, 0, 4, 5)
-    b = mc._trial_uniforms(SEED, 1, 0, 4, 5)
-    c = mc._trial_uniforms(SEED + 1, 0, 0, 4, 5)
+    a = trial_uniforms(SEED, 0, 0, 4, 5)
+    b = trial_uniforms(SEED, 1, 0, 4, 5)
+    c = trial_uniforms(SEED + 1, 0, 0, 4, 5)
     assert not (a == b).all()
     assert not (a == c).all()
 
 
 def test_rank_rows_are_permutations():
-    u = mc._trial_uniforms(SEED, 0, 0, 200, 6)
-    ranks = mc._rank_rows(u)
+    u = trial_uniforms(SEED, 0, 0, 200, 6)
+    ranks = rank_rows(u)
     for row in ranks:
         assert sorted(row) == [1, 2, 3, 4, 5, 6]
 
 
 def test_permutation_sum_rule_exact_on_samples():
     for n_b in (3, 10, 50):
-        ranks = mc._rank_rows(mc._trial_uniforms(SEED, 0, 0, 500, n_b))
+        ranks = rank_rows(trial_uniforms(SEED, 0, 0, 500, n_b))
         assert (ranks.sum(axis=1) == n_b * (n_b + 1) // 2).all()
         # also on the keyed-sort path used by simulate
         fast = mc._ranks(mc._trial_orders(SEED, 0, 0, 500, 1, n_b))[:, 0]
@@ -64,10 +66,32 @@ def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
     n_trials = 5 if width > 100 else 300
     first = 17  # a run that does not start at trial 0
     orders = mc._trial_orders(SEED, 2, first, n_trials, n_r, width)
-    u = mc._trial_uniforms(SEED, 2, first, n_trials, n_r * width)
+    u = trial_uniforms(SEED, 2, first, n_trials, n_r * width)
     expected = np.argsort(u.reshape(n_trials, n_r, width), axis=-1, kind="stable")
     assert orders.dtype == np.int64
     assert (orders == expected).all()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 200, 2048, 2049])
+@pytest.mark.parametrize("n_r", [1, 3])
+def test_ranks_equal_put_along_axis_inverse(width, n_r):
+    orders = mc._trial_orders(SEED, 1, 5, 4 if width > 100 else 50, n_r, width)
+    expected = inverse_orders(orders)
+    ranks = mc._ranks(orders)
+    assert ranks.dtype == np.int32
+    assert (ranks == expected).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranks_invert_random_permutation_rows(shape, seed):
+    rng = np.random.default_rng(seed)
+    orders = rng.permuted(np.broadcast_to(np.arange(shape[-1]), shape), axis=-1)
+    expected = inverse_orders(orders)
+    assert (mc._ranks(orders.copy()) == expected).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,6 +130,32 @@ def test_simconfig_validation():
         SimConfig(n_b=3, n_r=3, trials=10, seed=1, n_t=4, tracked_ranks=(2, 2, 2))
     cfg = SimConfig(n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=[1, 2])
     assert cfg.tracked_ranks == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_b": mc.TRIAL_WORD_BUDGET + 1, "n_r": 1, "n_t": 4},
+        {"n_b": 3000, "n_r": mc.TRIAL_WORD_BUDGET // 3000 + 1, "n_t": 4},
+        {"n_b": mc.TRIAL_WORD_BUDGET // 2 + 1, "n_r": 2, "tracked_ranks": (1, 1)},
+    ],
+)
+def test_trial_budget_trips_before_allocating(monkeypatch, kwargs):
+    def unreachable(*args, **kw):
+        raise AssertionError("Philox reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    need = kwargs["n_b"] * kwargs["n_r"]
+    message = f"n_b\\*n_r = {need} words, budget is {mc.TRIAL_WORD_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        simulate(SimConfig(trials=10**9, seed=1, **kwargs))
+
+
+def test_trial_budget_admits_its_cap():
+    # far above every tested trial: the widest is 2100 boats x 2 races
+    assert mc.TRIAL_WORD_BUDGET >= 100 * 2100 * 2
+    SimConfig(n_b=mc.TRIAL_WORD_BUDGET, n_r=1, trials=1, seed=1, n_t=2)
+    SimConfig(n_b=mc.TRIAL_WORD_BUDGET // 2, n_r=2, trials=1, seed=1, tracked_ranks=(1, 1))
 
 
 # one config per path through simulate's chunk loop
