@@ -64,12 +64,12 @@ def _stirling_sum_ok(n_max: int) -> bool:
 
 
 def _forms_agree_ok(n_b_max: int) -> bool:
-    for n_b in range(1, n_b_max + 1):
-        for n_t in range(2, n_b + 2):
-            for m in range(1, n_b + 2):
-                if two_race.p_exact(n_b, n_t, m) != two_race.p_stirling_form(n_b, n_t, m):
-                    return False
-    return True
+    # whole rows of numerators over n_b!, one row per form and score
+    return all(
+        two_race._alternating_row(n_b, n_t) == two_race._stirling_row(n_b, n_t)
+        for n_b in range(1, n_b_max + 1)
+        for n_t in range(2, n_b + 2)
+    )
 
 
 def _oracle_agrees_ok(n_b_max: int) -> bool:
@@ -134,9 +134,9 @@ def _series_rows_ok(order: int) -> bool:
 
 def _middle_identity_ok(n_b_max: int) -> bool:
     return all(
-        two_race.p_middle(n_b, m) == two_race.p_exact(n_b, n_b + 1, m)
+        tuple(two_race.p_middle(n_b, m) for m in range(1, n_b + 2))
+        == two_race.full_distribution(n_b, n_b + 1).probs
         for n_b in range(1, n_b_max + 1)
-        for m in range(1, n_b + 2)
     )
 
 

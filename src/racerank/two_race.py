@@ -9,14 +9,21 @@ described only by its two-race score n_t.  Its final rank is
 so boats tying the score do not improve m.  Valid scores are
 2 <= n_t <= 2 n_b + 1: the closed forms cover n_t <= n_b + 1 and a
 reflection identity covers the upper half.
+
+Each closed form is evaluated one whole row at a time: the numerators
+n_b! * P(m), m = 1..n_b+1, are built as Python ints over the single
+denominator n_b!, and each entry becomes one ``Fraction`` at the end.  Rows
+are refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 
-from .combinatorics import binomial, eulerian, factorial, stirling_diagonal
+from .combinatorics import eulerian, factorial, stirling_diagonal
 
 __all__ = [
     "RankDistribution",
@@ -27,6 +34,7 @@ __all__ = [
     "stirling_form_distribution",
     "reflect_distribution",
     "distribution_moments",
+    "EXACT_N_B_BUDGET",
 ]
 
 @dataclass(frozen=True)
@@ -55,9 +63,61 @@ class RankDistribution:
         return self.probs[m - 1]
 
 
+# Largest fleet the closed-form rows evaluate; larger n_b is rejected before
+# any term is computed.  A row costs O(n_b^2) big-integer products and the
+# Stirling row also O(n_b^2) big powers inside stirling_diagonal.  Measured on
+# a 2-vCPU Xeon (Python 3.11.7) at n_b = 450, n_t = 451, the slowest row:
+# Stirling form ~1.4 s, alternating sum ~0.2 s (n_b = 500: 2.1 s and 0.3 s).
+EXACT_N_B_BUDGET = 450
+
+
 def _check_rank(n_b: int, m: int) -> None:
     if not 1 <= m <= n_b + 1:
         raise ValueError(f"rank m must be in [1, {n_b + 1}], got {m}")
+
+
+def _check_lower_half(form: str, n_b: int, n_t: int, m: int) -> None:
+    if n_b < 1:
+        raise ValueError(f"n_b must be >= 1, got {n_b}")
+    if not 2 <= n_t <= n_b + 1:
+        raise ValueError(f"{form}: n_t must be in [2, {n_b + 1}], got {n_t}")
+    _check_rank(n_b, m)
+
+
+def _check_budget(n_b: int) -> None:
+    if n_b > EXACT_N_B_BUDGET:
+        raise ValueError(
+            f"n_b = {n_b} exceeds the exact-row budget {EXACT_N_B_BUDGET} "
+            "(two_race.EXACT_N_B_BUDGET)"
+        )
+
+
+def _alternating_row(n_b: int, n_t: int) -> list[int]:
+    """n_b! * P(m) for m = 1..n_b+1 from the alternating sum, 2 <= n_t <= n_b+1.
+
+    With e = n_b - n_t + 1 >= 0 and j = m - 1 - k the sum is one convolution
+    n_b! P(m) = sum_{j<m} (-1)^(m-1-j) C(n_b+1, m-1-j) b_j of the integers
+    b_j = (e+1+j)^(n_t-1) (e+j)! / j!.
+    """
+    _check_budget(n_b)
+    e = n_b - n_t + 1
+    signed_binomials = [(-1) ** k * comb(n_b + 1, k) for k in range(n_b + 1)]
+    b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_b + 1)]
+    return [sum(map(mul, signed_binomials[m - 1 :: -1], b)) for m in range(1, n_b + 2)]
+
+
+def _stirling_row(n_b: int, n_t: int) -> list[int]:
+    """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
+    2 <= n_t <= n_b+1.  The weights (-1)^i D(n_t, i) (1+n_b-i)! are computed
+    once per row; entries with m >= n_t are empty sums."""
+    _check_budget(n_b)
+    signed_weights = [
+        (-1) ** i * stirling_diagonal(n_t, i) * factorial(1 + n_b - i) for i in range(1, n_t)
+    ]
+    return [
+        (-1) ** m * sum(signed_weights[i - 1] * comb(i - 1, m - 1) for i in range(m, n_t))
+        for m in range(1, n_b + 2)
+    ]
 
 
 def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
@@ -67,26 +127,12 @@ def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
                     (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!),
 
     valid for 2 <= n_t <= n_b + 1 (:func:`full_distribution` covers the upper
-    half through :func:`reflect_distribution`).
-    Summands containing the factorial of a negative integer vanish; that
-    convention makes the one formula cover every (n_t, m) corner.
+    half through :func:`reflect_distribution`).  On that domain every
+    factorial argument is >= 0, so every summand is defined.  Evaluated as
+    entry m of the whole row, in integers over the one denominator n_b!.
     """
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= n_b + 1:
-        raise ValueError(f"p_exact: n_t must be in [2, {n_b + 1}], got {n_t}")
-    _check_rank(n_b, m)
-    total = Fraction(0)
-    for k in range(m):
-        d = n_b - n_t + m - k
-        if d < 0:
-            continue  # factorial of a negative integer: term vanishes
-        term = Fraction(
-            (d + 1) ** (n_t - 1) * factorial(d),
-            factorial(k) * factorial(1 + n_b - k) * factorial(m - k - 1),
-        )
-        total += -term if k % 2 else term
-    return (1 + n_b) * total
+    _check_lower_half("p_exact", n_b, n_t, m)
+    return Fraction(_alternating_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
 def p_middle(n_b: int, m: int) -> Fraction:
@@ -105,43 +151,34 @@ def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
         (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1)
 
     with D = :func:`~racerank.combinatorics.stirling_diagonal`.  Agrees with
-    :func:`p_exact` on the whole shared domain.
+    :func:`p_exact` on the whole shared domain.  Evaluated as entry m of the
+    whole row, in integers over the one denominator n_b!.
     """
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= n_b + 1:
-        raise ValueError(f"p_stirling_form: n_t must be in [2, {n_b + 1}], got {n_t}")
-    _check_rank(n_b, m)
-    acc = 0
-    for i in range(m, n_t):
-        f = 1 + n_b - i
-        if f < 0:
-            continue
-        term = stirling_diagonal(n_t, i) * factorial(f) * binomial(i - 1, m - 1)
-        acc += -term if (i + m) % 2 else term
-    return Fraction(acc, factorial(n_b))
+    _check_lower_half("p_stirling_form", n_b, n_t, m)
+    return Fraction(_stirling_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
-def _assemble(n_b: int, n_t: int, low_form) -> RankDistribution:
+def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
     if not 2 <= n_t <= 2 * n_b + 1:
         raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
     if n_t > n_b + 1:
-        return reflect_distribution(_assemble(n_b, 2 * n_b + 3 - n_t, low_form))
-    return RankDistribution(
-        n_b, n_t, tuple(low_form(n_b, n_t, m) for m in range(1, n_b + 2))
-    )
+        return reflect_distribution(_assemble(n_b, 2 * n_b + 3 - n_t, low_row))
+    row = low_row(n_b, n_t)
+    denominator = factorial(n_b)
+    return RankDistribution(n_b, n_t, tuple(Fraction(c, denominator) for c in row))
 
 
 def full_distribution(n_b: int, n_t: int) -> RankDistribution:
     """Exact final-rank distribution over m = 1..n_b+1 for any valid score
-    2 <= n_t <= 2 n_b + 1; the entries sum to exactly 1."""
-    return _assemble(n_b, n_t, p_exact)
+    2 <= n_t <= 2 n_b + 1; the entries sum to exactly 1.  The lower half is
+    the alternating-sum row of :func:`p_exact`, built in one pass."""
+    return _assemble(n_b, n_t, _alternating_row)
 
 
 def stirling_form_distribution(n_b: int, n_t: int) -> RankDistribution:
-    """Same distribution as :func:`full_distribution`, assembled from
-    :func:`p_stirling_form` instead (an independent algebraic route)."""
-    return _assemble(n_b, n_t, p_stirling_form)
+    """Same distribution as :func:`full_distribution`, assembled from the row
+    of :func:`p_stirling_form` instead (an independent algebraic route)."""
+    return _assemble(n_b, n_t, _stirling_row)
 
 
 def reflect_distribution(d: RankDistribution) -> RankDistribution:

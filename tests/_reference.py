@@ -1,15 +1,23 @@
-"""Plain reference definitions of the Monte Carlo ranking rule.
+"""Plain reference definitions the library's fast paths are tested against.
 
 ``racerank.montecarlo`` ranks raw Philox words as integer keys and scatters
 ranks through flat indices.  The functions here state the same rule the
 obvious way, through doubles, ``np.argsort`` and ``np.put_along_axis``, so
 the tests can require the kernel to match them bit for bit.
+
+``racerank.two_race`` builds each closed form as one integer row over n_b!.
+The ``p_*_terms`` functions here evaluate one entry of each form term by term
+in ``Fraction`` arithmetic, straight from the formula, so the tests can
+require every row entry to equal them exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
+from racerank.combinatorics import binomial, factorial, stirling_diagonal
 from racerank.montecarlo import _philox_key
 
 
@@ -45,3 +53,29 @@ def rank_rows(u: np.ndarray) -> np.ndarray:
     """Each row of iid uniforms becomes a uniform random permutation of
     1..n: position j receives the rank of u[j] within its row."""
     return inverse_orders(np.argsort(u, axis=-1, kind="stable"))
+
+
+def p_exact_terms(n_b: int, n_t: int, m: int) -> Fraction:
+    """P(rank = m), 2 <= n_t <= n_b + 1, from the alternating sum
+    (1 + n_b) sum_{k<m} (-1)^k (d+1)^(n_t-1) d! / (k! (1+n_b-k)! (m-k-1)!)
+    with d = n_b - n_t + m - k, one Fraction per term."""
+    total = Fraction(0)
+    for k in range(m):
+        d = n_b - n_t + m - k
+        term = Fraction(
+            (d + 1) ** (n_t - 1) * factorial(d),
+            factorial(k) * factorial(1 + n_b - k) * factorial(m - k - 1),
+        )
+        total += -term if k % 2 else term
+    return (1 + n_b) * total
+
+
+def p_stirling_terms(n_b: int, n_t: int, m: int) -> Fraction:
+    """P(rank = m), 2 <= n_t <= n_b + 1, from the diagonal-Stirling form
+    (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1),
+    recomputing D for every entry."""
+    acc = 0
+    for i in range(m, n_t):
+        term = stirling_diagonal(n_t, i) * factorial(1 + n_b - i) * binomial(i - 1, m - 1)
+        acc += -term if (i + m) % 2 else term
+    return Fraction(acc, factorial(n_b))

@@ -315,6 +315,22 @@ def test_trial_budget_is_one_error_line(capsys, monkeypatch, argv):
     )
 
 
+@pytest.mark.parametrize("form", ["exact", "stirling"])
+def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a term was computed past the budget check")
+
+    monkeypatch.setattr(two_race, "factorial", unreachable)
+    monkeypatch.setattr(two_race, "stirling_diagonal", unreachable)
+    n_b = two_race.EXACT_N_B_BUDGET + 1
+    code, out, err = run_cli(capsys, "dist", str(n_b), "10", "--form", form)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: n_b = {n_b} exceeds the exact-row budget "
+        f"{two_race.EXACT_N_B_BUDGET} (two_race.EXACT_N_B_BUDGET)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "exc",
     [MemoryError("Unable to allocate 34.3 GiB"), MemoryError(), ArithmeticError("overflow")],

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import p_exact_terms, p_stirling_terms
+from racerank import two_race
 from racerank.combinatorics import eulerian, factorial
 from racerank.lattice_oracle import brute_force_two_race
 from racerank.two_race import (
+    EXACT_N_B_BUDGET,
     RankDistribution,
     distribution_moments,
     full_distribution,
@@ -111,6 +114,57 @@ def test_forms_agree_everywhere():
         for n_t in range(2, n_b + 2):
             for m in range(1, n_b + 2):
                 assert p_exact(n_b, n_t, m) == p_stirling_form(n_b, n_t, m)
+
+
+def _assert_rows_match_reference(n_b, n_t):
+    exact = tuple(p_exact_terms(n_b, n_t, m) for m in range(1, n_b + 2))
+    stirling = tuple(p_stirling_terms(n_b, n_t, m) for m in range(1, n_b + 2))
+    assert full_distribution(n_b, n_t).probs == exact
+    assert stirling_form_distribution(n_b, n_t).probs == stirling
+    assert exact == stirling
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 25).flatmap(
+        lambda n_b: st.tuples(st.just(n_b), st.integers(2, n_b + 1), st.integers(1, n_b + 1))
+    )
+)
+def test_rows_equal_term_by_term_reference(case):
+    n_b, n_t, m = case
+    _assert_rows_match_reference(n_b, n_t)
+    assert p_exact(n_b, n_t, m) == p_exact_terms(n_b, n_t, m)
+    assert p_stirling_form(n_b, n_t, m) == p_stirling_terms(n_b, n_t, m)
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 31, 60, 61])
+def test_n_b60_rows_equal_term_by_term_reference(n_t):
+    _assert_rows_match_reference(60, n_t)
+
+
+def test_exact_budget_trips_before_any_term(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a term was computed past the budget check")
+
+    monkeypatch.setattr(two_race, "factorial", unreachable)
+    monkeypatch.setattr(two_race, "stirling_diagonal", unreachable)
+    n_b = EXACT_N_B_BUDGET + 1
+    calls = [
+        lambda: full_distribution(n_b, 2),
+        lambda: full_distribution(n_b, 2 * n_b + 1),  # upper half, via reflection
+        lambda: stirling_form_distribution(n_b, n_b + 1),
+        lambda: p_exact(n_b, 10, 3),
+        lambda: p_stirling_form(n_b, 10, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"two_race\.EXACT_N_B_BUDGET"):
+            call()
+
+
+def test_exact_budget_admits_its_bound():
+    assert EXACT_N_B_BUDGET >= 400
+    assert full_distribution(EXACT_N_B_BUDGET, 2).probs[0] == 1
+    assert stirling_form_distribution(EXACT_N_B_BUDGET, 2 * EXACT_N_B_BUDGET + 1).probs[-1] == 1
 
 
 def test_full_distribution_examples():
