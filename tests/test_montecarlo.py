@@ -60,7 +60,7 @@ def test_permutation_sum_rule_exact_on_samples():
         assert (fast == ranks).all()
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 7, 200, 2048, 2049])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 200, 2048, 2049])
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
     n_trials = 5 if width > 100 else 300
@@ -72,7 +72,7 @@ def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
     assert (orders == expected).all()
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 200, 2048, 2049])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 200, 2048, 2049])
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_ranks_equal_put_along_axis_inverse(width, n_r):
     orders = mc._trial_orders(SEED, 1, 5, 4 if width > 100 else 50, n_r, width)
@@ -96,7 +96,7 @@ def test_ranks_invert_random_permutation_rows(shape, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 3, 7, 200, 2048, 2049]),
+    width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 200, 2048, 2049]),
     rows=st.integers(1, 4),
     distinct=st.integers(1, 3),
     base=st.integers(0, (1 << 53) - 3),
@@ -111,6 +111,22 @@ def test_order_words_breaks_exact_ties_by_column(width, rows, distinct, base, se
     words = (high << np.uint64(11)) | low
     expected = np.argsort((words >> np.uint64(11)) * 2.0**-53, axis=-1, kind="stable")
     assert (mc._order_words(words.copy()) == expected).all()
+
+
+@pytest.mark.parametrize("width", sorted(mc._NETWORKS))
+def test_networks_sort_every_permutation(width):
+    assert mc._NETWORKS.keys() == {1, 2, 3, 4, 5}
+    perms = list(itertools.permutations(range(width)))
+    for perm in perms:
+        row = list(perm)
+        for i, j in mc._NETWORKS[width]:
+            if row[i] > row[j]:
+                row[i], row[j] = row[j], row[i]
+        assert row == sorted(row)
+    # and through the kernel: high bits hold the permutation
+    perms = np.array(perms, dtype=np.uint64)
+    expected = np.argsort(perms, axis=-1)
+    assert (mc._order_words(perms << np.uint64(11)) == expected).all()
 
 
 def test_simconfig_validation():
@@ -208,6 +224,24 @@ def test_simulate_lowest_score_always_first():
     assert res.mean == 1.0 and res.variance == 0.0
 
 
+def test_int32_race_sums_cannot_overflow():
+    # simulate's race values are int32 in both modes and the race sum keeps
+    # that dtype; no trial within the budget can score above n_r * n_b
+    assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int32).max
+    orders = mc._trial_orders(SEED, 0, 0, 10, 3, 4)
+    assert np.einsum("trw->tw", mc._ranks(orders)).dtype == np.int32
+
+
+@pytest.mark.parametrize("drop_worst", [False, True])
+def test_out_of_range_scores_rank_last_or_first(drop_worst):
+    def counts(n_t):
+        cfg = SimConfig(n_b=4, n_r=3, trials=500, seed=SEED, n_t=n_t, drop_worst=drop_worst)
+        return simulate(cfg).counts
+
+    assert counts(10**12) == (0, 0, 0, 0, 500)
+    assert counts(-(10**12)) == (500, 0, 0, 0, 0)
+
+
 def test_simulate_drop_worst_two_races_reduces_to_best_rank():
     # with two races the improved score is the single best rank; exact
     # distribution by enumerating both race permutations with min scores
@@ -264,6 +298,18 @@ def test_empirical_rank_moments_validation():
         empirical_rank_moments(1, 10_000, seed=1)
     with pytest.raises(ValueError):
         empirical_rank_moments(3, 999, seed=1)
+
+
+def test_moments_budget_trips_before_allocating(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("allocation reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    monkeypatch.setattr(mc.np, "empty", unreachable)
+    n_b = mc.TRIAL_WORD_BUDGET + 1
+    message = f"n_b = {n_b} words, budget is {mc.TRIAL_WORD_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        empirical_rank_moments(n_b, 10**9, seed=1)
 
 
 def test_middle_band_grid():

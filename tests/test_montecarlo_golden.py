@@ -59,6 +59,30 @@ def test_tracked_drop_worst_counts():
     assert res.counts == (537, 5179, 9703, 4215, 362, 4, 0, 0, 0, 0)
 
 
+# Recorded with the per-row ``ndarray.sort`` kernel, before rows up to 5 wide
+# moved to a compare-exchange network: one case per network width 1, 4, 5.
+@pytest.mark.parametrize(
+    "config, counts",
+    [
+        # width 1: the tracked boat's one rival takes the leftover rank
+        (SimConfig(n_b=2, n_r=3, trials=20_000, seed=SEED, tracked_ranks=(1, 2, 2)),
+         (0, 20_000)),
+        # width 4: 12 words per trial, no padding
+        (SimConfig(n_b=4, n_r=3, trials=20_000, seed=SEED, n_t=7),
+         (1345, 12440, 6147, 68, 0)),
+        # width 5: 15 words per trial, padded to 16
+        (SimConfig(n_b=5, n_r=3, trials=20_000, seed=SEED, n_t=9),
+         (8, 2837, 12043, 4995, 117, 0)),
+        # width 5 through the tracked gather, dropping each boat's worst race
+        (SimConfig(n_b=6, n_r=3, trials=20_000, seed=SEED, tracked_ranks=(1, 4, 6),
+                   drop_worst=True),
+         (260, 6436, 11185, 2119, 0, 0)),
+    ],
+)
+def test_network_width_counts(config, counts):
+    assert simulate(config).counts == counts
+
+
 def test_rows_wider_than_2048_counts():
     virtual = simulate(SimConfig(n_b=2100, n_r=2, trials=300, seed=SEED, n_t=2101))
     assert _digest(virtual.counts) == (
