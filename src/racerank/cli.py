@@ -24,7 +24,7 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import astuple
 from typing import Callable, Sequence
 
 from . import (
@@ -37,7 +37,7 @@ from . import (
     two_race,
 )
 
-__all__ = ["main", "OutputRecord", "CLIError"]
+__all__ = ["main", "CLIError"]
 
 CURVE_COLUMNS = [
     "n_t",
@@ -54,22 +54,14 @@ class CLIError(Exception):
     """User-facing command error (bad arguments, unsupported combination)."""
 
 
-@dataclass
-class OutputRecord:
-    """Machine-readable result envelope for ``--json`` output."""
-
-    command: str
-    parameters: dict
-    results: dict
-    provenance: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-
-def _emit(args: argparse.Namespace, record: OutputRecord, human: Callable[[], None]) -> None:
-    if getattr(args, "json", False):
-        print(record.to_json())
+def _emit(args: argparse.Namespace, parameters: dict, results: dict, provenance: str,
+          human: Callable[[], None]) -> None:
+    """Print ``human()``'s text or, under ``--json``, the record naming the
+    command, its parameters, its results and the module that produced them."""
+    if args.json:
+        record = {"command": args.command, "parameters": parameters,
+                  "results": results, "provenance": provenance}
+        print(json.dumps(record, indent=2))
     else:
         human()
 
@@ -95,58 +87,47 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.n_max > args.cap:
         raise CLIError(f"n_max {args.n_max} exceeds cap {args.cap} (raise --cap)")
     rows = _TRIANGLES[args.command](args.n_max)
-    record = OutputRecord(
-        args.command, {"n_max": args.n_max}, {"rows": rows}, "combinatorics"
-    )
-    _emit(args, record, lambda: print("\n".join(" ".join(map(str, r)) for r in rows)))
+    _emit(args, {"n_max": args.n_max}, {"rows": rows}, "combinatorics",
+          lambda: print("\n".join(" ".join(map(str, r)) for r in rows)))
     return 0
 
 
 # --------------------------------------------------------------------- dist
 
 
-def _dist_distribution(args: argparse.Namespace) -> tuple[two_race.RankDistribution, str]:
-    n_b, n_t, form = args.n_b, args.n_t, args.form
-    if form == "exact":
-        return two_race.full_distribution(n_b, n_t), "two_race"
-    if form == "stirling":
-        return two_race.stirling_form_distribution(n_b, n_t), "two_race.p_stirling_form"
-    if form == "bruteforce":
-        return (
-            lattice_oracle.brute_force_two_race(n_b, n_t, budget=args.cap),
-            "lattice_oracle",
+def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
+    n_b, n_t = args.n_b, args.n_t
+    order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
+    if n_t == n_b + 1:
+        return series.coefficient_to_distribution(series.middle_score_gf(order), n_b)
+    if n_t == n_b:
+        return series.coefficient_to_distribution(
+            series.second_gf_expand(order), n_b, n_t=n_t
         )
-    if form == "series":
-        order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
-        if n_t == n_b + 1:
-            dist = series.coefficient_to_distribution(
-                series.middle_score_gf(order), n_b
-            )
-        elif n_t == n_b:
-            dist = series.coefficient_to_distribution(
-                series.second_gf_expand(order), n_b, n_t=n_t
-            )
-        else:
-            raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
-        return dist, "series"
-    raise CLIError(f"unknown form {form!r}")
+    raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
+
+
+# --form -> (route, provenance); routes look up their function when called
+_FORMS = {
+    "exact": (lambda a: two_race.full_distribution(a.n_b, a.n_t), "two_race"),
+    "stirling": (lambda a: two_race.stirling_form_distribution(a.n_b, a.n_t),
+                 "two_race.p_stirling_form"),
+    "bruteforce": (lambda a: lattice_oracle.brute_force_two_race(a.n_b, a.n_t, budget=a.cap),
+                   "lattice_oracle"),
+    "series": (_series_distribution, "series"),
+}
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    dist, provenance = _dist_distribution(args)
-    probs = [str(p) for p in dist.probs]
-    record = OutputRecord(
-        "dist",
-        {"n_b": args.n_b, "n_t": args.n_t, "form": args.form},
-        {"m": list(range(1, len(probs) + 1)), "p": probs},
-        provenance,
-    )
+    route, provenance = _FORMS[args.form]
+    probs = [str(p) for p in route(args).probs]
 
     def human() -> None:
         print(f"n_b={args.n_b} n_t={args.n_t} form={args.form} ({provenance})")
         print(" ".join(probs))
 
-    _emit(args, record, human)
+    _emit(args, {"n_b": args.n_b, "n_t": args.n_t, "form": args.form},
+          {"m": list(range(1, len(probs) + 1)), "p": probs}, provenance, human)
     return 0
 
 
@@ -157,37 +138,18 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     grid = montecarlo.middle_band_grid(args.n_b, args.n_r, points=args.points)
     rows = montecarlo.curve_sweep(args.n_b, args.n_r, grid, args.trials, seed)
-    table = [
-        {
-            "n_t": p.n_t,
-            "n_t_centered": p.centered,
-            "mean_rank_theory": p.mean_theory,
-            "mean_rank_mc": p.mean_mc,
-            "var_theory": p.var_theory,
-            "var_mc": p.var_mc,
-            "stderr": p.stderr_mean,
-        }
-        for p in rows
-    ]
-    if args.json:
-        record = OutputRecord(
-            "curve",
-            {
-                "n_b": args.n_b,
-                "n_r": args.n_r,
-                "points": args.points,
-                "trials": args.trials,
-                "seed": seed,
-            },
-            {"rows": table},
-            "montecarlo+asymptotics",
-        )
-        print(record.to_json())
-    else:
+    # CURVE_COLUMNS name CurvePoint's fields in order; stderr_var is not shown
+    table = [dict(zip(CURVE_COLUMNS, astuple(p))) for p in rows]
+
+    def human() -> None:
         writer = csv.DictWriter(sys.stdout, fieldnames=CURVE_COLUMNS)
         writer.writeheader()
         for row in table:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+
+    parameters = {"n_b": args.n_b, "n_r": args.n_r, "points": args.points,
+                  "trials": args.trials, "seed": seed}
+    _emit(args, parameters, {"rows": table}, "montecarlo+asymptotics", human)
     return 0
 
 
@@ -206,18 +168,13 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         "mean_final_rank": mean,
         "variance_final_rank": var,
     }
-    record = OutputRecord(
-        "approx",
-        {"n_b": args.n_b, "n_r": args.n_r, "n_t": args.n_t},
-        results,
-        "asymptotics",
-    )
 
     def human() -> None:
         for key, value in results.items():
             print(f"{key}: {value!r}" if isinstance(value, float) else f"{key}: {value}")
 
-    _emit(args, record, human)
+    _emit(args, {"n_b": args.n_b, "n_r": args.n_r, "n_t": args.n_t}, results,
+          "asymptotics", human)
     return 0
 
 
@@ -249,30 +206,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "variance": result.variance,
         "std_error_mean": result.std_error_mean,
     }
-    record = OutputRecord(
-        "simulate",
-        {
-            "n_b": args.n_b,
-            "n_r": args.n_r,
-            "n_t": args.n_t,
-            "trials": args.trials,
-            "seed": seed,
-            "drop_worst": args.drop_worst,
-            "tracked_ranks": list(tracked) if tracked else None,
-        },
-        results,
-        "montecarlo",
-    )
 
     def human() -> None:
         print("m counts prob")
-        for m, (c, p) in enumerate(zip(result.counts, result.empirical_probs), start=1):
+        for m, (c, p) in enumerate(zip(results["counts"], results["empirical_probs"]), start=1):
             print(f"{m} {c} {p!r}")
-        print(f"mean {result.mean!r}")
-        print(f"variance {result.variance!r}")
-        print(f"std_error_mean {result.std_error_mean!r}")
+        for key in ("mean", "variance", "std_error_mean"):
+            print(f"{key} {results[key]!r}")
 
-    _emit(args, record, human)
+    parameters = {
+        "n_b": args.n_b,
+        "n_r": args.n_r,
+        "n_t": args.n_t,
+        "trials": args.trials,
+        "seed": seed,
+        "drop_worst": args.drop_worst,
+        "tracked_ranks": list(tracked) if tracked else None,
+    }
+    _emit(args, parameters, results, "montecarlo", human)
     return 0
 
 
@@ -282,18 +233,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     outcomes = checks.run(args.level)
     failed = [o for o in outcomes if not o["ok"]]
-    if args.json:
-        record = OutputRecord(
-            "verify",
-            {"level": args.level},
-            {"checks": outcomes, "ok": not failed},
-            "cli",
-        )
-        print(record.to_json())
-    else:
+
+    def human() -> None:
         for o in outcomes:
             print(f"{'PASS' if o['ok'] else 'FAIL'} {o['name']} ({o['scope']})")
         print(f"{len(outcomes) - len(failed)}/{len(outcomes)} checks passed")
+
+    _emit(args, {"level": args.level}, {"checks": outcomes, "ok": not failed}, "cli", human)
     return 1 if failed else 0
 
 
@@ -312,20 +258,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"print {name.capitalize()} triangle rows 1..N")
         p.add_argument("n_max", type=int)
         p.add_argument("--cap", type=int, default=60, help="largest allowed depth")
-        p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("dist", help="exact final-rank distribution for a score")
     p.add_argument("n_b", type=int)
     p.add_argument("n_t", type=int)
-    p.add_argument(
-        "--form",
-        choices=["exact", "stirling", "bruteforce", "series"],
-        default="exact",
-    )
+    p.add_argument("--form", choices=list(_FORMS), default="exact")
     p.add_argument("--cap", type=int, default=lattice_oracle.DEFAULT_BUDGET,
                    help="enumeration budget for --form=bruteforce")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("curve", help="Monte Carlo vs normal-limit sweep (CSV)")
@@ -334,14 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("approx", help="normal-limit mean/variance for one score")
     p.add_argument("n_b", type=int)
     p.add_argument("n_r", type=int)
     p.add_argument("n_t", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("simulate", help="one seeded Monte Carlo run")
@@ -356,14 +294,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--drop-worst", action="store_true",
                    help="drop each boat's single worst rank from its score")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the identity cross-check suite")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -11,7 +11,8 @@ Reproducibility contract
 ------------------------
 All randomness comes from Philox4x64-10 counter streams (numpy's
 ``np.random.Philox``).  A run is addressed by ``(seed, stream)`` through
-the 128-bit Philox key ``seed + (stream << 64)``.  Every trial owns a
+the 128-bit Philox key ``seed + (stream << 64)``; each must lie in
+[0, 2**64) and is refused, never wrapped, outside it.  Every trial owns a
 fixed, disjoint slice of the counter space: trial t reads counter blocks
 ``[t * B, (t + 1) * B)``, where B is the per-trial block quota implied by
 the configuration, and raw 64-bit outputs become doubles as
@@ -89,10 +90,19 @@ _NETWORKS = {
 # Maximum raw words one trial may need (n_b * n_r).  A chunk holds at least
 # one trial, so this bounds a run's memory whatever its trial count.
 TRIAL_WORD_BUDGET = 1 << 22
+# Half-width of middle_band_grid's band, in standard deviations sqrt(lam).
+_GRID_HALF_WIDTH = 3.2
+
+
+def _check_key_words(seed: int, stream: int) -> None:
+    """Refuse a seed or stream that does not fit its 64-bit half of the key."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
 
 def _philox_key(seed: int, stream: int) -> int:
-    return (seed & _MASK64) | ((stream & _MASK64) << 64)
+    return seed | (stream << 64)
 
 
 def _trial_orders(
@@ -184,8 +194,7 @@ class SimConfig:
             raise ValueError("n_r must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_key_words(self.seed, self.stream)
         if self.n_b * self.n_r > TRIAL_WORD_BUDGET:
             raise ValueError(
                 f"one trial needs n_b*n_r = {self.n_b * self.n_r} words, "
@@ -314,6 +323,7 @@ def empirical_rank_moments(
             f"one trial needs n_b = {n_b} words, "
             f"budget is {TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)"
         )
+    _check_key_words(seed, stream)
     x01 = np.empty((trials, 2), dtype=np.int64)
     for start, n in _chunked(trials, n_b):
         orders = _trial_orders(seed, stream, start, n, 1, n_b)
@@ -357,11 +367,9 @@ class CurvePoint:
     stderr_var: float
 
 
-def middle_band_grid(
-    n_b: int, n_r: int, points: int = 21, half_width_sigmas: float = 3.2
-) -> list[int]:
+def middle_band_grid(n_b: int, n_r: int, points: int = 21) -> list[int]:
     """Evenly spaced integer scores centered on the middle score, spanning
-    +- half_width_sigmas * sqrt(lam) and clipped to the attainable range.
+    +- _GRID_HALF_WIDTH * sqrt(lam) and clipped to the attainable range.
     Duplicates after rounding are merged, so very narrow ranges may return
     fewer than ``points`` values.  A single point is the middle score, rounded."""
     if points < 1:
@@ -370,7 +378,7 @@ def middle_band_grid(
     if points == 1:
         return [round(params.middle_score)]
     mid = float(params.middle_score)
-    w = half_width_sigmas * math.sqrt(float(params.lam))
+    w = _GRID_HALF_WIDTH * math.sqrt(float(params.lam))
     lo = max(float(n_r), mid - w)
     hi = min(float(n_r * n_b), mid + w)
     return sorted({int(round(v)) for v in np.linspace(lo, hi, points)})

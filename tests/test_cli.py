@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import racerank
-from racerank import combinatorics, montecarlo, two_race
+from racerank import combinatorics, montecarlo, series, two_race
 from racerank.cli import CURVE_COLUMNS, main
 from racerank.two_race import full_distribution
 
@@ -54,12 +54,37 @@ GOLDEN_STDOUT = [
     ("approx 200 30 3015 --json", "65e202f5553d08d4366b746d4c950e9942506f46fe6910da2f125e77e64f89b0"),
     ("eulerian 6 --json", "fb9163a92f167f5955f4df2bb0b7692dc686881264fecaa9697b96f6457149c2"),
     ("stirling 6", "bc5182a4d44f24072c6eb06dc3641aa5d157a226cb61b44f86411900e8ac7eef"),
+    # recorded before every command shared one output path; --help at COLUMNS=80
+    ("curve 21 4 --points 5 --trials 500 --seed 11", "5359472e5f04d014220e8aa606fd37f8a2dda0c694dd6e8a39b3b3742be20391"),
+    ("curve 21 4 --points 3 --trials 200 --seed 5 --json", "7b17ca8dcf5894dc17f9958c7d3949540525ebbcb6cab6d4dc2ab869dfabb532"),
+    ("simulate 3 2 --n-t 4 --trials 5000 --seed 3", "8a49c24a55787912489f04f21eb82fdedc03f3a7cc48f4548a2006edaa0ca295"),
+    ("simulate 3 2 --n-t 4 --trials 5000 --seed 3 --json", "6d8a0ab8322a1e94fea44cb3013b4fae29ec9c698a74cf968232974456d1c554"),
+    ("simulate 10 5 --n-t 20 --drop-worst --trials 3000 --seed 4", "c8437fcfa748cb5cbe9b9bbb3f91ac2f801fea389856ed7825454222cbd9ab74"),
+    ("simulate 3 3 --tracked-ranks 1,2,3 --trials 3000 --seed 3 --json", "63c55f9902a2cd19fb2db86e3edb078149314c6f85d5b0a6739fe0c517113fcc"),
+    ("dist 6 7 --form series", "a0a20e92795b902c06575d8dade09f144537ee3a9f0127c08f1180987a56d496"),
+    ("dist 6 6 --form series --json", "6e1f21c5c6df4ab0e008d5eaf482513a5a4b03987ace02af2381faf549eb6d50"),
+    ("dist 4 5 --json", "bbbb1ff30241661b0086581a797455d9a88e126539c6385e83b6e24b4f464742"),
+    ("eulerian 6", "daa388effad1d07337eecabb329fb6212b60eec1dafdd520bc3ab7ac40bd5faf"),
+    ("stirling 6 --json", "f9a9022313cb486b2a3148dfb2d605ee39ada26c1a835dfb689167acdaa66743"),
+    ("approx 21 4 40", "d75723f295d7373134a01410c1eb73d8a294662503535cb0390de966e6232159"),
+    ("--help", "8807a8811120535255a94ee173f8ac5688555129a9e0edf8e345512385661afd"),
+    ("eulerian --help", "b0a37d28f5d3286354abfd0f2d5fe614bc80b1418c2a593426c1ce7ef3e60655"),
+    ("stirling --help", "5f80fe5ac1fa288cbf784bbfed48cc202a802679c0b1cc8d9c6287355f0d9894"),
+    ("dist --help", "20a5b504da07d69b075004c24d9a29e4bd2bf4be95c67812367545f5c73d341f"),
+    ("curve --help", "a6c40349c3dbc0329006a799cdbc125f30f220f6085571133763eba2cfd33602"),
+    ("approx --help", "16db1feb6c02100220d1e4eb2b228d7bd94cfd17cea524beb6c419a50b1f3925"),
+    ("simulate --help", "c1f7569ab5e4c528a25fd1e9342a73f6f88c1a34df5cd04fb2c7de970bc4cdde"),
+    ("verify --help", "c9b27c30abc5be870a2bed3bf278a1bd90ea18b8be33c64aa723757707f0ef1e"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN_STDOUT, ids=[c for c, _ in GOLDEN_STDOUT])
-def test_cli_output_golden(capsys, command, digest):
-    code, out, _ = run_cli(capsys, *command.split())
+def test_cli_output_golden(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code, out, _ = run_cli(capsys, *command.split())
+    except SystemExit as exc:  # argparse exits after printing --help
+        code, out = exc.code, capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -328,6 +353,21 @@ def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
     assert err == (
         f"error: n_b = {n_b} exceeds the exact-row budget "
         f"{two_race.EXACT_N_B_BUDGET} (two_race.EXACT_N_B_BUDGET)\n"
+    )
+
+
+@pytest.mark.parametrize("offset", [1, 0])
+def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a series was built past the budget check")
+
+    monkeypatch.setattr(series, "exp_xy", unreachable)
+    n_b = series.SERIES_ORDER_BUDGET + 1
+    code, out, err = run_cli(capsys, "dist", str(n_b), str(n_b + offset), "--form", "series")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: order = {n_b} exceeds the series budget "
+        f"{series.SERIES_ORDER_BUDGET} (series.SERIES_ORDER_BUDGET)\n"
     )
 
 

@@ -167,6 +167,35 @@ def test_trial_budget_trips_before_allocating(monkeypatch, kwargs):
         simulate(SimConfig(trials=10**9, seed=1, **kwargs))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: simulate(SimConfig(n_b=3, n_r=2, trials=10, seed=-1, n_t=4)),
+        lambda: simulate(SimConfig(n_b=3, n_r=2, trials=10, seed=1 << 64, n_t=4)),
+        lambda: simulate(SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=4, stream=-1)),
+        lambda: simulate(SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=4, stream=1 << 64)),
+        lambda: empirical_rank_moments(3, 1000, seed=-1),
+        lambda: empirical_rank_moments(3, 1000, seed=1 << 64),
+        lambda: empirical_rank_moments(3, 1000, seed=1, stream=-1),
+        lambda: empirical_rank_moments(3, 1000, seed=1, stream=1 << 64),
+    ],
+)
+def test_key_words_outside_64_bits_are_refused(monkeypatch, run):
+    # -1 once wrapped to 2**64 - 1 and silently aliased that seed or stream
+    def unreachable(*args, **kw):
+        raise AssertionError("Philox reached past the seed/stream check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    with pytest.raises(ValueError, match="(seed|stream) must be a 64-bit unsigned integer"):
+        run()
+
+
+def test_key_words_admit_the_64_bit_edges():
+    top = (1 << 64) - 1
+    SimConfig(n_b=3, n_r=2, trials=10, seed=top, n_t=4, stream=top)
+    assert empirical_rank_moments(3, 1000, seed=top, stream=top).trials == 1000
+
+
 def test_trial_budget_admits_its_cap():
     # far above every tested trial: the widest is 2100 boats x 2 races
     assert mc.TRIAL_WORD_BUDGET >= 100 * 2100 * 2

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from racerank import series
 from racerank.combinatorics import eulerian, factorial
 from racerank.series import (
     ExactDivisionError,
@@ -217,3 +218,15 @@ def test_series_rows_match_two_race_to_10():
         assert coefficient_to_distribution(h, n_b, n_t=n_b) == full_distribution(
             n_b, n_b
         )
+
+
+@pytest.mark.parametrize("gf", [eulerian_gf, middle_score_gf, second_gf_expand])
+def test_order_budget_trips_before_any_series(monkeypatch, gf):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a series was built past the budget check")
+
+    monkeypatch.setattr(series, "exp_xy", unreachable)
+    order = series.SERIES_ORDER_BUDGET + 1
+    message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        gf(order)
