@@ -37,10 +37,8 @@ from .series import (
     SeriesX,
     coefficient_to_distribution,
     eulerian_gf,
-    exp_xy,
     middle_score_gf,
     second_gf_expand,
-    series_div_exact,
 )
 from .asymptotics import (
     AsymptoticParams,
@@ -94,8 +92,6 @@ __all__ = [
     "ExactDivisionError",
     "PolyY",
     "SeriesX",
-    "exp_xy",
-    "series_div_exact",
     "eulerian_gf",
     "middle_score_gf",
     "second_gf_expand",

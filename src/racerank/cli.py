@@ -77,9 +77,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- triangles
 
 
+# looked up when called, like _FORMS, so a patched combinatorics is seen
 _TRIANGLES = {
-    "eulerian": combinatorics.eulerian_triangle,
-    "stirling": combinatorics.stirling_triangle,
+    "eulerian": lambda n: combinatorics.eulerian_triangle(n),
+    "stirling": lambda n: combinatorics.stirling_triangle(n),
 }
 
 
@@ -97,6 +98,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
+    two_race._check_score(n_b, n_t)  # before any series is built
     order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
     if n_t == n_b + 1:
         return series.coefficient_to_distribution(series.middle_score_gf(order), n_b)

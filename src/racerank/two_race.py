@@ -84,6 +84,13 @@ def _check_lower_half(form: str, n_b: int, n_t: int, m: int) -> None:
     _check_rank(n_b, m)
 
 
+def _check_score(n_b: int, n_t: int) -> None:
+    if n_b < 1:
+        raise ValueError(f"n_b must be >= 1, got {n_b}")
+    if not 2 <= n_t <= 2 * n_b + 1:
+        raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
+
+
 def _check_budget(n_b: int) -> None:
     if n_b > EXACT_N_B_BUDGET:
         raise ValueError(
@@ -159,8 +166,7 @@ def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
 
 
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
-    if not 2 <= n_t <= 2 * n_b + 1:
-        raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
+    _check_score(n_b, n_t)
     if n_t > n_b + 1:
         return reflect_distribution(_assemble(n_b, 2 * n_b + 3 - n_t, low_row))
     row = low_row(n_b, n_t)

@@ -100,6 +100,16 @@ def test_eulerian_single_row(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_triangle_is_looked_up_when_called(capsys, monkeypatch):
+    def sevens(n_max):
+        return [[7] * n for n in range(1, n_max + 1)]
+
+    monkeypatch.setattr(combinatorics, "eulerian_triangle", sevens)
+    code, out, _ = run_cli(capsys, "eulerian", "3")
+    assert code == 0
+    assert out.splitlines() == ["7", "7 7", "7 7 7"]
+
+
 def test_stirling_rows(capsys):
     code, out, _ = run_cli(capsys, "stirling", "4")
     assert code == 0
@@ -145,6 +155,25 @@ def test_dist_series_domain_restriction(capsys):
     code, _, err = run_cli(capsys, "dist", "3", "7", "--form", "series")
     assert code == 2
     assert "series" in err
+
+
+@pytest.mark.parametrize("form", ["exact", "stirling", "bruteforce", "series"])
+@pytest.mark.parametrize(
+    "n_b,n_t,message",
+    [
+        (1, 1, "score n_t must be in [2, 3], got 1"),
+        (2, 7, "score n_t must be in [2, 5], got 7"),
+        (0, 2, "n_b must be >= 1, got 0"),
+    ],
+)
+def test_dist_forms_refuse_bad_input_alike(capsys, monkeypatch, form, n_b, n_t, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a series was built for an invalid input")
+
+    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
+    code, out, err = run_cli(capsys, "dist", str(n_b), str(n_t), "--form", form)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_dist_out_of_range(capsys):
@@ -361,7 +390,7 @@ def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built past the budget check")
 
-    monkeypatch.setattr(series, "exp_xy", unreachable)
+    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
     n_b = series.SERIES_ORDER_BUDGET + 1
     code, out, err = run_cli(capsys, "dist", str(n_b), str(n_b + offset), "--form", "series")
     assert code == 2 and out == ""

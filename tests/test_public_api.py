@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "eulerian_from_stirling",
     "eulerian_gf",
     "eulerian_triangle",
-    "exp_xy",
     "factorial",
     "full_distribution",
     "mean_final_rank",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "rank_moments_theory",
     "reflect_distribution",
     "second_gf_expand",
-    "series_div_exact",
     "simulate",
     "stirling2",
     "stirling_binomial_sum",

@@ -1,24 +1,24 @@
+import ast
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
-from racerank import series
+from racerank import lattice_oracle, series
 from racerank.combinatorics import eulerian, factorial
 from racerank.series import (
+    SERIES_ORDER_BUDGET,
     ExactDivisionError,
     PolyY,
     SeriesX,
     coefficient_to_distribution,
     eulerian_gf,
-    exp_xy,
     middle_score_gf,
     second_gf_expand,
-    series_div_exact,
-    x_monomial,
 )
 from racerank.two_race import full_distribution, p_middle
 
-Y = PolyY((0, 1))
 ONE = PolyY((1,))
 
 # n! * (x^n coefficient of g) for n = 1..6, as printed rows
@@ -53,74 +53,43 @@ SECOND_ROWS = {
 def test_polyy_canonical_form():
     assert PolyY((1, 2, 0, 0)) == PolyY((1, 2))
     assert PolyY((0, 0)).degree == -1
-    assert not PolyY()
+    assert PolyY((0,)).coeffs == ()
     assert PolyY((Fraction(1, 2),))[0] == Fraction(1, 2)
     assert PolyY((1,))[5] == 0
 
 
+def test_polyy_rejects_inexact_coefficients():
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            PolyY((1, bad))
+
+
 def test_polyy_arithmetic():
+    # only scalar products remain; the series are expanded in integer rows
     p = PolyY((1, 2))
-    q = PolyY((0, 1, 3))
-    assert p + q == PolyY((1, 3, 3))
-    assert p - p == PolyY()
-    assert p * q == PolyY((0, 1, 5, 6))
     assert p * 2 == PolyY((2, 4))
     assert 2 * p == PolyY((2, 4))
     assert p * Fraction(1, 2) == PolyY((Fraction(1, 2), 1))
+    with pytest.raises(TypeError):
+        p * p
+    with pytest.raises(TypeError):
+        p + p
 
 
 def test_polyy_division():
-    # (1 - y^2) / (1 - y) = 1 + y
-    num = PolyY((1, 0, -1))
-    den = PolyY((1, -1))
-    assert num.div_exact(den) == PolyY((1, 1))
-    q, r = divmod(PolyY((1,)), den)
-    assert q == PolyY() and r == ONE
-    with pytest.raises(ExactDivisionError):
-        PolyY((1,)).div_exact(den)
-    with pytest.raises(ZeroDivisionError):
-        divmod(num, PolyY())
-
-
-def test_polyy_str():
-    assert str(PolyY((1, 4, 1))) == "y^2 + 4*y + 1"
-    assert str(PolyY()) == "0"
-    assert str(PolyY((0, -1))) == "-y"
-
-
-def test_series_basic_arithmetic():
-    x = x_monomial(6)
-    x2 = x * x
-    assert x2.coefficient(2) == ONE and x2.coefficient(1) == PolyY()
-    ex = exp_xy(1, 6)
-    emx = exp_xy(-1, 6)
-    prod = ex * emx
-    assert prod.coefficient(0) == ONE
-    for n in range(1, 7):
-        assert prod.coefficient(n) == PolyY()
+    # (1 - y^2) / (1 - y) = 1 + y and (1 - y^3) / (1 - y) = 1 + y + y^2
+    assert series._div_one_minus_y([1, 0, -1]) == [1, 1]
+    assert series._div_one_minus_y([1, 0, 0, -1]) == [1, 1, 1]
+    assert series._div_one_minus_y([0]) == []
 
 
 def test_series_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        exp_xy(1, 4) * exp_xy(1, 5)
+        SeriesX(2, (0, 1, 2, 3))
     with pytest.raises(ValueError):
-        exp_xy(1, 4) + exp_xy(1, 5)
-
-
-def test_exp_xy_coefficients():
-    exy = exp_xy(Y, 5)
-    assert exy.coefficient(3) == PolyY((0, 0, 0, Fraction(1, 6)))
-    assert exp_xy(1, 5).coefficient(0) == ONE
-    # division pivot of the Eulerian generating function
-    den = exp_xy(Y, 5) - exp_xy(1, 5) * Y
-    assert den.coefficient(0) == PolyY((1, -1))
-    num = exp_xy(1, 5) - exp_xy(Y, 5)
-    assert num.coefficient(1) == PolyY((1, -1))
-
-
-def test_exp_xy_rejects_high_degree_weight():
-    with pytest.raises(ValueError):
-        exp_xy(PolyY((0, 0, 1)), 4)
+        SeriesX(-1)
+    assert SeriesX(3, (0, 1)).coefficient(3) == PolyY()
+    assert eulerian_gf(4) != eulerian_gf(5)
 
 
 def test_eulerian_gf_printed_rows():
@@ -144,36 +113,39 @@ def test_eulerian_gf_rows_are_palindromic_eulerian_rows():
 
 
 def test_series_div_exact_detects_nonpolynomial_quotient():
-    # 1 / (1 - y) is not a polynomial: must fail loudly at order 0
-    num = exp_xy(1, 3)
-    den = exp_xy(Y, 3) - exp_xy(1, 3) * Y
-    with pytest.raises(ExactDivisionError):
-        series_div_exact(num, den)
-
-
-def test_series_div_exact_zero_pivot():
-    x = x_monomial(3)
-    with pytest.raises(ZeroDivisionError):
-        series_div_exact(exp_xy(1, 3), x)
+    # 1 / (1 - y) and y / (1 - y) are not polynomials: must fail loudly
+    for r in ([1], [0, 1], [1, 2, -2]):
+        with pytest.raises(ExactDivisionError):
+            series._div_one_minus_y(r)
 
 
 def test_series_div_round_trip():
-    # q = num / den reproduces num when multiplied back (mod x^9)
+    # g times e^{xy} - y e^x gives back e^x - e^{xy} (mod x^9); in n! [x^n]:
+    # sum_k C(n, k) q_k (y^(n-k) - y) = 1 - y^n with q_k = k! [x^k] g
     g = eulerian_gf(8)
-    num = exp_xy(1, 8) - exp_xy(Y, 8)
-    den = exp_xy(Y, 8) - exp_xy(1, 8) * Y
-    assert g * den == num
+    for n in range(9):
+        product = [Fraction(0)] * (n + 1)
+        for k in range(n + 1):
+            for i, a in enumerate((g.coefficient(k) * factorial(k)).coeffs):
+                product[i + n - k] += comb(n, k) * a
+                product[i + 1] -= comb(n, k) * a
+        numerator = [1] + [0] * n
+        numerator[n] -= 1
+        assert PolyY(product) == PolyY(numerator)
 
 
 def test_integration():
-    one = SeriesX(4, (ONE,))
-    assert one.integrate().coefficient(1) == ONE
-    x = x_monomial(4)
-    assert x.integrate().coefficient(2) == PolyY((Fraction(1, 2),))
-    ig = eulerian_gf(6).integrate()
-    assert ig.coefficient(0) == PolyY()
-    assert ig.coefficient(2) == PolyY((Fraction(1, 2),))  # from the x^1 term of g
-    assert ig.coefficient(3) == PolyY((Fraction(1, 6), Fraction(1, 6)))  # (1+y)/(3*2!)
+    # second_gf_expand = (y - 1) * integral(g) + g - x, where the x^n
+    # coefficient of integral(g) is the x^(n-1) coefficient of g over n
+    g, h = eulerian_gf(8), second_gf_expand(8)
+    assert h.coefficient(0) == PolyY()
+    for n in range(1, 9):
+        prev = g.coefficient(n - 1)
+        expected = [
+            g.coefficient(n)[k] + (prev[k - 1] - prev[k]) / n - (n == 1 and k == 0)
+            for k in range(n + 1)
+        ]
+        assert h.coefficient(n) == PolyY(expected)
 
 
 def test_second_gf_printed_rows():
@@ -225,8 +197,34 @@ def test_order_budget_trips_before_any_series(monkeypatch, gf):
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built past the budget check")
 
-    monkeypatch.setattr(series, "exp_xy", unreachable)
+    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
     order = series.SERIES_ORDER_BUDGET + 1
     message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
     with pytest.raises(ValueError, match=message):
         gf(order)
+
+
+def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():
+    g = eulerian_gf(SERIES_ORDER_BUDGET)
+    for n in range(1, SERIES_ORDER_BUDGET + 1):
+        poly = g.coefficient(n) * factorial(n)
+        assert poly.coeffs == tuple(eulerian(n, k) for k in range(n))
+
+
+def test_second_gf_rows_equal_full_distribution_to_budget():
+    h = second_gf_expand(SERIES_ORDER_BUDGET)
+    for n_b in range(2, SERIES_ORDER_BUDGET + 1):
+        assert coefficient_to_distribution(h, n_b, n_t=n_b) == full_distribution(n_b, n_b)
+
+
+@pytest.mark.parametrize("module", [series, lattice_oracle], ids=lambda m: m.__name__)
+def test_route_imports_no_formula(module):
+    # both routes check the closed forms, so they may share only the result type
+    imported = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("racerank")):
+            source = (node.module or "").removeprefix("racerank.")
+            imported += [(source, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(a.name, None) for a in node.names if a.name.startswith("racerank")]
+    assert imported == [("two_race", "RankDistribution")]

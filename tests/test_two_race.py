@@ -195,6 +195,13 @@ def test_full_distribution_rejects_out_of_range():
         full_distribution(3, 8)
 
 
+@pytest.mark.parametrize("route", [full_distribution, stirling_form_distribution])
+def test_rows_check_n_b_before_the_score_range(route):
+    # n_b = 0 would otherwise report the empty score range [2, 1]
+    with pytest.raises(ValueError, match=r"^n_b must be >= 1, got 0$"):
+        route(0, 2)
+
+
 def test_stirling_form_distribution_agrees():
     for n_b in range(1, 7):
         for n_t in range(2, 2 * n_b + 2):
