@@ -34,15 +34,18 @@ The rule is stated on the words, so it holds exactly:
   argsort of ``word >> 11``.  All three sorts give the same order.
 
 This is the only ranking path.  Virtual mode and the moments estimator
-scatter ranks 1..width along that order (position j receives the rank of
-its uniform); tracked mode gathers the leftover rank values along it.
+score along that order with one weighted ``np.bincount``: each column index,
+offset by its trial, collects rank k + 1 from order position k, so every
+boat's ranks are summed over the races in one pass (with ``drop_worst``, a
+running ``maximum.at`` over the same indices and weights gives the rank
+dropped).  Tracked mode gathers the leftover rank values along the order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,11 +66,12 @@ __all__ = [
     "curve_sweep",
     "middle_band_grid",
     "TRIAL_WORD_BUDGET",
+    "MOMENTS_TRIAL_BUDGET",
 ]
 
 _MASK64 = (1 << 64) - 1
 # Raw words generated per chunk: 2**17 words (1 MiB), so that one chunk's
-# Philox words, in-place key sort, int32 rank scatter and race sums stay in
+# Philox words, in-place key sort, rank weights and race sums stay in
 # a core's 2 MiB L2 instead of streaming through L3.  Measured on a 2-vCPU
 # Xeon (numpy 2.4): 2**16 and 2**17 tie, 2**18 is ~7 % slower on short rows,
 # and the former 2**22-word (34 MB) chunks ran 200 x 30 trials ~30 % slower.
@@ -90,6 +94,12 @@ _NETWORKS = {
 # Maximum raw words one trial may need (n_b * n_r).  A chunk holds at least
 # one trial, so this bounds a run's memory whatever its trial count.
 TRIAL_WORD_BUDGET = 1 << 22
+# Maximum trials of empirical_rank_moments, which keeps two float64 ranks
+# per trial: 2**24 trials hold 256 MiB.
+MOMENTS_TRIAL_BUDGET = 1 << 24
+# Bound once: a numpy stand-in put in place of this module's ``np`` (the
+# benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
+_maximum_at = np.maximum.at
 # Half-width of middle_band_grid's band, in standard deviations sqrt(lam).
 _GRID_HALF_WIDTH = 3.2
 
@@ -105,24 +115,43 @@ def _philox_key(seed: int, stream: int) -> int:
     return seed | (stream << 64)
 
 
-def _trial_orders(
-    seed: int, stream: int, first_trial: int, n_trials: int, n_r: int, width: int
-) -> np.ndarray:
-    """Row orders for trials [first_trial, first_trial + n_trials), int64
-    of shape (n_trials, n_r, width): entry [t, r] lists race r's columns by
-    ascending uniform, under the module docstring's ranking rule.  Trial t
-    reads its own counter blocks (4 raw words per block, padding discarded
-    when n_r * width is not a multiple of 4), so any split of a run into
-    separate calls returns identical rows."""
+def _chunk_trials(per_trial: int) -> int:
+    """Trials per chunk: as many as fit in _CHUNK_DOUBLES words, at least 1."""
+    return max(1, _CHUNK_DOUBLES // max(per_trial, 1))
+
+
+def _order_chunks(
+    seed: int, stream: int, trials: int, n_r: int, width: int, first_trial: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Row orders of trials [first_trial, first_trial + trials), one chunk at
+    a time as ``(offset, orders)``: int64 of shape (n, n_r, width) whose
+    entry [t, r] lists race r's columns by ascending uniform, under the
+    module docstring's ranking rule.  Trial t reads its own counter blocks
+    (4 raw words per block, padding discarded when n_r * width is not a
+    multiple of 4).  One Philox generator reads the chunks in order: every
+    chunk takes whole blocks, so its counter runs on exactly where a fresh
+    generator for the next trial would start, and any split of a run
+    returns identical rows."""
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
     bitgen = np.random.Philox(
         key=_philox_key(seed, stream), counter=first_trial * blocks
     )
-    words = bitgen.random_raw(n_trials * blocks * 4).reshape(n_trials, blocks * 4)
-    if blocks * 4 != per_trial:
-        words = np.ascontiguousarray(words[:, :per_trial])
-    return _order_words(words.reshape(n_trials, n_r, width))
+    step = _chunk_trials(per_trial)
+    for offset in range(0, trials, step):
+        n = min(step, trials - offset)
+        words = bitgen.random_raw(n * blocks * 4).reshape(n, blocks * 4)
+        if blocks * 4 != per_trial:
+            words = np.ascontiguousarray(words[:, :per_trial])
+        yield offset, _order_words(words.reshape(n, n_r, width))
+
+
+def _trial_orders(
+    seed: int, stream: int, first_trial: int, n_trials: int, n_r: int, width: int
+) -> np.ndarray:
+    """All row orders of ``_order_chunks`` in one array."""
+    chunks = _order_chunks(seed, stream, n_trials, n_r, width, first_trial)
+    return np.concatenate([orders for _, orders in chunks])
 
 
 def _order_words(words: np.ndarray) -> np.ndarray:
@@ -149,21 +178,59 @@ def _order_words(words: np.ndarray) -> np.ndarray:
     return words.view(np.int64)
 
 
-def _ranks(orders: np.ndarray) -> np.ndarray:
-    """Invert row orders: position j receives its rank 1..width (int32).
-    Overwrites ``orders`` with flat indices into the result."""
-    width = orders.shape[-1]
-    ranks = np.empty(orders.shape, dtype=np.int32)
-    rows = orders.reshape(-1, width)
-    rows += np.arange(0, rows.size, width)[:, None]
-    ranks.reshape(-1)[rows] = np.arange(1, width + 1, dtype=np.int32)
-    return ranks
+def _rank_sums(
+    trials: int, n_r: int, width: int, drop_worst: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Scorer for the order chunks of a ``trials``-trial run: every
+    column's ranks summed over the races (less its worst rank with
+    ``drop_worst``), float64 of shape (n, width).  One weighted bincount
+    over the trial-offset column indices does the sum; the rank weights
+    1..width are tiled once, at chunk length.  The sums stay exact: a
+    score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
+    2**53.  Overwrites the orders."""
+    per_trial = n_r * width
+    chunk_trials = min(trials, _chunk_trials(per_trial))
+    rank_tile = np.tile(np.arange(1, width + 1, dtype=np.float64), chunk_trials * n_r)
+    trial_offsets = width * np.arange(chunk_trials)[:, None, None]
+
+    def score(orders: np.ndarray) -> np.ndarray:
+        n = len(orders)
+        orders += trial_offsets[:n]
+        idx, ranks = orders.reshape(-1), rank_tile[: n * per_trial]
+        scores = np.bincount(idx, weights=ranks, minlength=n * width)
+        if drop_worst:
+            worst = np.zeros(n * width)
+            _maximum_at(worst, idx, ranks)
+            scores -= worst
+        return scores.reshape(n, width)
+
+    return score
 
 
-def _chunked(trials: int, per_trial: int) -> Iterator[tuple[int, int]]:
-    step = max(1, _CHUNK_DOUBLES // max(per_trial, 1))
-    for start in range(0, trials, step):
-        yield start, min(step, trials - start)
+def _leftover_sums(
+    tracked: Sequence[int], n_b: int, drop_worst: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Scorer of the n_b - 1 boats racing a tracked boat: race r's order
+    gathers the leftover rank values 1..n_b without ``tracked[r]``, and the
+    gathered values are summed over the races (less each boat's worst with
+    ``drop_worst``).  int32 of shape (n, n_b - 1), which einsum keeps: a
+    score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
+    2**31.  Overwrites the orders."""
+    width = n_b - 1
+    leftover = np.array(
+        [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int32
+    ).ravel()
+    race_offsets = width * np.arange(len(tracked))[:, None]
+
+    def score(orders: np.ndarray) -> np.ndarray:
+        orders += race_offsets  # race r's column j is leftover[r * width + j]
+        vals = leftover.take(orders)
+        scores = np.einsum("trw->tw", vals)
+        if drop_worst:
+            scores -= vals.max(axis=1)
+        return scores
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -258,29 +325,15 @@ def simulate(config: SimConfig) -> SimResult:
     strictly below the tracked boat}."""
     n_b, n_r, tracked = config.n_b, config.n_r, config.tracked_ranks
     if tracked is None:
-        width, threshold, values = n_b, config.n_t, _ranks
+        width, threshold = n_b, config.n_t
+        score = _rank_sums(config.trials, n_r, width, config.drop_worst)
     else:
         width = n_b - 1
         threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
-        leftover = np.array(
-            [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int32
-        ).ravel()
-        race_offsets = width * np.arange(n_r)[:, None]
-
-        def values(orders: np.ndarray) -> np.ndarray:
-            orders += race_offsets  # race r's column j is leftover[r * width + j]
-            return leftover.take(orders)
-
+        score = _leftover_sums(tracked, n_b, config.drop_worst)
     counts = np.zeros(width + 2, dtype=np.int64)
-    for start, n in _chunked(config.trials, n_r * width):
-        vals = values(_trial_orders(config.seed, config.stream, start, n, n_r, width))
-        # values are int32 in both modes and einsum keeps that dtype; the
-        # largest score, n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, is far
-        # below 2**31.
-        scores = np.einsum("trw->tw", vals)
-        if config.drop_worst:
-            scores -= vals.max(axis=1)
-        m = 1 + (scores < threshold).sum(axis=1)
+    for _, orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
+        m = 1 + (score(orders) < threshold).sum(axis=1)
         counts += np.bincount(m, minlength=width + 2)
     return _result_from_counts(config, counts[1:])
 
@@ -323,15 +376,21 @@ def empirical_rank_moments(
             f"one trial needs n_b = {n_b} words, "
             f"budget is {TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)"
         )
+    if trials > MOMENTS_TRIAL_BUDGET:
+        raise ValueError(
+            f"trials = {trials} exceeds the moments budget {MOMENTS_TRIAL_BUDGET} "
+            "(montecarlo.MOMENTS_TRIAL_BUDGET)"
+        )
     _check_key_words(seed, stream)
-    x01 = np.empty((trials, 2), dtype=np.int64)
-    for start, n in _chunked(trials, n_b):
-        orders = _trial_orders(seed, stream, start, n, 1, n_b)
-        x01[start : start + n] = _ranks(orders)[:, 0, :2]
+    # one race's rank sums are its ranks; boats 1 and 2 are rows 0 and 1
+    score = _rank_sums(trials, 1, n_b)
+    x01 = np.empty((2, trials))
+    for start, orders in _order_chunks(seed, stream, trials, 1, n_b):
+        x01[:, start : start + len(orders)] = score(orders)[:, :2].T
     size = trials // batches
     used = batches * size
-    x0 = x01[:used, 0].reshape(batches, size).astype(np.float64)
-    x1 = x01[:used, 1].reshape(batches, size).astype(np.float64)
+    x0 = x01[0, :used].reshape(batches, size)
+    x1 = x01[1, :used].reshape(batches, size)
     b_mean = x0.mean(axis=1)
     b_var = x0.var(axis=1, ddof=1)
     d0 = x0 - x0.mean(axis=1, keepdims=True)

@@ -283,10 +283,12 @@ def test_12_correlated_rank_moments():
         ok = ok and abs(est.mean - float(theory.mean)) <= 4 * est.se_mean
         ok = ok and abs(est.var_diag - float(theory.var_diag)) <= 4 * est.se_var
         ok = ok and abs(est.cov_offdiag - float(theory.cov_offdiag)) <= 4 * est.se_cov
-        # sum rule holds exactly on every sample the estimator consumed
+        # sum rule holds exactly on every sample the estimator consumed,
+        # ranked by the estimator's own scorer
         expected_sum = n_b * (n_b + 1) // 2
-        for start, n in mc._chunked(trials, n_b):
-            ranks = mc._ranks(mc._trial_orders(SEED, 0, start, n, 1, n_b))[:, 0]
+        score = mc._rank_sums(trials, 1, n_b)
+        for _, orders in mc._order_chunks(SEED, 0, trials, 1, n_b):
+            ranks = score(orders)
             ok = ok and bool((ranks.sum(axis=1) == expected_sum).all())
     report("12", "permutation moments match theory at 4 SE; sum rule exact", ok)
     assert ok

@@ -55,8 +55,8 @@ def test_permutation_sum_rule_exact_on_samples():
     for n_b in (3, 10, 50):
         ranks = rank_rows(trial_uniforms(SEED, 0, 0, 500, n_b))
         assert (ranks.sum(axis=1) == n_b * (n_b + 1) // 2).all()
-        # also on the keyed-sort path used by simulate
-        fast = mc._ranks(mc._trial_orders(SEED, 0, 0, 500, 1, n_b))[:, 0]
+        # also on the keyed-sort path and the scorer used by simulate
+        fast = mc._rank_sums(500, 1, n_b)(mc._trial_orders(SEED, 0, 0, 500, 1, n_b))
         assert (fast == ranks).all()
 
 
@@ -72,26 +72,42 @@ def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
     assert (orders == expected).all()
 
 
+def _summed_inverse(orders: np.ndarray, drop_worst: bool) -> np.ndarray:
+    ranks = inverse_orders(orders)
+    return ranks.sum(axis=1) - (ranks.max(axis=1) if drop_worst else 0)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 200, 2048, 2049])
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_ranks_equal_put_along_axis_inverse(width, n_r):
-    orders = mc._trial_orders(SEED, 1, 5, 4 if width > 100 else 50, n_r, width)
-    expected = inverse_orders(orders)
-    ranks = mc._ranks(orders)
-    assert ranks.dtype == np.int32
-    assert (ranks == expected).all()
+    # the scorer's rank sums equal the put_along_axis inverse summed over
+    # the races, less its per-boat maximum with drop_worst
+    n_trials = 4 if width > 100 else 50
+    orders = mc._trial_orders(SEED, 1, 5, n_trials, n_r, width)
+    if n_r == 1:  # one race's rank sums are its ranks
+        assert (_summed_inverse(orders, False) == inverse_orders(orders)[:, 0]).all()
+    for drop_worst in (False, True):
+        expected = _summed_inverse(orders, drop_worst)
+        # built for a longer run, so the chunk reads a prefix of the weight tile
+        score = mc._rank_sums(n_trials + 3, n_r, width, drop_worst)
+        scores = score(orders.copy())
+        assert scores.dtype == np.float64
+        assert scores.shape == (n_trials, width)
+        assert (scores == expected).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 40)),
+    drop_worst=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ranks_invert_random_permutation_rows(shape, seed):
+def test_ranks_invert_random_permutation_rows(shape, drop_worst, seed):
     rng = np.random.default_rng(seed)
     orders = rng.permuted(np.broadcast_to(np.arange(shape[-1]), shape), axis=-1)
-    expected = inverse_orders(orders)
-    assert (mc._ranks(orders.copy()) == expected).all()
+    expected = _summed_inverse(orders, drop_worst)
+    score = mc._rank_sums(shape[0], shape[1], shape[2], drop_worst)
+    assert (score(orders.copy()) == expected).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,6 +248,22 @@ def test_simulate_bit_identical_and_chunk_independent(chunk_doubles):
         assert _chunk_case_results() == reference
 
 
+@pytest.mark.parametrize("config", CHUNK_CASES[:3])
+def test_one_philox_generator_per_run(monkeypatch, config):
+    reference = _reference_results()
+    philox, counters = np.random.Philox, []
+
+    def counting(*args, **kw):
+        counters.append(kw["counter"])
+        return philox(*args, **kw)
+
+    monkeypatch.setattr(mc.np.random, "Philox", counting)
+    monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 16)  # dozens of chunks per run
+    assert simulate(config) == reference[0][CHUNK_CASES.index(config)]
+    assert empirical_rank_moments(4, 1000, seed=SEED, batches=10) == reference[1]
+    assert counters == [0, 0]
+
+
 def test_simulate_counts_sum_to_trials():
     res = simulate(SimConfig(n_b=4, n_r=2, trials=12_345, seed=SEED, n_t=5))
     assert sum(res.counts) == 12_345
@@ -253,12 +285,16 @@ def test_simulate_lowest_score_always_first():
     assert res.mean == 1.0 and res.variance == 0.0
 
 
-def test_int32_race_sums_cannot_overflow():
-    # simulate's race values are int32 in both modes and the race sum keeps
-    # that dtype; no trial within the budget can score above n_r * n_b
+def test_race_sums_are_exact_in_both_modes():
+    # no trial within the budget scores above n_r * n_b <= TRIAL_WORD_BUDGET:
+    # virtual rank sums are float64, exact for integers below 2**53, and
+    # tracked leftover sums stay int32
+    assert mc.TRIAL_WORD_BUDGET < 2**53
     assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int32).max
-    orders = mc._trial_orders(SEED, 0, 0, 10, 3, 4)
-    assert np.einsum("trw->tw", mc._ranks(orders)).dtype == np.int32
+    virtual = mc._rank_sums(10, 3, 4)(mc._trial_orders(SEED, 0, 0, 10, 3, 4))
+    assert virtual.dtype == np.float64
+    tracked = mc._leftover_sums((1, 2, 4), 4)(mc._trial_orders(SEED, 0, 0, 10, 3, 3))
+    assert tracked.dtype == np.int32
 
 
 @pytest.mark.parametrize("drop_worst", [False, True])
@@ -339,6 +375,30 @@ def test_moments_budget_trips_before_allocating(monkeypatch):
     message = f"n_b = {n_b} words, budget is {mc.TRIAL_WORD_BUDGET}"
     with pytest.raises(ValueError, match=message):
         empirical_rank_moments(n_b, 10**9, seed=1)
+
+
+def test_moments_trial_budget_trips_before_allocating(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("allocation reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    monkeypatch.setattr(mc.np, "empty", unreachable)
+    trials = mc.MOMENTS_TRIAL_BUDGET + 1
+    message = (
+        f"trials = {trials} exceeds the moments budget {mc.MOMENTS_TRIAL_BUDGET} "
+        "\\(montecarlo.MOMENTS_TRIAL_BUDGET\\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        empirical_rank_moments(3, trials, seed=1)
+
+
+def test_moments_trial_budget_admits_its_cap(monkeypatch):
+    # far above every tested run: gate 12 draws 10**5 trials, the benchmark 2 * 10**5
+    assert mc.MOMENTS_TRIAL_BUDGET >= 10 * 200_000
+    monkeypatch.setattr(mc, "MOMENTS_TRIAL_BUDGET", 1000)
+    assert empirical_rank_moments(3, 1000, seed=SEED).trials == 1000
+    with pytest.raises(ValueError, match="trials = 1001 exceeds the moments budget 1000"):
+        empirical_rank_moments(3, 1001, seed=SEED)
 
 
 def test_middle_band_grid():

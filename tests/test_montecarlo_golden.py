@@ -96,6 +96,32 @@ def test_rows_wider_than_2048_counts():
     )
 
 
+# Recorded with the int32 rank scatter and einsum race sums, before virtual
+# mode scored boats with one weighted bincount: drop_worst through a
+# network width and through the argsort path past 2048 columns.
+@pytest.mark.parametrize(
+    "config, counts",
+    [
+        (SimConfig(n_b=4, n_r=3, trials=20_000, seed=SEED, n_t=5, drop_worst=True),
+         (0, 448, 8752, 9858, 942)),
+        (SimConfig(n_b=5, n_r=3, trials=20_000, seed=SEED, n_t=6, drop_worst=True),
+         (0, 19, 1998, 10116, 7266, 601)),
+    ],
+)
+def test_virtual_drop_worst_network_counts(config, counts):
+    assert simulate(config).counts == counts
+
+
+def test_virtual_drop_worst_rows_wider_than_2048_counts():
+    res = simulate(
+        SimConfig(n_b=2100, n_r=2, trials=300, seed=SEED, n_t=1051, drop_worst=True)
+    )
+    assert res.mean == 1577.3933333333334
+    assert _digest(res.counts) == (
+        "10b26b0fdf8f3ef0d75b70cafe61cf0926507cb7a9140e7ffe04d5da675fd86e"
+    )
+
+
 @pytest.mark.parametrize(
     "n_b, expected",
     [
@@ -103,6 +129,8 @@ def test_rows_wider_than_2048_counts():
              0.007844678425011234, 0.004626550170976325, 0.004740098917828498)),
         (10, (10, 10_000, 5.567699999999999, 8.266321105527638, -0.9364989949748742,
               0.026196747733959927, 0.0639128316433339, 0.08324093399683635)),
+        (200, (200, 10_000, 100.59779999999999, 3332.860466331658, -82.15339145728643,
+               0.5947983908134635, 32.69162121948075, 31.236465844401142)),
     ],
 )
 def test_rank_moments_values(n_b, expected):
