@@ -28,17 +28,25 @@ The rule is stated on the words, so it holds exactly:
   index, so the order is that of a stable sort;
 * every row up to 2048 wide is turned into the unique keys
   ``(word & ~0x7FF) | column`` (the column fits in the 11 bits the double
-  discards).  Rows up to 5 wide sort them with a fixed compare-exchange
-  network, wider rows with ``ndarray.sort``; because the keys are unique,
-  both give exactly the sorted order.  Rows over 2048 wide take a stable
-  argsort of ``word >> 11``.  All three sorts give the same order.
+  discards).  Rows up to 5 wide get their tags one column view at a time
+  and sort them with a fixed compare-exchange network; wider rows get them
+  from one broadcast ``arange`` and sort them with ``ndarray.sort``.
+  Because the keys are unique, both give exactly the sorted order.  Rows
+  over 2048 wide take a stable argsort of ``word >> 11``.  All three sorts
+  give the same order.
 
 This is the only ranking path.  Virtual mode and the moments estimator
 score along that order with one weighted ``np.bincount``: each column index,
 offset by its trial, collects rank k + 1 from order position k, so every
 boat's ranks are summed over the races in one pass (with ``drop_worst``, a
 running ``maximum.at`` over the same indices and weights gives the rank
-dropped).  Tracked mode gathers the leftover rank values along the order.
+dropped).  Tracked mode gathers the leftover rank values along the order,
+after adding each race's offset into the leftover table from a tile built
+once per run at chunk length.  Both modes tally a chunk with one matrix
+product of its below-threshold rows with ones and one ``np.bincount``.
+On short rows these are long contiguous passes, where a broadcast
+row-length operand or a sum along the row axis would run a numpy inner
+loop of 2 to 6 elements once per row.
 """
 
 from __future__ import annotations
@@ -163,11 +171,13 @@ def _order_words(words: np.ndarray) -> np.ndarray:
         words >>= np.uint64(_COLUMN_BITS)
         return np.argsort(words, axis=-1, kind="stable")
     words &= ~_COLUMN_MASK
-    words |= np.arange(width, dtype=np.uint64)
     network = _NETWORKS.get(width)
     if network is None:
+        words |= np.arange(width, dtype=np.uint64)
         words.sort(axis=-1)
     else:
+        for j in range(1, width):  # one long pass per column view
+            words[..., j] |= np.uint64(j)
         smaller = np.empty(words.shape[:-1], dtype=words.dtype)
         for i, j in network:
             low, high = words[..., i], words[..., j]
@@ -208,22 +218,28 @@ def _rank_sums(
 
 
 def _leftover_sums(
-    tracked: Sequence[int], n_b: int, drop_worst: bool = False
+    tracked: Sequence[int], n_b: int, trials: int, drop_worst: bool = False
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Scorer of the n_b - 1 boats racing a tracked boat: race r's order
-    gathers the leftover rank values 1..n_b without ``tracked[r]``, and the
-    gathered values are summed over the races (less each boat's worst with
+    """Scorer for the order chunks of a ``trials``-trial run against a
+    tracked boat: race r's order gathers, for the n_b - 1 other boats, the
+    leftover rank values 1..n_b without ``tracked[r]``, and the gathered
+    values are summed over the races (less each boat's worst with
     ``drop_worst``).  int32 of shape (n, n_b - 1), which einsum keeps: a
     score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
-    2**31.  Overwrites the orders."""
-    width = n_b - 1
+    2**31.  The race offsets r * width into the flat leftover table come
+    from one int64 tile, built once at chunk length, so a chunk adds them
+    in one contiguous pass instead of broadcasting an (n_r, 1) operand
+    row by row.  Overwrites the orders."""
+    width, n_r = n_b - 1, len(tracked)
     leftover = np.array(
         [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int32
     ).ravel()
-    race_offsets = width * np.arange(len(tracked))[:, None]
+    chunk_trials = min(trials, _chunk_trials(n_r * width))
+    race_tile = np.empty((chunk_trials, n_r, width), dtype=np.int64)
+    race_tile[...] = width * np.arange(n_r)[:, None]
 
     def score(orders: np.ndarray) -> np.ndarray:
-        orders += race_offsets  # race r's column j is leftover[r * width + j]
+        orders += race_tile[: len(orders)]  # race r's column j is leftover[r * width + j]
         vals = leftover.take(orders)
         scores = np.einsum("trw->tw", vals)
         if drop_worst:
@@ -318,6 +334,16 @@ def _result_from_counts(config: SimConfig, counts: np.ndarray) -> SimResult:
     )
 
 
+def _tally(ahead: np.ndarray) -> np.ndarray:
+    """counts[k] = the rows of the (n, width) bool array ``ahead`` with k
+    entries set: the trials in which k boats scored below the competitor,
+    who finished at rank m = k + 1.  One matrix product with ones counts
+    every row (0/1 sums of at most 2**22 terms are exact in float64)."""
+    width = ahead.shape[1]
+    per_row = (ahead @ np.ones(width)).astype(np.intp)
+    return np.bincount(per_row, minlength=width + 1)
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the configured trials (see the module docstring for the exact
     randomness layout).  Virtual mode tallies m = 1 + #{boats scoring
@@ -330,12 +356,11 @@ def simulate(config: SimConfig) -> SimResult:
     else:
         width = n_b - 1
         threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
-        score = _leftover_sums(tracked, n_b, config.drop_worst)
-    counts = np.zeros(width + 2, dtype=np.int64)
+        score = _leftover_sums(tracked, n_b, config.trials, config.drop_worst)
+    counts = np.zeros(width + 1, dtype=np.int64)
     for _, orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
-        m = 1 + (score(orders) < threshold).sum(axis=1)
-        counts += np.bincount(m, minlength=width + 2)
-    return _result_from_counts(config, counts[1:])
+        counts += _tally(score(orders) < threshold)
+    return _result_from_counts(config, counts)
 
 
 @dataclass(frozen=True)

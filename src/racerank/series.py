@@ -89,11 +89,20 @@ class PolyY:
 
 
 class SeriesX:
-    """Series in x truncated after x**order, with PolyY coefficients."""
+    """Series in x truncated after x**order, with PolyY coefficients.
 
-    __slots__ = ("order", "coeffs")
+    ``score_offset`` records the score a rank-generating series' rows stand
+    for, as n_t - n_b (1 for the middle score, 0 for one below it); a
+    series built by hand records none."""
 
-    def __init__(self, order: int, coeffs: Iterable[PolyY | int | Fraction] = ()):
+    __slots__ = ("order", "coeffs", "score_offset")
+
+    def __init__(
+        self,
+        order: int,
+        coeffs: Iterable[PolyY | int | Fraction] = (),
+        score_offset: int | None = None,
+    ):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         cs = [c if isinstance(c, PolyY) else PolyY((c,)) for c in coeffs]
@@ -102,6 +111,7 @@ class SeriesX:
         cs += [PolyY()] * (order + 1 - len(cs))
         self.order = order
         self.coeffs: tuple[PolyY, ...] = tuple(cs)
+        self.score_offset = score_offset
 
     def coefficient(self, n: int) -> PolyY:
         """Coefficient of x**n."""
@@ -112,7 +122,9 @@ class SeriesX:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesX):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.coeffs, self.score_offset) == (
+            other.order, other.coeffs, other.score_offset
+        )
 
 
 def _div_one_minus_y(r: list[int]) -> list[int]:
@@ -145,22 +157,23 @@ def _eulerian_rows(order: int) -> list[list[int]]:
     return rows
 
 
-def _series(order: int, rows: Iterable[list[int]]) -> SeriesX:
-    """The series whose x^n coefficient is rows[n] / n!."""
+def _series(order: int, rows: Iterable[list[int]], score_offset: int) -> SeriesX:
+    """The series whose x^n coefficient is rows[n] / n!, standing for the
+    score n_t = n + score_offset."""
     coeffs = (PolyY(Fraction(c, factorial(n)) for c in row) for n, row in enumerate(rows))
-    return SeriesX(order, coeffs)
+    return SeriesX(order, coeffs, score_offset)
 
 
 def eulerian_gf(order: int) -> SeriesX:
     """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); the x^n coefficient is
     the order-n Eulerian polynomial in y divided by n!."""
-    return _series(order, _eulerian_rows(order))
+    return _series(order, _eulerian_rows(order), 1)
 
 
 def middle_score_gf(order: int) -> SeriesX:
     """y * g(x, y): the x^n, y^m coefficient is P(final rank m) for n boats
     and the middle score n + 1."""
-    return _series(order, ([0] + q for q in _eulerian_rows(order)))
+    return _series(order, ([0] + q for q in _eulerian_rows(order)), 1)
 
 
 def second_gf_expand(order: int) -> SeriesX:
@@ -175,7 +188,7 @@ def second_gf_expand(order: int) -> SeriesX:
         for n in range(1, order + 1)
     ]
     rows[1][0] -= 1
-    return _series(order, rows)
+    return _series(order, rows, 0)
 
 
 def coefficient_to_distribution(
@@ -186,12 +199,23 @@ def coefficient_to_distribution(
 
     The y exponent is the rank m itself; pass ``shifted=True`` for series
     written one y power low (the bare g, where y^k pairs with rank m = k+1).
-    ``n_t`` defaults to the middle score n_b + 1.
+    ``n_t`` defaults to the score the series stands for, n_b +
+    ``s.score_offset``, and any other label is refused.  A series built by
+    hand records no score: ``n_t`` then defaults to the middle score
+    n_b + 1 and any label is taken as given.
     """
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_b > s.order:
         raise ValueError(f"series truncated at x^{s.order}, cannot read x^{n_b}")
+    score = n_b + (1 if s.score_offset is None else s.score_offset)
+    if n_t is None:
+        n_t = score
+    elif s.score_offset is not None and n_t != score:
+        raise ValueError(
+            f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
+            f"got n_t = {n_t}"
+        )
     poly = s.coeffs[n_b]
     probs = tuple(poly[m - 1 if shifted else m] for m in range(1, n_b + 2))
-    return RankDistribution(n_b, n_b + 1 if n_t is None else n_t, probs)
+    return RankDistribution(n_b, n_t, probs)

@@ -126,7 +126,13 @@ def test_order_words_breaks_exact_ties_by_column(width, rows, distinct, base, se
     low = rng.integers(0, 1 << 11, size=(rows, width), dtype=np.uint64)
     words = (high << np.uint64(11)) | low
     expected = np.argsort((words >> np.uint64(11)) * 2.0**-53, axis=-1, kind="stable")
-    assert (mc._order_words(words.copy()) == expected).all()
+    orders = mc._order_words(words.copy())
+    assert (orders == expected).all()
+    if width <= 1 << 11:
+        # the keyed rows, tagged column by column up to width 5, order as
+        # keys tagged with one broadcast arange
+        keys = (words & ~mc._COLUMN_MASK) | np.arange(width, dtype=np.uint64)
+        assert (orders == (np.sort(keys, axis=-1) & mc._COLUMN_MASK)).all()
 
 
 @pytest.mark.parametrize("width", sorted(mc._NETWORKS))
@@ -143,6 +149,44 @@ def test_networks_sort_every_permutation(width):
     perms = np.array(perms, dtype=np.uint64)
     expected = np.argsort(perms, axis=-1)
     assert (mc._order_words(perms << np.uint64(11)) == expected).all()
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 6, 10, 200])
+def test_tally_equals_shifted_bincount_of_axis_sums(width):
+    rng = np.random.default_rng(width)
+    ahead = rng.random((500, width)) < 0.5
+    ahead[0], ahead[1] = True, False  # every boat ahead, and none
+    expected = np.bincount(1 + ahead.sum(axis=1), minlength=width + 2)[1:]
+    counts = mc._tally(ahead)
+    assert counts.tolist() == expected.tolist()
+    assert counts[0] >= 1 and counts[width] >= 1
+
+
+def _broadcast_leftover_sums(tracked, n_b, orders, drop_worst):
+    # reference: the race offsets broadcast from shape (n_r, 1)
+    leftover = np.array([[v for v in range(1, n_b + 1) if v != r] for r in tracked])
+    vals = leftover.ravel()[orders + (n_b - 1) * np.arange(len(tracked))[:, None]]
+    return vals.sum(axis=1) - (vals.max(axis=1) if drop_worst else 0)
+
+
+@pytest.mark.parametrize(
+    "tracked, n_b, drop_worst",
+    [((1, 2, 3), 3, False), ((1, 2, 3), 3, True), ((1, 4, 6), 6, True), ((2, 9), 10, False)],
+)
+@pytest.mark.parametrize("extra", [-5000, 0, 777])
+def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, extra):
+    # runs shorter than one chunk, of exactly one chunk, and with a final
+    # partial chunk after a full one
+    n_r, width = len(tracked), n_b - 1
+    step = mc._chunk_trials(n_r * width)
+    trials = step + extra
+    score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
+    lengths = []
+    for _, orders in mc._order_chunks(SEED, 3, trials, n_r, width):
+        expected = _broadcast_leftover_sums(tracked, n_b, orders, drop_worst)
+        assert (score(orders) == expected).all()
+        lengths.append(len(orders))
+    assert lengths == ([trials] if extra <= 0 else [step, extra])
 
 
 def test_simconfig_validation():
@@ -293,7 +337,7 @@ def test_race_sums_are_exact_in_both_modes():
     assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int32).max
     virtual = mc._rank_sums(10, 3, 4)(mc._trial_orders(SEED, 0, 0, 10, 3, 4))
     assert virtual.dtype == np.float64
-    tracked = mc._leftover_sums((1, 2, 4), 4)(mc._trial_orders(SEED, 0, 0, 10, 3, 3))
+    tracked = mc._leftover_sums((1, 2, 4), 4, 10)(mc._trial_orders(SEED, 0, 0, 10, 3, 3))
     assert tracked.dtype == np.int32
 
 

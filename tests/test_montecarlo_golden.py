@@ -40,6 +40,9 @@ def test_virtual_drop_worst_padded_counts():
     assert res.counts == (0, 0, 5, 162, 1865, 6640, 7795, 3149, 372, 12, 0)
 
 
+# (2, 2, 2) is degenerate: the two rivals score odd totals that sum to 12, so
+# exactly one beats the tracked 6, m is always 2 and the pin cannot catch a
+# wrong bit; (1, 2, 3) carries the check.
 @pytest.mark.parametrize(
     "tracked, counts",
     [((2, 2, 2), (0, 20_000, 0)), ((1, 2, 3), (5082, 14918, 0))],
@@ -48,6 +51,28 @@ def test_tracked_padded_counts(tracked, counts):
     # 3 races x 2 other boats = 6 words per trial, padded to 8
     res = simulate(SimConfig(n_b=3, n_r=3, trials=20_000, seed=SEED, tracked_ranks=tracked))
     assert res.counts == counts
+
+
+# Recorded with the broadcast column tag, race offsets and axis-sum tally,
+# before rows up to 5 wide tagged each column on its own, tracked mode took
+# its race offsets from a chunk-length tile and the tally became one matrix
+# product: width-2 and width-3 runs that span several 21 845-trial chunks.
+@pytest.mark.parametrize(
+    "config, counts",
+    [
+        # 2 full chunks and a partial one of 6310 trials
+        (SimConfig(n_b=3, n_r=3, trials=50_000, seed=SEED, tracked_ranks=(1, 2, 3)),
+         (12594, 37406, 0)),
+        (SimConfig(n_b=3, n_r=3, trials=50_000, seed=SEED, tracked_ranks=(1, 2, 3),
+                   drop_worst=True),
+         (25206, 24794, 0)),
+        # 4 full chunks and a partial one of 12 620 trials
+        (SimConfig(n_b=3, n_r=2, trials=100_000, seed=SEED, n_t=4),
+         (16675, 66723, 16602, 0)),
+    ],
+)
+def test_multi_chunk_short_row_counts(config, counts):
+    assert simulate(config).counts == counts
 
 
 def test_tracked_drop_worst_counts():

@@ -166,6 +166,28 @@ def test_coefficient_to_distribution_examples():
     assert d2.probs == (1, 0, 0)
 
 
+def test_coefficient_to_distribution_refuses_a_foreign_score():
+    # the middle row once came back labelled with any n_t it was given
+    yg = middle_score_gf(5)
+    for n_t in (3, 99):
+        with pytest.raises(ValueError, match=f"n_t = n_b \\+ 1 = 4, got n_t = {n_t}"):
+            coefficient_to_distribution(yg, 3, n_t=n_t)
+    assert coefficient_to_distribution(yg, 3, n_t=4) == full_distribution(3, 4)
+    h = second_gf_expand(5)
+    assert coefficient_to_distribution(h, 3) == full_distribution(3, 3)
+    with pytest.raises(ValueError, match="n_t = n_b \\+ 0 = 3, got n_t = 4"):
+        coefficient_to_distribution(h, 3, n_t=4)
+    assert (eulerian_gf(5).score_offset, yg.score_offset, h.score_offset) == (1, 1, 0)
+
+
+def test_hand_built_series_takes_any_score():
+    s = SeriesX(1, (0, PolyY((0, 1))))
+    assert s.score_offset is None
+    assert coefficient_to_distribution(s, 1).n_t == 2
+    assert coefficient_to_distribution(s, 1, n_t=7).n_t == 7
+    assert s != SeriesX(1, (0, PolyY((0, 1))), score_offset=1)
+
+
 def test_coefficient_to_distribution_shifted_flag():
     g = eulerian_gf(8)
     yg = middle_score_gf(8)
