@@ -64,11 +64,13 @@ def _stirling_sum_ok(n_max: int) -> bool:
 
 
 def _forms_agree_ok(n_b_max: int) -> bool:
-    # whole rows of numerators over n_b!, one row per form and score
+    # every entry of the two forms' shared domain; the upper half is the same
+    # reversed row for both routes, checked against enumeration below
     return all(
-        two_race._alternating_row(n_b, n_t) == two_race._stirling_row(n_b, n_t)
+        two_race.p_exact(n_b, n_t, m) == two_race.p_stirling_form(n_b, n_t, m)
         for n_b in range(1, n_b_max + 1)
         for n_t in range(2, n_b + 2)
+        for m in range(1, n_b + 2)
     )
 
 

@@ -98,7 +98,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
-    two_race._check_score(n_b, n_t)  # before any series is built
+    two_race._check_score(n_b, n_t, 2 * n_b + 1)  # before any series is built
     order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
     if n_t == n_b + 1:
         return series.coefficient_to_distribution(series.middle_score_gf(order), n_b)

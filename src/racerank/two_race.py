@@ -7,13 +7,14 @@ described only by its two-race score n_t.  Its final rank is
     m = 1 + #{boats whose score is strictly below n_t},
 
 so boats tying the score do not improve m.  Valid scores are
-2 <= n_t <= 2 n_b + 1: the closed forms cover n_t <= n_b + 1 and a
-reflection identity covers the upper half.
+2 <= n_t <= 2 n_b + 1: the closed forms cover n_t <= n_b + 1 and the
+reflection n_t -> 2 n_b + 3 - n_t, m -> n_b + 2 - m covers the upper half.
 
 Each closed form is evaluated one whole row at a time: the numerators
 n_b! * P(m), m = 1..n_b+1, are built as Python ints over the single
-denominator n_b!, and each entry becomes one ``Fraction`` at the end.  Rows
-are refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
+denominator n_b!, an upper-half score reverses the row of its lower-half
+mirror, and each entry becomes one ``Fraction`` at the end.  Rows are
+refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .combinatorics import eulerian, factorial, stirling_diagonal
+from .combinatorics import eulerian, factorial, stirling2
 
 __all__ = [
     "RankDistribution",
@@ -63,11 +64,12 @@ class RankDistribution:
         return self.probs[m - 1]
 
 
-# Largest fleet the closed-form rows evaluate; larger n_b is rejected before
-# any term is computed.  A row costs O(n_b^2) big-integer products and the
-# Stirling row also O(n_b^2) big powers inside stirling_diagonal.  Measured on
-# a 2-vCPU Xeon (Python 3.11.7) at n_b = 450, n_t = 451, the slowest row:
-# Stirling form ~1.4 s, alternating sum ~0.2 s (n_b = 500: 2.1 s and 0.3 s).
+# Largest fleet the closed-form rows and p_middle evaluate; larger n_b is
+# rejected before any term is computed.  A row costs O(n_b^2) big-integer
+# products; the Stirling weights come from the cached stirling2 triangle
+# (rows up to 449 build in ~0.05 s and hold ~18 MB).  Measured on a 2-vCPU
+# Xeon (Python 3.11.7) at n_b = 450, n_t = 451, the slowest row: Stirling
+# form ~0.6 s, alternating sum ~0.25 s (n_b = 500: 0.85 s and 0.4 s).
 EXACT_N_B_BUDGET = 450
 
 
@@ -76,19 +78,11 @@ def _check_rank(n_b: int, m: int) -> None:
         raise ValueError(f"rank m must be in [1, {n_b + 1}], got {m}")
 
 
-def _check_lower_half(form: str, n_b: int, n_t: int, m: int) -> None:
+def _check_score(n_b: int, n_t: int, top: int, what: str = "score n_t") -> None:
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= n_b + 1:
-        raise ValueError(f"{form}: n_t must be in [2, {n_b + 1}], got {n_t}")
-    _check_rank(n_b, m)
-
-
-def _check_score(n_b: int, n_t: int) -> None:
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= 2 * n_b + 1:
-        raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
+    if not 2 <= n_t <= top:
+        raise ValueError(f"{what} must be in [2, {top}], got {n_t}")
 
 
 def _check_budget(n_b: int) -> None:
@@ -116,10 +110,11 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
 def _stirling_row(n_b: int, n_t: int) -> list[int]:
     """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
     2 <= n_t <= n_b+1.  The weights (-1)^i D(n_t, i) (1+n_b-i)! are computed
-    once per row; entries with m >= n_t are empty sums."""
+    once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached Stirling
+    triangle; entries with m >= n_t are empty sums."""
     _check_budget(n_b)
     signed_weights = [
-        (-1) ** i * stirling_diagonal(n_t, i) * factorial(1 + n_b - i) for i in range(1, n_t)
+        (-1) ** i * stirling2(n_t - 1, n_t - i) * factorial(1 + n_b - i) for i in range(1, n_t)
     ]
     return [
         (-1) ** m * sum(signed_weights[i - 1] * comb(i - 1, m - 1) for i in range(m, n_t))
@@ -134,11 +129,12 @@ def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
                     (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!),
 
     valid for 2 <= n_t <= n_b + 1 (:func:`full_distribution` covers the upper
-    half through :func:`reflect_distribution`).  On that domain every
-    factorial argument is >= 0, so every summand is defined.  Evaluated as
-    entry m of the whole row, in integers over the one denominator n_b!.
+    half by reflection).  On that domain every factorial argument is >= 0, so
+    every summand is defined.  Evaluated as entry m of the whole row, in
+    integers over the one denominator n_b!.
     """
-    _check_lower_half("p_exact", n_b, n_t, m)
+    _check_score(n_b, n_t, n_b + 1, "p_exact: n_t")
+    _check_rank(n_b, m)
     return Fraction(_alternating_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
@@ -149,6 +145,7 @@ def p_middle(n_b: int, m: int) -> Fraction:
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     _check_rank(n_b, m)
+    _check_budget(n_b)
     return Fraction(eulerian(n_b, m - 1), factorial(n_b))
 
 
@@ -157,19 +154,21 @@ def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
 
         (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1)
 
-    with D = :func:`~racerank.combinatorics.stirling_diagonal`.  Agrees with
+    with D(n_t, i) = S(n_t - 1, n_t - i) read from the cached
+    :func:`~racerank.combinatorics.stirling2` triangle.  Agrees with
     :func:`p_exact` on the whole shared domain.  Evaluated as entry m of the
     whole row, in integers over the one denominator n_b!.
     """
-    _check_lower_half("p_stirling_form", n_b, n_t, m)
+    _check_score(n_b, n_t, n_b + 1, "p_stirling_form: n_t")
+    _check_rank(n_b, m)
     return Fraction(_stirling_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
-    _check_score(n_b, n_t)
+    _check_score(n_b, n_t, 2 * n_b + 1)
+    row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
     if n_t > n_b + 1:
-        return reflect_distribution(_assemble(n_b, 2 * n_b + 3 - n_t, low_row))
-    row = low_row(n_b, n_t)
+        row.reverse()
     denominator = factorial(n_b)
     return RankDistribution(n_b, n_t, tuple(Fraction(c, denominator) for c in row))
 

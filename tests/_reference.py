@@ -8,7 +8,9 @@ the tests can require the kernel to match them bit for bit.
 ``racerank.two_race`` builds each closed form as one integer row over n_b!.
 The ``p_*_terms`` functions here evaluate one entry of each form term by term
 in ``Fraction`` arithmetic, straight from the formula, so the tests can
-require every row entry to equal them exactly.
+require every row entry to equal them exactly.  The Stirling weights here come
+from the explicit alternating sum ``stirling_diagonal``, the rows' from the
+``stirling2`` recurrence triangle, so the two share no Stirling engine.
 """
 
 from __future__ import annotations

@@ -238,6 +238,21 @@ def test_verify_middle_identity_catches_wrong_eulerian(capsys, monkeypatch):
     assert outcomes["middle-score identity"] is False
 
 
+def test_verify_forms_check_catches_wrong_stirling_weight(capsys, monkeypatch):
+    # a wrong triangle entry reaching the Stirling rows through the public
+    # p_stirling_form; the alternating sum and the enumeration still agree
+    real = combinatorics.stirling2
+
+    def wrong(n, k):
+        return real(n, k) + (n == 4 and k == 2)
+
+    monkeypatch.setattr(two_race, "stirling2", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["results"]["checks"] if not c["ok"]]
+    assert failed == ["alternating-sum form vs Stirling form"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--json")
     record = json.loads(out)
@@ -375,7 +390,7 @@ def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
         raise AssertionError("a term was computed past the budget check")
 
     monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "stirling_diagonal", unreachable)
+    monkeypatch.setattr(two_race, "stirling2", unreachable)
     n_b = two_race.EXACT_N_B_BUDGET + 1
     code, out, err = run_cli(capsys, "dist", str(n_b), "10", "--form", form)
     assert code == 2 and out == ""

@@ -147,7 +147,8 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
         raise AssertionError("a term was computed past the budget check")
 
     monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "stirling_diagonal", unreachable)
+    monkeypatch.setattr(two_race, "stirling2", unreachable)
+    monkeypatch.setattr(two_race, "eulerian", unreachable)
     n_b = EXACT_N_B_BUDGET + 1
     calls = [
         lambda: full_distribution(n_b, 2),
@@ -155,6 +156,7 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
         lambda: stirling_form_distribution(n_b, n_b + 1),
         lambda: p_exact(n_b, 10, 3),
         lambda: p_stirling_form(n_b, 10, 3),
+        lambda: p_middle(n_b, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"two_race\.EXACT_N_B_BUDGET"):
@@ -165,6 +167,34 @@ def test_exact_budget_admits_its_bound():
     assert EXACT_N_B_BUDGET >= 400
     assert full_distribution(EXACT_N_B_BUDGET, 2).probs[0] == 1
     assert stirling_form_distribution(EXACT_N_B_BUDGET, 2 * EXACT_N_B_BUDGET + 1).probs[-1] == 1
+
+
+@pytest.mark.parametrize("n_t", [EXACT_N_B_BUDGET + 1, EXACT_N_B_BUDGET + 2])
+def test_routes_agree_at_the_budget_edge(n_t):
+    n_b = EXACT_N_B_BUDGET
+    d = full_distribution(n_b, n_t)
+    assert stirling_form_distribution(n_b, n_t) == d
+    if n_t == n_b + 1:
+        assert tuple(p_middle(n_b, m) for m in range(1, n_b + 2)) == d.probs
+
+
+@pytest.mark.parametrize("route", [full_distribution, stirling_form_distribution])
+def test_upper_half_builds_one_distribution(monkeypatch, route):
+    built = []
+
+    class Counted(RankDistribution):
+        def __post_init__(self):
+            built.append(self.n_t)
+            super().__post_init__()
+
+    def unreachable(d):
+        raise AssertionError("the upper half reflected a whole distribution")
+
+    monkeypatch.setattr(two_race, "RankDistribution", Counted)
+    monkeypatch.setattr(two_race, "reflect_distribution", unreachable)
+    d = route(5, 8)
+    assert built == [8]
+    assert d.probs == tuple(reversed(full_distribution(5, 5).probs))
 
 
 def test_full_distribution_examples():
