@@ -30,8 +30,6 @@ from typing import Sequence
 from .two_race import RankDistribution
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "LatticePoint",
     "below_diagonal_points",
     "count_compatible_subsets",
     "brute_force_two_race",

@@ -73,8 +73,6 @@ __all__ = [
     "empirical_rank_moments",
     "curve_sweep",
     "middle_band_grid",
-    "TRIAL_WORD_BUDGET",
-    "MOMENTS_TRIAL_BUDGET",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -108,6 +106,9 @@ MOMENTS_TRIAL_BUDGET = 1 << 24
 # Bound once: a numpy stand-in put in place of this module's ``np`` (the
 # benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
 _maximum_at = np.maximum.at
+# Batches of empirical_rank_moments' batch-means standard errors; its
+# trials >= 1000 leave every batch at least 20 trials.
+_BATCHES = 50
 # Half-width of middle_band_grid's band, in standard deviations sqrt(lam).
 _GRID_HALF_WIDTH = 3.2
 
@@ -119,32 +120,27 @@ def _check_key_words(seed: int, stream: int) -> None:
             raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
 
-def _philox_key(seed: int, stream: int) -> int:
-    return seed | (stream << 64)
-
-
 def _chunk_trials(per_trial: int) -> int:
     """Trials per chunk: as many as fit in _CHUNK_DOUBLES words, at least 1."""
     return max(1, _CHUNK_DOUBLES // max(per_trial, 1))
 
 
 def _order_chunks(
-    seed: int, stream: int, trials: int, n_r: int, width: int, first_trial: int = 0
+    seed: int, stream: int, trials: int, n_r: int, width: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Row orders of trials [first_trial, first_trial + trials), one chunk at
-    a time as ``(offset, orders)``: int64 of shape (n, n_r, width) whose
+    """Row orders of a ``trials``-trial run, one chunk at a time as
+    ``(offset, orders)``: int64 of shape (n, n_r, width) whose
     entry [t, r] lists race r's columns by ascending uniform, under the
     module docstring's ranking rule.  Trial t reads its own counter blocks
-    (4 raw words per block, padding discarded when n_r * width is not a
-    multiple of 4).  One Philox generator reads the chunks in order: every
-    chunk takes whole blocks, so its counter runs on exactly where a fresh
-    generator for the next trial would start, and any split of a run
-    returns identical rows."""
+    [t * B, (t + 1) * B) (4 raw words per block, padding discarded when
+    n_r * width is not a multiple of 4).  One Philox generator, keyed
+    ``seed + (stream << 64)``, reads the chunks in order: every chunk takes
+    whole blocks, so its counter runs on exactly where a fresh generator
+    for the next trial would start, and any split of a run returns
+    identical rows."""
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
-    bitgen = np.random.Philox(
-        key=_philox_key(seed, stream), counter=first_trial * blocks
-    )
+    bitgen = np.random.Philox(key=seed | (stream << 64), counter=0)
     step = _chunk_trials(per_trial)
     for offset in range(0, trials, step):
         n = min(step, trials - offset)
@@ -152,14 +148,6 @@ def _order_chunks(
         if blocks * 4 != per_trial:
             words = np.ascontiguousarray(words[:, :per_trial])
         yield offset, _order_words(words.reshape(n, n_r, width))
-
-
-def _trial_orders(
-    seed: int, stream: int, first_trial: int, n_trials: int, n_r: int, width: int
-) -> np.ndarray:
-    """All row orders of ``_order_chunks`` in one array."""
-    chunks = _order_chunks(seed, stream, n_trials, n_r, width, first_trial)
-    return np.concatenate([orders for _, orders in chunks])
 
 
 def _order_words(words: np.ndarray) -> np.ndarray:
@@ -366,8 +354,9 @@ def simulate(config: SimConfig) -> SimResult:
 @dataclass(frozen=True)
 class RankMomentsEstimate:
     """Sampled one-race rank moments with batch-means standard errors: the
-    trials are cut into equal batches, the statistic is computed per batch,
-    and the quoted value / SE are the mean / SE of the batch values."""
+    trials are cut into 50 equal batches (a remainder of fewer than 50
+    trials is left out), the statistic is computed per batch, and the
+    quoted value / SE are the mean / SE of the 50 batch values."""
 
     n_b: int
     trials: int
@@ -380,11 +369,12 @@ class RankMomentsEstimate:
 
 
 def empirical_rank_moments(
-    n_b: int, trials: int, seed: int, stream: int = 0, batches: int = 50
+    n_b: int, trials: int, seed: int, stream: int = 0
 ) -> RankMomentsEstimate:
     """Estimate the mean and variance of one boat's race rank and the
     covariance between two boats' ranks from ``trials`` sampled
-    permutations.
+    permutations, with standard errors from 50 batch means (see
+    :class:`RankMomentsEstimate`).
 
     The estimators watch the fixed coordinates of boats 1 and 2: averaging
     over all boats would be pinned by the exact sum rule and estimate
@@ -394,8 +384,6 @@ def empirical_rank_moments(
         raise ValueError("need n_b >= 2 for a pair covariance")
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    if batches < 2 or trials // batches < 2:
-        raise ValueError("too few trials per batch")
     if n_b > TRIAL_WORD_BUDGET:
         raise ValueError(
             f"one trial needs n_b = {n_b} words, "
@@ -412,18 +400,18 @@ def empirical_rank_moments(
     x01 = np.empty((2, trials))
     for start, orders in _order_chunks(seed, stream, trials, 1, n_b):
         x01[:, start : start + len(orders)] = score(orders)[:, :2].T
-    size = trials // batches
-    used = batches * size
-    x0 = x01[0, :used].reshape(batches, size)
-    x1 = x01[1, :used].reshape(batches, size)
+    size = trials // _BATCHES
+    used = _BATCHES * size
+    x0 = x01[0, :used].reshape(_BATCHES, size)
+    x1 = x01[1, :used].reshape(_BATCHES, size)
     b_mean = x0.mean(axis=1)
     b_var = x0.var(axis=1, ddof=1)
-    d0 = x0 - x0.mean(axis=1, keepdims=True)
+    d0 = x0 - b_mean[:, None]
     d1 = x1 - x1.mean(axis=1, keepdims=True)
     b_cov = (d0 * d1).sum(axis=1) / (size - 1)
 
     def _se(values: np.ndarray) -> float:
-        return float(values.std(ddof=1) / math.sqrt(batches))
+        return float(values.std(ddof=1) / math.sqrt(_BATCHES))
 
     return RankMomentsEstimate(
         n_b=n_b,

@@ -36,7 +36,6 @@ __all__ = [
     "middle_score_gf",
     "second_gf_expand",
     "coefficient_to_distribution",
-    "SERIES_ORDER_BUDGET",
 ]
 
 # Largest order the expansions reach.  The rows cost O(order^3) big-integer

@@ -35,7 +35,6 @@ __all__ = [
     "stirling_form_distribution",
     "reflect_distribution",
     "distribution_moments",
-    "EXACT_N_B_BUDGET",
 ]
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from racerank.combinatorics import binomial, factorial, stirling_diagonal
-from racerank.montecarlo import _philox_key
 
 
 def trial_uniforms(
@@ -29,14 +28,15 @@ def trial_uniforms(
     """Uniform doubles for trials [first_trial, first_trial + n_trials),
     shape (n_trials, per_trial).
 
-    Trial t always reads the same counter blocks (4 raw words per block,
-    padding wasted when per_trial is not a multiple of 4), so any split of
-    a run into separate calls returns identical rows.
+    The run is keyed ``seed + (stream << 64)``, and trial t always reads
+    the same counter blocks (4 raw words per block, padding wasted when
+    per_trial is not a multiple of 4), so any split of a run into separate
+    calls returns identical rows.
     """
     if n_trials == 0:
         return np.empty((0, per_trial))
     blocks = -(-per_trial // 4)
-    bitgen = np.random.Philox(key=_philox_key(seed, stream), counter=first_trial * blocks)
+    bitgen = np.random.Philox(key=seed + (stream << 64), counter=first_trial * blocks)
     raw = bitgen.random_raw(n_trials * blocks * 4)
     u = (raw >> np.uint64(11)) * 2.0**-53
     return u.reshape(n_trials, blocks * 4)[:, :per_trial]

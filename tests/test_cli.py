@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import racerank
-from racerank import combinatorics, montecarlo, series, two_race
+from racerank import combinatorics, lattice_oracle, montecarlo, series, two_race
 from racerank.cli import CURVE_COLUMNS, main
 from racerank.two_race import full_distribution
 
@@ -253,6 +254,68 @@ def test_verify_forms_check_catches_wrong_stirling_weight(capsys, monkeypatch):
     assert failed == ["alternating-sum form vs Stirling form"]
 
 
+def _failed_checks(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    return [line[len("FAIL "):] for line in out.splitlines() if line.startswith("FAIL ")]
+
+
+def test_verify_oracle_check_catches_wrong_enumeration(capsys, monkeypatch):
+    # a score below the middle, which the excedance check never enumerates
+    real = lattice_oracle.brute_force_two_race
+
+    def wrong(n_b, n_t, **kw):
+        d = real(n_b, n_t, **kw)
+        return two_race.RankDistribution(n_b, n_t, d.probs[::-1]) if (n_b, n_t) == (3, 3) else d
+
+    monkeypatch.setattr(lattice_oracle, "brute_force_two_race", wrong)
+    assert _failed_checks(capsys) == ["closed form vs brute-force enumeration (n_b <= 5)"]
+
+
+def test_verify_lattice_counts_catch_a_self_consistent_wrong_table(capsys, monkeypatch):
+    # count(1, 0) = 2 carried through the partition recurrence: the table
+    # passes the recurrence check, and only the comparison with the
+    # diagonal Stirling numbers can see it (both checks read n_t = n_b + 1)
+    @functools.cache
+    def wrong(n_b, size):
+        if size == n_b - 1:
+            return 2 if n_b == 1 else 1
+        return sum(
+            wrong(n_b - kp - 1, size - kp) * combinatorics.binomial(n_b - 1, kp)
+            for kp in range(size + 1)
+            if n_b - kp >= 2
+        )
+
+    monkeypatch.setattr(
+        lattice_oracle, "count_compatible_subsets", lambda n_b, n_t, size: wrong(n_b, size)
+    )
+    assert _failed_checks(capsys) == ["lattice subset counts vs diagonal Stirling (score <= 6)"]
+
+
+@pytest.mark.parametrize("size", [2, 5])  # a recurrence row, the full placement
+def test_verify_recurrence_check_catches_wrong_count(capsys, monkeypatch, size):
+    # n_b = 6 lies beyond the subset-count check's quick scope (n_b <= 5)
+    real = lattice_oracle.count_compatible_subsets
+
+    def wrong(n_b, n_t, k):
+        return real(n_b, n_t, k) + ((n_b, k) == (6, size))
+
+    monkeypatch.setattr(lattice_oracle, "count_compatible_subsets", wrong)
+    assert _failed_checks(capsys) == ["lattice partition recurrence (score <= 6)"]
+
+
+def test_verify_series_check_catches_wrong_second_series_row(capsys, monkeypatch):
+    # coefficient_to_distribution is read only by the second-series loop
+    real = series.coefficient_to_distribution
+
+    def wrong(s, n_b, **kw):
+        d = real(s, n_b, **kw)
+        return two_race.RankDistribution(d.n_b, d.n_t, d.probs[::-1]) if n_b == 4 else d
+
+    monkeypatch.setattr(series, "coefficient_to_distribution", wrong)
+    assert _failed_checks(capsys) == ["generating-function rows vs exact rows (order <= 8)"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--json")
     record = json.loads(out)
@@ -400,6 +463,17 @@ def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
     )
 
 
+@pytest.mark.parametrize("command", ["eulerian", "stirling"])
+def test_triangle_budget_is_one_error_line(capsys, command):
+    n = combinatorics.TRIANGLE_ROW_BUDGET + 100
+    code, out, err = run_cli(capsys, command, str(n), "--cap", str(2 * n))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: row n = {n} exceeds the triangle budget "
+        f"{combinatorics.TRIANGLE_ROW_BUDGET} (combinatorics.TRIANGLE_ROW_BUDGET)\n"
+    )
+
+
 @pytest.mark.parametrize("offset", [1, 0])
 def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
     def unreachable(*args, **kwargs):
@@ -433,11 +507,11 @@ def test_closed_stdout_exits_quietly():
     src = str(Path(racerank.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "racerank.cli", "curve", "20", "5", "--trials", "200", "--seed", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    proc.stdout.close()  # the reader is gone before the first write
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from racerank import combinatorics, two_race
 from racerank.combinatorics import (
     binomial,
     eulerian,
@@ -161,3 +162,43 @@ def test_fraction_arithmetic_is_canonical():
         assert Fraction(x.numerator, x.denominator) == x  # normalization idempotent
         assert x.denominator > 0
     assert Fraction(2, 4) == Fraction(1, 2)
+
+
+
+class _NoNewRows(list):
+    def append(self, row):
+        raise AssertionError("a triangle row was built")
+
+
+TRIANGLE_ENTRY_POINTS = {
+    "eulerian": lambda n: eulerian(n, 0),
+    "eulerian_triangle": eulerian_triangle,
+    "stirling2": lambda n: stirling2(n, 0),
+    "stirling_triangle": stirling_triangle,
+    "eulerian_from_stirling": lambda n: eulerian_from_stirling(n, 0),
+    "stirling_binomial_sum": lambda n: stirling_binomial_sum(n, 0),
+    "stirling_diagonal": lambda n: stirling_diagonal(n + 1, 1),  # reads row score - 1
+}
+
+
+@pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)
+def test_triangle_budget_trips_before_any_row(monkeypatch, entry):
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", _NoNewRows([[1]]))
+    monkeypatch.setattr(combinatorics, "_stirling_rows", _NoNewRows([[1]]))
+    budget = combinatorics.TRIANGLE_ROW_BUDGET
+    message = (
+        f"row n = {budget + 1} exceeds the triangle budget {budget} "
+        r"\(combinatorics.TRIANGLE_ROW_BUDGET\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        TRIANGLE_ENTRY_POINTS[entry](budget + 1)
+
+
+@pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)
+def test_triangle_budget_admits_its_bound(monkeypatch, entry):
+    # two_race reads rows up to its own budget; fresh caches keep the rows
+    # this test builds out of the rest of the session
+    assert combinatorics.TRIANGLE_ROW_BUDGET >= two_race.EXACT_N_B_BUDGET
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", [[1]])
+    monkeypatch.setattr(combinatorics, "_stirling_rows", [[1]])
+    TRIANGLE_ENTRY_POINTS[entry](combinatorics.TRIANGLE_ROW_BUDGET)

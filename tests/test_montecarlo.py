@@ -26,6 +26,13 @@ from _reference import inverse_orders, rank_rows, trial_uniforms
 SEED = 20260809
 
 
+def _trial_orders(stream, first, n_trials, n_r, width):
+    """Row orders of trials [first, first + n_trials): rows [first:] of a
+    run of first + n_trials trials."""
+    chunks = mc._order_chunks(SEED, stream, first + n_trials, n_r, width)
+    return np.concatenate([orders for _, orders in chunks])[first:]
+
+
 def test_trial_uniforms_blocking_invariance():
     whole = trial_uniforms(SEED, 0, 0, 10, 7)
     split = np.vstack(
@@ -56,7 +63,7 @@ def test_permutation_sum_rule_exact_on_samples():
         ranks = rank_rows(trial_uniforms(SEED, 0, 0, 500, n_b))
         assert (ranks.sum(axis=1) == n_b * (n_b + 1) // 2).all()
         # also on the keyed-sort path and the scorer used by simulate
-        fast = mc._rank_sums(500, 1, n_b)(mc._trial_orders(SEED, 0, 0, 500, 1, n_b))
+        fast = mc._rank_sums(500, 1, n_b)(_trial_orders(0, 0, 500, 1, n_b))
         assert (fast == ranks).all()
 
 
@@ -64,8 +71,8 @@ def test_permutation_sum_rule_exact_on_samples():
 @pytest.mark.parametrize("n_r", [1, 3])
 def test_trial_orders_equal_stable_argsort_of_uniforms(width, n_r):
     n_trials = 5 if width > 100 else 300
-    first = 17  # a run that does not start at trial 0
-    orders = mc._trial_orders(SEED, 2, first, n_trials, n_r, width)
+    first = 17  # trial t of a run reads counter blocks [t * B, (t + 1) * B)
+    orders = _trial_orders(2, first, n_trials, n_r, width)
     u = trial_uniforms(SEED, 2, first, n_trials, n_r * width)
     expected = np.argsort(u.reshape(n_trials, n_r, width), axis=-1, kind="stable")
     assert orders.dtype == np.int64
@@ -83,7 +90,7 @@ def test_ranks_equal_put_along_axis_inverse(width, n_r):
     # the scorer's rank sums equal the put_along_axis inverse summed over
     # the races, less its per-boat maximum with drop_worst
     n_trials = 4 if width > 100 else 50
-    orders = mc._trial_orders(SEED, 1, 5, n_trials, n_r, width)
+    orders = _trial_orders(1, 5, n_trials, n_r, width)
     if n_r == 1:  # one race's rank sums are its ranks
         assert (_summed_inverse(orders, False) == inverse_orders(orders)[:, 0]).all()
     for drop_worst in (False, True):
@@ -276,7 +283,7 @@ CHUNK_CASES = [
 def _chunk_case_results():
     return (
         [simulate(cfg) for cfg in CHUNK_CASES],
-        empirical_rank_moments(4, 1000, seed=SEED, batches=10),
+        empirical_rank_moments(4, 1000, seed=SEED),
     )
 
 
@@ -304,7 +311,7 @@ def test_one_philox_generator_per_run(monkeypatch, config):
     monkeypatch.setattr(mc.np.random, "Philox", counting)
     monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 16)  # dozens of chunks per run
     assert simulate(config) == reference[0][CHUNK_CASES.index(config)]
-    assert empirical_rank_moments(4, 1000, seed=SEED, batches=10) == reference[1]
+    assert empirical_rank_moments(4, 1000, seed=SEED) == reference[1]
     assert counters == [0, 0]
 
 
@@ -335,9 +342,9 @@ def test_race_sums_are_exact_in_both_modes():
     # tracked leftover sums stay int32
     assert mc.TRIAL_WORD_BUDGET < 2**53
     assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int32).max
-    virtual = mc._rank_sums(10, 3, 4)(mc._trial_orders(SEED, 0, 0, 10, 3, 4))
+    virtual = mc._rank_sums(10, 3, 4)(_trial_orders(0, 0, 10, 3, 4))
     assert virtual.dtype == np.float64
-    tracked = mc._leftover_sums((1, 2, 4), 4, 10)(mc._trial_orders(SEED, 0, 0, 10, 3, 3))
+    tracked = mc._leftover_sums((1, 2, 4), 4, 10)(_trial_orders(0, 0, 10, 3, 3))
     assert tracked.dtype == np.int32
 
 

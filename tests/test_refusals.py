@@ -1,0 +1,75 @@
+"""Every argument check the other tests never reach refuses with its message."""
+
+import pytest
+
+from racerank import (
+    SeriesX,
+    SimConfig,
+    below_diagonal_points,
+    brute_force_composition,
+    brute_force_score,
+    coefficient_to_distribution,
+    count_compatible_subsets,
+    eulerian_from_stirling,
+    eulerian_gf,
+    eulerian_triangle,
+    p_middle,
+    rank_moments_theory,
+    reflect_distribution,
+    stirling2,
+    stirling_binomial_sum,
+    stirling_triangle,
+)
+from racerank import checks
+
+REFUSALS = {
+    "rank_moments_theory": (lambda: rank_moments_theory(0), "n_b must be >= 1, got 0"),
+    "eulerian_triangle": (
+        lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
+    ),
+    "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
+    "stirling_triangle": (
+        lambda: stirling_triangle(0), "stirling_triangle: n_max must be >= 1, got 0"
+    ),
+    "eulerian_from_stirling": (
+        lambda: eulerian_from_stirling(0, 0), "eulerian_from_stirling: n must be >= 1, got 0"
+    ),
+    "stirling_binomial_sum": (
+        lambda: stirling_binomial_sum(2, 3), "stirling_binomial_sum: k must be in [0, 2], got 3"
+    ),
+    "below_diagonal_points n_b": (lambda: below_diagonal_points(0, 2), "n_b must be >= 1, got 0"),
+    "below_diagonal_points n_t": (lambda: below_diagonal_points(3, 1), "n_t must be >= 2, got 1"),
+    "count_compatible_subsets": (
+        lambda: count_compatible_subsets(3, 4, -1), "size must be >= 0, got -1"
+    ),
+    "brute_force_composition n_b": (
+        lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
+    ),
+    "brute_force_composition races": (
+        lambda: brute_force_composition(3, ()), "need at least one race"
+    ),
+    "brute_force_score": (lambda: brute_force_score(3, 0, 2), "n_r must be >= 1, got 0"),
+    "SimConfig": (
+        lambda: SimConfig(n_b=3, n_r=0, trials=10, seed=1, n_t=4), "n_r must be >= 1"
+    ),
+    "SeriesX.coefficient": (
+        lambda: SeriesX(3).coefficient(4), "coefficient index must be in [0, 3], got 4"
+    ),
+    "coefficient_to_distribution": (
+        lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
+    ),
+    "p_middle": (lambda: p_middle(0, 1), "n_b must be >= 1, got 0"),
+    "reflect_distribution": (
+        lambda: reflect_distribution(brute_force_composition(3, (1, 2))),
+        "reflection is defined for virtual-competitor distributions",
+    ),
+    "checks.run": (lambda: checks.run("slow"), "level must be 'quick' or 'full', got 'slow'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
