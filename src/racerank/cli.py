@@ -99,14 +99,12 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
     two_race._check_score(n_b, n_t, 2 * n_b + 1)  # before any series is built
-    order = max(n_b, 2)  # the x^n_b coefficient is exact at any order >= n_b
-    if n_t == n_b + 1:
-        return series.coefficient_to_distribution(series.middle_score_gf(order), n_b)
-    if n_t == n_b:
-        return series.coefficient_to_distribution(
-            series.second_gf_expand(order), n_b, n_t=n_t
-        )
-    raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
+    # keyed by the score_offset each series records, so its rows label n_t
+    gf = {1: series.middle_score_gf, 0: series.second_gf_expand}.get(n_t - n_b)
+    if gf is None:
+        raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
+    # the x^n_b coefficient is exact at any order >= n_b
+    return series.coefficient_to_distribution(gf(max(n_b, 2)), n_b)
 
 
 # --form -> (route, provenance); routes look up their function when called

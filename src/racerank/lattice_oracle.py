@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,17 +39,37 @@ __all__ = [
 
 # Maximum number of elementary configurations an enumeration may touch.
 DEFAULT_BUDGET = 10**8
+# Maximum size of the point set below_diagonal_points builds.  Measured with
+# tracemalloc (Python 3.11.7), a set of such tuples costs ~113 B a point, so
+# the bound holds ~55 MiB.
+POINT_BUDGET = 5 * 10**5
 
-LatticePoint = tuple[int, int]
 
-
-def below_diagonal_points(n_b: int, n_t: int) -> set[LatticePoint]:
-    """All (x, y) with 1 <= x, y <= n_b and x + y < n_t: the two-race rank
-    pairs scoring strictly below n_t."""
+def _check_lattice(n_b: int, n_t: int) -> None:
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")
+
+
+def _pairs_up_to(s: int) -> int:
+    """Pairs of positive integers with x + y <= s."""
+    return max(s, 0) * max(s - 1, 0) // 2
+
+
+def below_diagonal_points(n_b: int, n_t: int) -> set[tuple[int, int]]:
+    """All (x, y) with 1 <= x, y <= n_b and x + y < n_t: the two-race rank
+    pairs scoring strictly below n_t.  The points are counted by
+    inclusion-exclusion over x > n_b and y > n_b, and a set larger than
+    ``POINT_BUDGET`` is refused before any point is made."""
+    _check_lattice(n_b, n_t)
+    s = n_t - 1
+    count = _pairs_up_to(s) - 2 * _pairs_up_to(s - n_b) + _pairs_up_to(s - 2 * n_b)
+    if count > POINT_BUDGET:
+        raise ValueError(
+            f"{count} points exceed the point budget {POINT_BUDGET} "
+            "(lattice_oracle.POINT_BUDGET)"
+        )
     return {
         (x, y)
         for x in range(1, n_b + 1)
@@ -63,9 +83,13 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
     row and no column (partial non-attacking rook placements).  The empty
     placement counts once by convention.
 
-    Requires n_t <= n_b + 1 so the triangle of points is not clipped by the
-    lattice edge.  Counts by backtracking row by row; no closed form is
-    consulted, keeping this an independent check of ``stirling_diagonal``.
+    Requires n_t <= n_b + 1 so the staircase of points is not clipped by the
+    lattice edge: row x then holds the columns 1..n_t - 1 - x.  Counts by
+    backtracking over the rows, shortest first, straight from that rule; no
+    closed form or point set is consulted, keeping this an independent check
+    of ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the
+    row lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a
+    bound above ``DEFAULT_BUDGET`` is refused before any row is built.
     """
     if n_t > n_b + 1:
         raise ValueError(
@@ -73,10 +97,16 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
         )
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    cols_by_row: dict[int, list[int]] = defaultdict(list)
-    for x, y in below_diagonal_points(n_b, n_t):
-        cols_by_row[x].append(y)
-    rows = sorted(cols_by_row)
+    _check_lattice(n_b, n_t)
+    need = 1
+    for k in range(2, n_t):  # (n_t - 1)!, multiplied only until it passes
+        need *= k
+        if need > DEFAULT_BUDGET:
+            raise ValueError(
+                f"enumeration needs {n_t - 1}! configurations, budget is "
+                f"{DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)"
+            )
+    rows = [range(1, n_t - x) for x in range(n_t - 2, 0, -1)]
 
     def place(row_idx: int, left: int, used: set[int]) -> int:
         if left == 0:
@@ -84,7 +114,7 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
         if len(rows) - row_idx < left:
             return 0
         total = place(row_idx + 1, left, used)
-        for y in cols_by_row[rows[row_idx]]:
+        for y in rows[row_idx]:
             if y not in used:
                 used.add(y)
                 total += place(row_idx + 1, left - 1, used)

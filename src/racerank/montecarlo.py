@@ -16,8 +16,8 @@ the 128-bit Philox key ``seed + (stream << 64)``; each must lie in
 fixed, disjoint slice of the counter space: trial t reads counter blocks
 ``[t * B, (t + 1) * B)``, where B is the per-trial block quota implied by
 the configuration, and raw 64-bit outputs become doubles as
-``(word >> 11) * 2**-53``.  Chunk size and worker count therefore cannot
-change any result: a SimConfig determines its SimResult bit for bit.
+``(word >> 11) * 2**-53``.  Chunk size therefore cannot change any
+result: a SimConfig determines its SimResult bit for bit.
 
 Each race's row of uniforms becomes a rank permutation by its sort order.
 The rule is stated on the words, so it holds exactly:
@@ -111,6 +111,9 @@ _maximum_at = np.maximum.at
 _BATCHES = 50
 # Half-width of middle_band_grid's band, in standard deviations sqrt(lam).
 _GRID_HALF_WIDTH = 3.2
+# Maximum points of middle_band_grid, whose linspace holds 8 bytes a point;
+# 10**5 points take ~0.2 s on a 2-vCPU Xeon (10**7 took 15.8 s).
+GRID_POINT_BUDGET = 10**5
 
 
 def _check_key_words(seed: int, stream: int) -> None:
@@ -443,9 +446,15 @@ def middle_band_grid(n_b: int, n_r: int, points: int = 21) -> list[int]:
     """Evenly spaced integer scores centered on the middle score, spanning
     +- _GRID_HALF_WIDTH * sqrt(lam) and clipped to the attainable range.
     Duplicates after rounding are merged, so very narrow ranges may return
-    fewer than ``points`` values.  A single point is the middle score, rounded."""
+    fewer than ``points`` values.  A single point is the middle score, rounded;
+    more than ``GRID_POINT_BUDGET`` points are refused before any is made."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
+    if points > GRID_POINT_BUDGET:
+        raise ValueError(
+            f"points = {points} exceeds the grid budget {GRID_POINT_BUDGET} "
+            "(montecarlo.GRID_POINT_BUDGET)"
+        )
     params = AsymptoticParams(n_b, n_r)
     if points == 1:
         return [round(params.middle_score)]

@@ -44,6 +44,14 @@ __all__ = [
 SERIES_ORDER_BUDGET = 60
 
 
+def _check_order(order: int) -> None:
+    if order > SERIES_ORDER_BUDGET:
+        raise ValueError(
+            f"order = {order} exceeds the series budget {SERIES_ORDER_BUDGET} "
+            "(series.SERIES_ORDER_BUDGET)"
+        )
+
+
 class ExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none is possible."""
 
@@ -88,7 +96,8 @@ class PolyY:
 
 
 class SeriesX:
-    """Series in x truncated after x**order, with PolyY coefficients.
+    """Series in x truncated after x**order, with PolyY coefficients; orders
+    above ``SERIES_ORDER_BUDGET`` are refused.
 
     ``score_offset`` records the score a rank-generating series' rows stand
     for, as n_t - n_b (1 for the middle score, 0 for one below it); a
@@ -104,6 +113,7 @@ class SeriesX:
     ):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
+        _check_order(order)  # before the padding PolyYs exist
         cs = [c if isinstance(c, PolyY) else PolyY((c,)) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
@@ -138,11 +148,7 @@ def _div_one_minus_y(r: list[int]) -> list[int]:
 def _eulerian_rows(order: int) -> list[list[int]]:
     """Rows q_0..q_order of n! [x^n] g, by the recurrence of the module
     docstring; the budget is checked before the first row."""
-    if order > SERIES_ORDER_BUDGET:
-        raise ValueError(
-            f"order = {order} exceeds the series budget {SERIES_ORDER_BUDGET} "
-            "(series.SERIES_ORDER_BUDGET)"
-        )
+    _check_order(order)
     rows: list[list[int]] = []
     for n in range(order + 1):
         r = [1] + [0] * n

@@ -152,6 +152,19 @@ def test_dist_series_equals_exact(capsys, n_b, n_t):
     assert out.splitlines()[-1] == exact.splitlines()[-1]
 
 
+@pytest.mark.parametrize("n_t,built", [(5, "middle_score_gf"), (4, "second_gf_expand")])
+def test_dist_series_builds_one_series(capsys, monkeypatch, n_t, built):
+    calls = []
+    for name in ("middle_score_gf", "second_gf_expand"):
+        real = getattr(series, name)
+        monkeypatch.setattr(
+            series, name, lambda order, name=name, real=real: calls.append(name) or real(order)
+        )
+    code, _, _ = run_cli(capsys, "dist", "4", str(n_t), "--form", "series")
+    assert code == 0
+    assert calls == [built]
+
+
 def test_dist_series_domain_restriction(capsys):
     code, _, err = run_cli(capsys, "dist", "3", "7", "--form", "series")
     assert code == 2
@@ -486,6 +499,15 @@ def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
     assert err == (
         f"error: order = {n_b} exceeds the series budget "
         f"{series.SERIES_ORDER_BUDGET} (series.SERIES_ORDER_BUDGET)\n"
+    )
+
+
+def test_curve_grid_budget_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "curve", "200", "30", "--points", "100000000", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: points = 100000000 exceeds the grid budget "
+        f"{montecarlo.GRID_POINT_BUDGET} (montecarlo.GRID_POINT_BUDGET)\n"
     )
 
 

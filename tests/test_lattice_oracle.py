@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -50,13 +51,50 @@ def test_count_compatible_subsets_by_direct_subset_filter():
             assert count_compatible_subsets(n_t - 1, n_t, size) == direct
 
 
+def test_count_compatible_subsets_needs_no_point_set(monkeypatch):
+    # the direct-filter test above shares only the rule with the walk
+    def unreachable(*_):
+        raise AssertionError("the staircase walk built the point set")
+
+    monkeypatch.setattr(lattice_oracle, "below_diagonal_points", unreachable)
+    assert [count_compatible_subsets(4, 5, i) for i in range(5)] == [1, 6, 7, 1, 0]
+
+
 def test_count_compatible_subsets_matches_diagonal_stirling():
-    for n_t in range(2, 9):
+    # up to n_t = 12, the last score the budget admits
+    for n_t in range(2, 13):
         for n_b in (n_t - 1, n_t, n_t + 2):
             for i in range(n_t - 1):
                 assert count_compatible_subsets(n_b, n_t, i) == stirling_diagonal(
                     n_t, i + 1
                 )
+
+
+def test_count_compatible_subsets_budget_edge():
+    assert math.factorial(11) <= lattice_oracle.DEFAULT_BUDGET < math.factorial(12)
+    assert count_compatible_subsets(11, 12, 1) == len(below_diagonal_points(11, 12)) == 55
+    with pytest.raises(ValueError, match=r"^enumeration needs 12! configurations"):
+        count_compatible_subsets(12, 13, 1)
+
+
+def test_below_diagonal_count_is_exact(monkeypatch):
+    # a budget one below the set's size refuses it, naming that size
+    for n_b in range(1, 8):
+        for n_t in range(2, 2 * n_b + 4):
+            size = len(below_diagonal_points(n_b, n_t))
+            monkeypatch.setattr(lattice_oracle, "POINT_BUDGET", size - 1)
+            with pytest.raises(ValueError, match=f"^{size} points exceed"):
+                below_diagonal_points(n_b, n_t)
+            monkeypatch.undo()
+
+
+def test_point_budget_trips_before_any_point(monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("a point was made past the budget check")
+
+    monkeypatch.setattr(lattice_oracle, "range", unreachable, raising=False)
+    with pytest.raises(ValueError, match="point budget"):
+        below_diagonal_points(1000, 2001)
 
 
 def test_count_compatible_subsets_rejects_clipped_lattice():

@@ -465,6 +465,18 @@ def test_middle_band_grid():
             middle_band_grid(200, 30, points=points)
 
 
+def test_grid_budget_trips_before_linspace(monkeypatch):
+    monkeypatch.setattr(mc, "GRID_POINT_BUDGET", 21)
+    assert len(middle_band_grid(200, 30, points=21)) == 21
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a grid was made past the budget check")
+
+    monkeypatch.setattr(mc.np, "linspace", unreachable)
+    with pytest.raises(ValueError, match="exceeds the grid budget 21"):
+        middle_band_grid(200, 30, points=22)
+
+
 def test_curve_sweep_deterministic_and_sane():
     grid = middle_band_grid(21, 4, points=7)
     rows1 = curve_sweep(21, 4, grid, trials=3000, seed=SEED)

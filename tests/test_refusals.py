@@ -13,6 +13,7 @@ from racerank import (
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
+    middle_band_grid,
     p_middle,
     rank_moments_theory,
     reflect_distribution,
@@ -39,8 +40,18 @@ REFUSALS = {
     ),
     "below_diagonal_points n_b": (lambda: below_diagonal_points(0, 2), "n_b must be >= 1, got 0"),
     "below_diagonal_points n_t": (lambda: below_diagonal_points(3, 1), "n_t must be >= 2, got 1"),
+    "below_diagonal_points budget": (
+        lambda: below_diagonal_points(1000, 2001),
+        "1000000 points exceed the point budget 500000 (lattice_oracle.POINT_BUDGET)",
+    ),
     "count_compatible_subsets": (
         lambda: count_compatible_subsets(3, 4, -1), "size must be >= 0, got -1"
+    ),
+    # one recursion level per staircase row: 1498 rows raised RecursionError
+    "count_compatible_subsets budget": (
+        lambda: count_compatible_subsets(2000, 1500, 1),
+        "enumeration needs 1499! configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
     ),
     "brute_force_composition n_b": (
         lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
@@ -51,6 +62,14 @@ REFUSALS = {
     "brute_force_score": (lambda: brute_force_score(3, 0, 2), "n_r must be >= 1, got 0"),
     "SimConfig": (
         lambda: SimConfig(n_b=3, n_r=0, trials=10, seed=1, n_t=4), "n_r must be >= 1"
+    ),
+    "SeriesX budget": (
+        lambda: SeriesX(10**9),
+        "order = 1000000000 exceeds the series budget 60 (series.SERIES_ORDER_BUDGET)",
+    ),
+    "middle_band_grid budget": (
+        lambda: middle_band_grid(200, 30, points=10**8),
+        "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
     ),
     "SeriesX.coefficient": (
         lambda: SeriesX(3).coefficient(4), "coefficient index must be in [0, 3], got 4"

@@ -226,6 +226,17 @@ def test_order_budget_trips_before_any_series(monkeypatch, gf):
         gf(order)
 
 
+def test_seriesx_budget_trips_before_any_padding(monkeypatch):
+    assert SeriesX(SERIES_ORDER_BUDGET).order == SERIES_ORDER_BUDGET
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a coefficient was padded past the budget check")
+
+    monkeypatch.setattr(series, "PolyY", unreachable)
+    with pytest.raises(ValueError, match="exceeds the series budget"):
+        SeriesX(SERIES_ORDER_BUDGET + 1)
+
+
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():
     g = eulerian_gf(SERIES_ORDER_BUDGET)
     for n in range(1, SERIES_ORDER_BUDGET + 1):
