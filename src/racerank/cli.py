@@ -112,7 +112,7 @@ _FORMS = {
     "exact": (lambda a: two_race.full_distribution(a.n_b, a.n_t), "two_race"),
     "stirling": (lambda a: two_race.stirling_form_distribution(a.n_b, a.n_t),
                  "two_race.p_stirling_form"),
-    "bruteforce": (lambda a: lattice_oracle.brute_force_two_race(a.n_b, a.n_t, budget=a.cap),
+    "bruteforce": (lambda a: lattice_oracle.brute_force_two_race(a.n_b, a.n_t),
                    "lattice_oracle"),
     "series": (_series_distribution, "series"),
 }
@@ -239,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"{'PASS' if o['ok'] else 'FAIL'} {o['name']} ({o['scope']})")
         print(f"{len(outcomes) - len(failed)}/{len(outcomes)} checks passed")
 
-    _emit(args, {"level": args.level}, {"checks": outcomes, "ok": not failed}, "cli", human)
+    _emit(args, {"level": args.level}, {"checks": outcomes, "ok": not failed}, "checks", human)
     return 1 if failed else 0
 
 
@@ -264,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_b", type=int)
     p.add_argument("n_t", type=int)
     p.add_argument("--form", choices=list(_FORMS), default="exact")
-    p.add_argument("--cap", type=int, default=lattice_oracle.DEFAULT_BUDGET,
-                   help="enumeration budget for --form=bruteforce")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("curve", help="Monte Carlo vs normal-limit sweep (CSV)")

@@ -8,14 +8,16 @@ routes is meaningful evidence.
 The race oracles share one enumeration rule.  Boat j scores a fixed part
 plus its value in each race; every race deals its values to the boats in
 every order, and the final rank is m = 1 + #{boats scoring strictly below
-the threshold}, so ties do not push it down.  The budget is checked before
-any permutation is generated.  Score mode (``brute_force_score``, whose
-n_r = 2 case is ``brute_force_two_race``) relabels the first race to the
-identity, which leaves the law of m unchanged: boat i's fixed part is i and
-the other n_r - 1 races deal 1..n_b.  Composition mode
-(``brute_force_composition``) gives the other n_b - 1 boats fixed part 0 and
-deals each race the values the tracked boat's rank left over; the threshold
-is the tracked boat's score.
+the threshold}, so ties do not push it down.  Score mode
+(``brute_force_score``, whose n_r = 2 case is ``brute_force_two_race``)
+relabels the first race to the identity, which leaves the law of m
+unchanged: boat i's fixed part is i and the other n_r - 1 races deal
+1..n_b.  Composition mode (``brute_force_composition``) gives the other
+n_b - 1 boats fixed part 0 and deals each race the values the tracked
+boat's rank left over; the threshold is the tracked boat's score.
+
+Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
+is called and is refused before any permutation or placement is generated.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ __all__ = [
     "brute_force_composition",
 ]
 
-# Maximum number of elementary configurations an enumeration may touch.
+# Maximum number of elementary configurations an enumeration may touch, read
+# when the enumeration is called.
 DEFAULT_BUDGET = 10**8
 # Maximum size of the point set below_diagonal_points builds.  Measured with
 # tracemalloc (Python 3.11.7), a set of such tuples costs ~113 B a point, so
@@ -61,7 +64,9 @@ def below_diagonal_points(n_b: int, n_t: int) -> set[tuple[int, int]]:
     """All (x, y) with 1 <= x, y <= n_b and x + y < n_t: the two-race rank
     pairs scoring strictly below n_t.  The points are counted by
     inclusion-exclusion over x > n_b and y > n_b, and a set larger than
-    ``POINT_BUDGET`` is refused before any point is made."""
+    ``POINT_BUDGET`` is refused before any point is made.  The filter scans
+    the square of side min(n_b, n_t - 2), at most twice as many pairs as it
+    keeps, whatever n_b is."""
     _check_lattice(n_b, n_t)
     s = n_t - 1
     count = _pairs_up_to(s) - 2 * _pairs_up_to(s - n_b) + _pairs_up_to(s - 2 * n_b)
@@ -70,12 +75,9 @@ def below_diagonal_points(n_b: int, n_t: int) -> set[tuple[int, int]]:
             f"{count} points exceed the point budget {POINT_BUDGET} "
             "(lattice_oracle.POINT_BUDGET)"
         )
-    return {
-        (x, y)
-        for x in range(1, n_b + 1)
-        for y in range(1, n_b + 1)
-        if x + y < n_t
-    }
+    # no coordinate exceeds n_t - 2, so the filtered square has that side
+    side = range(1, min(n_b, n_t - 2) + 1)
+    return {(x, y) for x in side for y in side if x + y < n_t}
 
 
 def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
@@ -98,14 +100,7 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     _check_lattice(n_b, n_t)
-    need = 1
-    for k in range(2, n_t):  # (n_t - 1)!, multiplied only until it passes
-        need *= k
-        if need > DEFAULT_BUDGET:
-            raise ValueError(
-                f"enumeration needs {n_t - 1}! configurations, budget is "
-                f"{DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)"
-            )
+    _check_enumeration(n_t - 1, 1)
     rows = [range(1, n_t - x) for x in range(n_t - 2, 0, -1)]
 
     def place(row_idx: int, left: int, used: set[int]) -> int:
@@ -124,30 +119,25 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
     return place(0, size, set())
 
 
-def brute_force_two_race(
-    n_b: int, n_t: int, budget: int = DEFAULT_BUDGET
-) -> RankDistribution:
+def brute_force_two_race(n_b: int, n_t: int) -> RankDistribution:
     """Exact final-rank distribution of a score-n_t competitor over two
     races, 2 <= n_t <= 2 n_b + 1: boat i scores i + a(i) over the n_b!
-    permutations a.  Equal to ``brute_force_score(n_b, 2, n_t)``."""
-    return _score_law(n_b, 2, n_t, budget)
+    permutations a, refused when n_b! exceeds ``DEFAULT_BUDGET``.  Equal to
+    ``brute_force_score(n_b, 2, n_t)``."""
+    return _score_law(n_b, 2, n_t)
 
 
-def brute_force_score(
-    n_b: int, n_r: int, n_t: int, budget: int = DEFAULT_BUDGET
-) -> RankDistribution:
+def brute_force_score(n_b: int, n_r: int, n_t: int) -> RankDistribution:
     """Exact final-rank distribution of a score-n_t competitor over n_r
     races, n_r <= n_t <= n_r n_b + 1, by score-mode enumeration
-    ((n_b!)^(n_r - 1) configurations)."""
-    return _score_law(n_b, n_r, n_t, budget)
+    ((n_b!)^(n_r - 1) configurations, refused above ``DEFAULT_BUDGET``)."""
+    return _score_law(n_b, n_r, n_t)
 
 
-def brute_force_composition(
-    n_b: int, ranks: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> RankDistribution:
+def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
     """Exact final-rank distribution, over 1..n_b, of a real tracked boat
     whose per-race ranks are fixed, by composition-mode enumeration
-    (((n_b - 1)!)^n_r configurations)."""
+    (((n_b - 1)!)^n_r configurations, refused above ``DEFAULT_BUDGET``)."""
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if len(ranks) < 1:
@@ -156,11 +146,11 @@ def brute_force_composition(
         raise ValueError(f"tracked ranks must lie in [1, {n_b}], got {tuple(ranks)}")
     leftovers = [[v for v in range(1, n_b + 1) if v != r] for r in ranks]
     score = sum(ranks)
-    probs = _rank_law([0] * (n_b - 1), leftovers, score, budget)
+    probs = _rank_law([0] * (n_b - 1), leftovers, score)
     return RankDistribution(n_b, score, probs)
 
 
-def _score_law(n_b: int, n_r: int, n_t: int, budget: int) -> RankDistribution:
+def _score_law(n_b: int, n_r: int, n_t: int) -> RankDistribution:
     if n_r < 1:
         raise ValueError(f"n_r must be >= 1, got {n_r}")
     if n_b < 1:
@@ -168,18 +158,35 @@ def _score_law(n_b: int, n_r: int, n_t: int, budget: int) -> RankDistribution:
     if not n_r <= n_t <= n_r * n_b + 1:
         raise ValueError(f"score n_t must be in [{n_r}, {n_r * n_b + 1}], got {n_t}")
     values = range(1, n_b + 1)
-    probs = _rank_law(values, [values] * (n_r - 1), n_t, budget)
+    probs = _rank_law(values, [values] * (n_r - 1), n_t)
     return RankDistribution(n_b, n_t, probs)
 
 
+def _check_enumeration(size: int, races: int) -> None:
+    """Refuse ``races`` races of ``size`` values each when their (size!)^races
+    orders exceed ``DEFAULT_BUDGET``.  Every factor is at least 2, so the
+    product passes the budget within a few dozen factors and the number it
+    bounds is never built."""
+    need = 1
+    for _ in range(races if size > 1 else 0):
+        for k in range(2, size + 1):
+            need *= k
+            if need > DEFAULT_BUDGET:
+                label = f"{size}!" if races == 1 else f"({size}!)^{races}"
+                raise ValueError(
+                    f"enumeration needs {label} configurations, budget is "
+                    f"{DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)"
+                )
+
+
 def _rank_law(
-    fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int, budget: int
+    fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int
 ) -> tuple[Fraction, ...]:
     """P(m = k + 1) for k = 0..len(fixed) under the module's enumeration
-    rule: boat j scores fixed[j] plus its value in each of ``races``."""
+    rule: boat j scores fixed[j] plus its value in each of ``races``, which
+    all hold the same number of values."""
+    _check_enumeration(len(races[0]) if races else 0, len(races))
     need = math.prod(math.factorial(len(race)) for race in races)
-    if need > budget:
-        raise ValueError(f"enumeration needs {need} configurations, budget is {budget}")
     counts: Counter[int] = Counter()
     # The last race is walked lazily: listing all its orders costs memory.
     for head in itertools.product(*map(itertools.permutations, races[:-1])):

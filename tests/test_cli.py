@@ -24,12 +24,14 @@ def run_cli(capsys, *argv):
 
 
 # SHA-256 of stdout, recorded before the identity checks moved out of cli.py;
-# every byte these commands print must stay the same.
+# every byte these commands print must stay the same.  The two `verify --json`
+# records were re-recorded when their provenance became "checks", and
+# `dist --help` when `--cap` left it; no other byte of them changed.
 GOLDEN_STDOUT = [
     ("verify --level quick", "bfc0d690477b5f56d74c35bd0321801e0da96bbb3a5c30df52f773efd4bbd0aa"),
-    ("verify --level quick --json", "cd491ba7351a623a72bb0c0cc92f9b25832acb8f1aa1e9f926b751b3f1b13b58"),
+    ("verify --level quick --json", "e418f72e447468e2aed097adb5776ccc1075d71fe7b98cc9357fdfa49dc7a22c"),
     ("verify --level full", "56a55774413842601caa0168f8fb79fda405e6bad195d175d0fc9d994ad4432b"),
-    ("verify --level full --json", "80952d0cb92f4fa010ca0cc76a90bd99ff60dda6c6990b2eca5369fcaf35b213"),
+    ("verify --level full --json", "c9a0b9b86131d8b740fcdd4737875f7c6f2010f2906099929bc6d38ba177b579"),
     ("dist 6 2 --form exact", "e9017b87965cc312b89e272ab4c0666c7ea37db5c912e3db7aaff7b4d6e1cda2"),
     ("dist 6 2 --form stirling", "4dc6f34b656c9ddd70535a4ec9522dd157592df15d5827f8b4e89777f9953a2b"),
     ("dist 6 2 --form bruteforce", "eeedee936180b039fedff56f74e0b2bc6374aafb33a50c8ab34cb0c487a6b473"),
@@ -71,7 +73,7 @@ GOLDEN_STDOUT = [
     ("--help", "8807a8811120535255a94ee173f8ac5688555129a9e0edf8e345512385661afd"),
     ("eulerian --help", "b0a37d28f5d3286354abfd0f2d5fe614bc80b1418c2a593426c1ce7ef3e60655"),
     ("stirling --help", "5f80fe5ac1fa288cbf784bbfed48cc202a802679c0b1cc8d9c6287355f0d9894"),
-    ("dist --help", "20a5b504da07d69b075004c24d9a29e4bd2bf4be95c67812367545f5c73d341f"),
+    ("dist --help", "3dc9152d01d678e9360b6b08a5f87764e74c2c81c899b4da8d08d3e22f1b1673"),
     ("curve --help", "a6c40349c3dbc0329006a799cdbc125f30f220f6085571133763eba2cfd33602"),
     ("approx --help", "16db1feb6c02100220d1e4eb2b228d7bd94cfd17cea524beb6c419a50b1f3925"),
     ("simulate --help", "c1f7569ab5e4c528a25fd1e9342a73f6f88c1a34df5cd04fb2c7de970bc4cdde"),
@@ -500,6 +502,24 @@ def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
         f"error: order = {n_b} exceeds the series budget "
         f"{series.SERIES_ORDER_BUDGET} (series.SERIES_ORDER_BUDGET)\n"
     )
+
+
+def test_bruteforce_budget_is_one_error_line(capsys, monkeypatch):
+    # 2000! has 5736 digits; the refusal names it without building it
+    monkeypatch.setattr(lattice_oracle, "math", None)
+    monkeypatch.setattr(lattice_oracle, "itertools", None)
+    code, out, err = run_cli(capsys, "dist", "2000", "2000", "--form", "bruteforce")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: enumeration needs 2000! configurations, budget is "
+        f"{lattice_oracle.DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)\n"
+    )
+
+
+def test_dist_has_no_enumeration_cap(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(capsys, "dist", "3", "4", "--form", "bruteforce", "--cap", "10")
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
 def test_curve_grid_budget_is_one_error_line(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -97,6 +98,18 @@ def test_point_budget_trips_before_any_point(monkeypatch):
         below_diagonal_points(1000, 2001)
 
 
+def test_below_diagonal_scans_only_the_staircase(monkeypatch):
+    # no coordinate exceeds n_t - 2, so no range need be longer than n_t
+    def short_range(*args):
+        r = range(*args)
+        if len(r) > 3:
+            raise AssertionError(f"scanned {r} for n_t = 3")
+        return r
+
+    monkeypatch.setattr(lattice_oracle, "range", short_range, raising=False)
+    assert below_diagonal_points(10**4, 3) == {(1, 1)}
+
+
 def test_count_compatible_subsets_rejects_clipped_lattice():
     with pytest.raises(ValueError):
         count_compatible_subsets(3, 5, 2)
@@ -129,9 +142,10 @@ def test_brute_force_two_race_examples():
     assert brute_force_two_race(2, 2).probs == (1, 0, 0)
 
 
-def test_brute_force_two_race_budget_and_range():
+def test_brute_force_two_race_budget_and_range(monkeypatch):
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 1000)
     with pytest.raises(ValueError, match="budget"):
-        brute_force_two_race(9, 5, budget=1000)
+        brute_force_two_race(9, 5)
     # `racerank dist --form bruteforce` prints these messages verbatim
     for args, message in (
         ((3, 8), "score n_t must be in [2, 7], got 8"),
@@ -184,9 +198,10 @@ def test_brute_force_score_unrelabeled_crosscheck(n_b, n_r, n_t):
     assert brute_force_score(n_b, n_r, n_t).probs == expected
 
 
-def test_brute_force_score_budget():
+def test_brute_force_score_budget(monkeypatch):
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**6)
     with pytest.raises(ValueError, match="budget"):
-        brute_force_score(6, 5, 12, budget=10**6)
+        brute_force_score(6, 5, 12)
 
 
 @pytest.mark.parametrize(
@@ -218,8 +233,42 @@ def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
         raise AssertionError("a permutation was generated over budget")
 
     monkeypatch.setattr(lattice_oracle.itertools, "permutations", refuse)
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
-        oracle(*args, budget=10)
+        oracle(*args)
+
+
+# each enumeration with its configuration count and the label that names it
+ENUMERATIONS = [
+    (lambda: count_compatible_subsets(4, 5, 1), 24, "4!"),
+    (lambda: brute_force_two_race(3, 4), 6, "3!"),
+    (lambda: brute_force_score(3, 3, 6), 36, "(3!)^2"),
+    (lambda: brute_force_composition(4, (1, 2)), 36, "(3!)^2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, need, label",
+    ENUMERATIONS,
+    ids=["count_compatible_subsets", "brute_force_two_race", "brute_force_score",
+         "brute_force_composition"],
+)
+def test_default_budget_governs_every_enumeration(monkeypatch, call, need, label):
+    # read when called: a patched budget moves every bound to the same edge
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", need)
+    call()
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", need - 1)
+    message = (
+        f"enumeration needs {label} configurations, budget is {need - 1} "
+        "(lattice_oracle.DEFAULT_BUDGET)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_no_enumeration_takes_a_budget():
+    for name in lattice_oracle.__all__:
+        assert "budget" not in inspect.signature(getattr(lattice_oracle, name)).parameters
 
 
 def test_brute_force_composition_dependence():
@@ -248,14 +297,15 @@ def test_brute_force_composition_unrelabeled_crosscheck(n_b, ranks):
     assert brute_force_composition(n_b, ranks).probs == expected
 
 
-def test_brute_force_composition_trivial_and_errors():
+def test_brute_force_composition_trivial_and_errors(monkeypatch):
     assert brute_force_composition(2, (1, 1)).probs == (1, 0)
     with pytest.raises(ValueError):
         brute_force_composition(3, (0, 2, 2))
     with pytest.raises(ValueError):
         brute_force_composition(3, (4, 2, 2))
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**3)
     with pytest.raises(ValueError, match="budget"):
-        brute_force_composition(8, (1,) * 8, budget=10**3)
+        brute_force_composition(8, (1,) * 8)
 
 
 def test_distributions_sum_to_one():

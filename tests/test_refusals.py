@@ -6,13 +6,16 @@ from racerank import (
     SeriesX,
     SimConfig,
     below_diagonal_points,
+    binomial,
     brute_force_composition,
     brute_force_score,
+    brute_force_two_race,
     coefficient_to_distribution,
     count_compatible_subsets,
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
+    factorial,
     middle_band_grid,
     p_middle,
     rank_moments_theory,
@@ -27,6 +30,14 @@ REFUSALS = {
     "rank_moments_theory": (lambda: rank_moments_theory(0), "n_b must be >= 1, got 0"),
     "eulerian_triangle": (
         lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
+    ),
+    "factorial budget": (
+        lambda: factorial(10**6),
+        "n = 1000000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
+    ),
+    "binomial budget": (
+        lambda: binomial(300000, 150000),
+        "n = 300000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
     ),
     "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
     "stirling_triangle": (
@@ -51,6 +62,22 @@ REFUSALS = {
     "count_compatible_subsets budget": (
         lambda: count_compatible_subsets(2000, 1500, 1),
         "enumeration needs 1499! configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    # 300000! was multiplied out (1.15 s) and then failed to print
+    "brute_force_two_race budget": (
+        lambda: brute_force_two_race(300000, 3),
+        "enumeration needs 300000! configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    "brute_force_score budget": (
+        lambda: brute_force_score(6, 5, 12),
+        "enumeration needs (6!)^4 configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    "brute_force_composition budget": (
+        lambda: brute_force_composition(1000, (1, 2, 3)),
+        "enumeration needs (999!)^3 configurations, budget is 100000000 "
         "(lattice_oracle.DEFAULT_BUDGET)",
     ),
     "brute_force_composition n_b": (
