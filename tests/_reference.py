@@ -11,6 +11,9 @@ in ``Fraction`` arithmetic, straight from the formula, so the tests can
 require every row entry to equal them exactly.  The Stirling weights here come
 from the explicit alternating sum ``stirling_diagonal``, the rows' from the
 ``stirling2`` recurrence triangle, so the two share no Stirling engine.
+
+``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
+paper's printed tables.
 """
 
 from __future__ import annotations
@@ -20,6 +23,29 @@ from fractions import Fraction
 import numpy as np
 
 from racerank.combinatorics import binomial, factorial, stirling_diagonal
+from racerank.series import PolyY
+
+# Eulerian rows 1..7; row 7 is the palindromic completion of the truncated
+# printed row: 7 entries, sum 7!
+EULERIAN_ROWS = [
+    [1],
+    [1, 1],
+    [1, 4, 1],
+    [1, 11, 11, 1],
+    [1, 26, 66, 26, 1],
+    [1, 57, 302, 302, 57, 1],
+    [1, 120, 1191, 2416, 1191, 120, 1],
+]
+
+# x^n coefficient of the second generating function, n = 2..6
+SECOND_GF_ROWS = {
+    2: PolyY((0, 1)),
+    3: PolyY((0, Fraction(2, 3), Fraction(1, 3))),
+    4: PolyY((0, Fraction(4, 12), Fraction(7, 12), Fraction(1, 12))),
+    5: PolyY((0, Fraction(8, 60), Fraction(33, 60), Fraction(18, 60), Fraction(1, 60))),
+    6: PolyY((0, Fraction(16, 360), Fraction(131, 360), Fraction(171, 360),
+              Fraction(41, 360), Fraction(1, 360))),
+}
 
 
 def trial_uniforms(

@@ -5,6 +5,20 @@ Gates 1-9 are exact (Fraction/int equality, no tolerances).  Gates 10-12
 are statistical, run with the fixed default seed below, and sized so the
 expected false-failure rate of the whole suite is well under 1e-3.
 
+Gates 02-08 state no identity of their own: each runs its entries of
+``racerank.checks.CHECKS`` (the one statement of every cross-route
+identity, which ``racerank verify`` runs too) at their ``full`` bounds:
+
+- 02: "middle-score identity"
+- 03: "alternating-sum form vs Stirling form"
+- 04: "closed form vs brute-force enumeration"
+- 05: "excedance histogram vs Eulerian rows"
+- 06: "lattice subset counts vs diagonal Stirling"
+- 07: "lattice partition recurrence" and "binomial-weighted Stirling sum"
+- 08: "Eulerian via Stirling transform"
+
+``tests/test_checks.py`` shows that each entry catches a corrupted route.
+
 Known red
 ---------
 Gate 11a (mean sweep) fails by construction and is left failing on
@@ -14,34 +28,22 @@ Carlo means sit ~0.9 rank above the curve (the +1, minus a ~0.13 lattice
 continuity correction at the middle).  At 10^4 trials the Monte Carlo
 standard error is ~0.04, so a 3-standard-error gate resolves the omitted
 term at ~20 sigma; no seed or in-range grid can pass it.  The variance
-gate 11b is offset-free (variances ignore shifts) and passes.  The full
-analysis lives in the repository notes; the formula's docstring
-(racerank.asymptotics.mean_final_rank) states the truncation.
+gate 11b is offset-free (variances ignore shifts) and passes.  The
+formula's docstring (racerank.asymptotics.mean_final_rank) states the
+truncation, and the "Recent" section of ROADMAP.md gives the measured
+offsets at every grid point.
 """
 
-import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
 import racerank.montecarlo as mc
+from _reference import EULERIAN_ROWS, SECOND_GF_ROWS
 from racerank.asymptotics import rank_moments_theory
-from racerank.combinatorics import (
-    binomial,
-    eulerian,
-    eulerian_from_stirling,
-    eulerian_triangle,
-    factorial,
-    stirling2,
-    stirling_binomial_sum,
-    stirling_diagonal,
-)
-from racerank.lattice_oracle import (
-    brute_force_composition,
-    brute_force_two_race,
-    count_compatible_subsets,
-)
+from racerank.checks import CHECKS
+from racerank.combinatorics import eulerian_triangle, factorial
+from racerank.lattice_oracle import brute_force_composition, brute_force_two_race
 from racerank.montecarlo import (
     SimConfig,
     curve_sweep,
@@ -56,128 +58,71 @@ from racerank.series import (
     middle_score_gf,
     second_gf_expand,
 )
-from racerank.two_race import (
-    full_distribution,
-    p_exact,
-    p_middle,
-    p_stirling_form,
-)
+from racerank.two_race import full_distribution, p_middle
 
 SEED = 20260809
-
-EULERIAN_REFERENCE = [
-    [1],
-    [1, 1],
-    [1, 4, 1],
-    [1, 11, 11, 1],
-    [1, 26, 66, 26, 1],
-    [1, 57, 302, 302, 57, 1],
-    # palindromic completion of the truncated printed row: 7 entries, sum 7!
-    [1, 120, 1191, 2416, 1191, 120, 1],
-]
-
-SECOND_GF_REFERENCE = {
-    2: PolyY((0, 1)),
-    3: PolyY((0, Fraction(2, 3), Fraction(1, 3))),
-    4: PolyY((0, Fraction(4, 12), Fraction(7, 12), Fraction(1, 12))),
-    5: PolyY((0, Fraction(8, 60), Fraction(33, 60), Fraction(18, 60), Fraction(1, 60))),
-    6: PolyY((0, Fraction(16, 360), Fraction(131, 360), Fraction(171, 360),
-              Fraction(41, 360), Fraction(1, 360))),
-}
 
 
 def report(gate: str, label: str, ok: bool) -> None:
     print(f"ACCEPTANCE {gate} {label}: {'PASS' if ok else 'FAIL'}")
 
 
+# CHECKS entry name -> (full bound, check)
+FULL_CHECKS = {name: (full, check) for name, _, _, full, check in CHECKS}
+
+
+def full_check(name: str) -> bool:
+    """Run the ``checks.CHECKS`` entry called ``name`` at its full bound."""
+    bound, check = FULL_CHECKS[name]
+    return bool(check(bound))
+
+
 def test_01_eulerian_tables():
-    ok = eulerian_triangle(7) == EULERIAN_REFERENCE
+    ok = eulerian_triangle(7) == EULERIAN_ROWS
     report("01", "Eulerian rows 1..7 match the reference table", ok)
     assert ok
 
 
 def test_02_middle_score_identity():
-    ok = all(
-        p_middle(n_b, m) * factorial(n_b) == eulerian(n_b, m - 1)
-        for n_b in range(1, 11)
-        for m in range(1, n_b + 2)
-    )
+    ok = full_check("middle-score identity")
     report("02", "middle-score identity p_middle * n_b! = Eulerian (n_b <= 10)", ok)
     assert ok
 
 
 def test_03_formula_equivalence():
-    ok = all(
-        p_exact(n_b, n_t, m) == p_stirling_form(n_b, n_t, m)
-        for n_b in range(1, 9)
-        for n_t in range(2, n_b + 2)
-        for m in range(1, n_b + 2)
-    )
+    ok = full_check("alternating-sum form vs Stirling form")
     report("03", "alternating-sum form = Stirling form (n_b <= 8, exact)", ok)
     assert ok
 
 
 def test_04_oracle_equivalence():
-    ok = all(
-        full_distribution(n_b, n_t) == brute_force_two_race(n_b, n_t)
-        for n_b in range(1, 8)
-        for n_t in range(2, 2 * n_b + 2)
-    )
+    ok = full_check("closed form vs brute-force enumeration")
     report("04", "closed form = brute-force enumeration (n_b <= 7, all scores)", ok)
     assert ok
 
 
 def test_05_excedance_statistic():
-    # #{i : a(i) <= n - i} is the number of boats beating score n + 1
-    def histogram(n):
-        return [p * factorial(n) for p in brute_force_two_race(n, n + 1).probs]
-
-    ok = histogram(3) == [1, 4, 1, 0]
-    for n in range(1, 9):
-        ok = ok and histogram(n) == [eulerian(n, k) for k in range(n)] + [0]
+    ok = full_check("excedance histogram vs Eulerian rows")
     report("05", "excedance histogram = Eulerian rows (n <= 8)", ok)
     assert ok
 
 
 def test_06_lattice_stirling_bridge():
-    ok = [count_compatible_subsets(4, 5, i) for i in range(4)] == [1, 6, 7, 1]
-    for n_t in range(2, 9):
-        n_b = n_t - 1
-        for i in range(n_t - 1):
-            ok = ok and count_compatible_subsets(n_b, n_t, i) == stirling_diagonal(
-                n_t, i + 1
-            )
+    ok = full_check("lattice subset counts vs diagonal Stirling")
     report("06", "lattice subset counts = diagonal Stirling numbers (n_t <= 8)", ok)
     assert ok
 
 
 def test_07_recurrence_chain():
-    def cnt(score, placed):
-        return count_compatible_subsets(score, score + 1, placed)
-
-    ok = True
-    for n_t in range(2, 9):
-        for i in range(n_t - 1):
-            rhs = sum(
-                cnt(n_t - kp - 1, i - kp) * binomial(n_t - 1, kp)
-                for kp in range(i + 1)
-                if n_t - kp >= 2
-            )
-            ok = ok and cnt(n_t, i) == rhs
-        ok = ok and cnt(n_t, n_t - 1) == 1
-    for n in range(13):
-        for k in range(n + 1):
-            ok = ok and stirling_binomial_sum(n, k) == stirling2(n + 1, k + 1)
+    ok = full_check("lattice partition recurrence") and full_check(
+        "binomial-weighted Stirling sum"
+    )
     report("07", "partition recurrence on oracle counts and Stirling sum", ok)
     assert ok
 
 
 def test_08_eulerian_stirling_correspondence():
-    ok = all(
-        eulerian_from_stirling(n, k) == eulerian(n, k)
-        for n in range(1, 11)
-        for k in range(n)
-    )
+    ok = full_check("Eulerian via Stirling transform")
     report("08", "Eulerian = Stirling-transform route (n <= 10)", ok)
     assert ok
 
@@ -186,9 +131,9 @@ def test_09_generating_functions():
     g = eulerian_gf(12)
     ok = g.coefficient(1) == PolyY((1,))
     for n in range(1, 7):
-        ok = ok and g.coefficient(n) * factorial(n) == PolyY(EULERIAN_REFERENCE[n - 1])
+        ok = ok and g.coefficient(n) * factorial(n) == PolyY(EULERIAN_ROWS[n - 1])
     second = second_gf_expand(12)
-    for n, row in SECOND_GF_REFERENCE.items():
+    for n, row in SECOND_GF_ROWS.items():
         ok = ok and second.coefficient(n) == row
     yg = middle_score_gf(12)
     for n_b in range(1, 11):

@@ -1,0 +1,189 @@
+"""One corruption table over ``racerank.checks.CHECKS``.
+
+``CHECKS`` is the one statement of each cross-route identity: ``racerank
+verify`` runs it at either level, and tier-1 runs every entry at its
+``full`` bound (acceptance gates 02-08 and the ``verify --level full``
+tests).  An entry only earns that place if it can fail, so each row here
+corrupts one route and pins the exact list of checks that
+``checks.run("quick")`` then reports failed.  Every entry is the
+target of at least one row; a new entry without one fails
+``test_every_check_has_a_corruption_row``.
+"""
+
+import functools
+
+import pytest
+
+from racerank import checks, combinatorics, lattice_oracle, series, two_race
+from racerank.two_race import RankDistribution
+
+
+def _plus_one_at(at):
+    """The real count, plus one where the arguments equal ``at``."""
+
+    def corrupt(real):
+        return lambda *args: real(*args) + (args == at)
+
+    return corrupt
+
+
+def _reversed_at(n_b, n_t):
+    """The real distribution route, with the (n_b, n_t) row reversed."""
+
+    def corrupt(real):
+        def wrong(*args, **kwargs):
+            d = real(*args, **kwargs)
+            if (d.n_b, d.n_t) == (n_b, n_t):
+                return RankDistribution(n_b, n_t, d.probs[::-1])
+            return d
+
+        return wrong
+
+    return corrupt
+
+
+def _triangle_row_changed(n, change):
+    """The real Eulerian triangle, with row n replaced by ``change(row)``."""
+
+    def corrupt(real):
+        def wrong(n_max):
+            rows = real(n_max)
+            if n_max >= n:
+                rows[n - 1] = change(rows[n - 1])
+            return rows
+
+        return wrong
+
+    return corrupt
+
+
+@functools.cache
+def _self_consistent_counts(n_b, size):
+    # count(1, 0) = 2 carried through the partition recurrence
+    if size == n_b - 1:
+        return 2 if n_b == 1 else 1
+    return sum(
+        _self_consistent_counts(n_b - kp - 1, size - kp) * combinatorics.binomial(n_b - 1, kp)
+        for kp in range(size + 1)
+        if n_b - kp >= 2
+    )
+
+
+_TRIANGLE = [(combinatorics, "eulerian_triangle")]
+_ENUMERATION = [(lattice_oracle, "brute_force_two_race")]
+_COUNTS = [(lattice_oracle, "count_compatible_subsets")]
+
+# row -> (target check, patched attributes, corruption of the real function,
+#         checks failed at quick, in table order)
+ROWS = {
+    "triangle_row_4": (
+        "eulerian rows vs reference table",
+        _TRIANGLE,
+        _triangle_row_changed(4, lambda row: [1, 11, 12, 1]),
+        [
+            "eulerian rows vs reference table",
+            "eulerian row sums and palindrome",
+            "excedance histogram vs Eulerian rows",
+            "generating-function rows vs exact rows",
+        ],
+    ),
+    # row 8 lies beyond the reference table and the excedance check's scope
+    "triangle_row_8_swapped": (
+        "eulerian row sums and palindrome",
+        _TRIANGLE,
+        _triangle_row_changed(8, lambda row: [row[1], row[0], *row[2:]]),
+        ["eulerian row sums and palindrome", "generating-function rows vs exact rows"],
+    ),
+    "stirling_diagonal": (
+        "diagonal Stirling vs recurrence Stirling",
+        [(combinatorics, "stirling_diagonal")],
+        _plus_one_at((8, 3)),
+        ["diagonal Stirling vs recurrence Stirling"],
+    ),
+    "eulerian_from_stirling": (
+        "Eulerian via Stirling transform",
+        [(combinatorics, "eulerian_from_stirling")],
+        _plus_one_at((5, 2)),
+        ["Eulerian via Stirling transform"],
+    ),
+    "stirling_binomial_sum": (
+        "binomial-weighted Stirling sum",
+        [(combinatorics, "stirling_binomial_sum")],
+        _plus_one_at((6, 2)),
+        ["binomial-weighted Stirling sum"],
+    ),
+    # a wrong triangle entry reaching the Stirling rows through the public
+    # p_stirling_form; the alternating sum and the enumeration still agree
+    "stirling_weight": (
+        "alternating-sum form vs Stirling form",
+        [(two_race, "stirling2")],
+        _plus_one_at((4, 2)),
+        ["alternating-sum form vs Stirling form"],
+    ),
+    # a score below the middle, which the excedance check never enumerates
+    "enumeration_below_middle": (
+        "closed form vs brute-force enumeration",
+        _ENUMERATION,
+        _reversed_at(3, 3),
+        ["closed form vs brute-force enumeration"],
+    ),
+    # a middle score beyond the oracle check's quick scope (n_b <= 5)
+    "enumeration_at_middle": (
+        "excedance histogram vs Eulerian rows",
+        _ENUMERATION,
+        _reversed_at(6, 7),
+        ["excedance histogram vs Eulerian rows"],
+    ),
+    # the wrong table passes the recurrence check, and only the comparison
+    # with the diagonal Stirling numbers can see it (both read n_t = n_b + 1)
+    "self_consistent_counts": (
+        "lattice subset counts vs diagonal Stirling",
+        _COUNTS,
+        lambda real: lambda n_b, n_t, size: _self_consistent_counts(n_b, size),
+        ["lattice subset counts vs diagonal Stirling"],
+    ),
+    # n_b = 6 lies beyond the subset-count check's quick scope (n_b <= 5):
+    # a recurrence row, then the full placement
+    "count_row": (
+        "lattice partition recurrence",
+        _COUNTS,
+        _plus_one_at((6, 7, 2)),
+        ["lattice partition recurrence"],
+    ),
+    "count_full_placement": (
+        "lattice partition recurrence",
+        _COUNTS,
+        _plus_one_at((6, 7, 5)),
+        ["lattice partition recurrence"],
+    ),
+    # coefficient_to_distribution is read only by the second-series loop
+    "second_series_row": (
+        "generating-function rows vs exact rows",
+        [(series, "coefficient_to_distribution")],
+        _reversed_at(4, 4),
+        ["generating-function rows vs exact rows"],
+    ),
+    # the same wrong value in both modules: only a check that compares
+    # p_middle with a route free of Eulerian numbers can see it
+    "eulerian_in_both_modules": (
+        "middle-score identity",
+        [(combinatorics, "eulerian"), (two_race, "eulerian")],
+        _plus_one_at((4, 1)),
+        ["Eulerian via Stirling transform", "middle-score identity"],
+    ),
+}
+
+
+def test_every_check_has_a_corruption_row():
+    names = [name for name, *_ in checks.CHECKS]
+    assert sorted({target for target, *_ in ROWS.values()}) == sorted(names)
+    for target, _, _, failed in ROWS.values():
+        assert target in failed
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_corruption_fails_exactly_the_pinned_checks(monkeypatch, row):
+    _, attributes, corrupt, failed = ROWS[row]
+    for module, name in attributes:
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    assert [c["name"] for c in checks.run("quick") if not c["ok"]] == failed

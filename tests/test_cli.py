@@ -1,5 +1,4 @@
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -236,99 +235,6 @@ def test_verify_corrupted_table_fails(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--json")
     assert code == 1
     assert json.loads(out)["results"]["ok"] is False
-
-
-def test_verify_middle_identity_catches_wrong_eulerian(capsys, monkeypatch):
-    # the same wrong value in both modules: only a check that compares
-    # p_middle with a route free of Eulerian numbers can see it
-    real = combinatorics.eulerian
-
-    def wrong(n, k):
-        return real(n, k) + (n == 4 and k == 1)
-
-    monkeypatch.setattr(combinatorics, "eulerian", wrong)
-    monkeypatch.setattr(two_race, "eulerian", wrong)
-    code, out, _ = run_cli(capsys, "verify", "--json")
-    assert code == 1
-    outcomes = {c["name"]: c["ok"] for c in json.loads(out)["results"]["checks"]}
-    assert outcomes["middle-score identity"] is False
-
-
-def test_verify_forms_check_catches_wrong_stirling_weight(capsys, monkeypatch):
-    # a wrong triangle entry reaching the Stirling rows through the public
-    # p_stirling_form; the alternating sum and the enumeration still agree
-    real = combinatorics.stirling2
-
-    def wrong(n, k):
-        return real(n, k) + (n == 4 and k == 2)
-
-    monkeypatch.setattr(two_race, "stirling2", wrong)
-    code, out, _ = run_cli(capsys, "verify", "--json")
-    assert code == 1
-    failed = [c["name"] for c in json.loads(out)["results"]["checks"] if not c["ok"]]
-    assert failed == ["alternating-sum form vs Stirling form"]
-
-
-def _failed_checks(capsys):
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 1
-    return [line[len("FAIL "):] for line in out.splitlines() if line.startswith("FAIL ")]
-
-
-def test_verify_oracle_check_catches_wrong_enumeration(capsys, monkeypatch):
-    # a score below the middle, which the excedance check never enumerates
-    real = lattice_oracle.brute_force_two_race
-
-    def wrong(n_b, n_t, **kw):
-        d = real(n_b, n_t, **kw)
-        return two_race.RankDistribution(n_b, n_t, d.probs[::-1]) if (n_b, n_t) == (3, 3) else d
-
-    monkeypatch.setattr(lattice_oracle, "brute_force_two_race", wrong)
-    assert _failed_checks(capsys) == ["closed form vs brute-force enumeration (n_b <= 5)"]
-
-
-def test_verify_lattice_counts_catch_a_self_consistent_wrong_table(capsys, monkeypatch):
-    # count(1, 0) = 2 carried through the partition recurrence: the table
-    # passes the recurrence check, and only the comparison with the
-    # diagonal Stirling numbers can see it (both checks read n_t = n_b + 1)
-    @functools.cache
-    def wrong(n_b, size):
-        if size == n_b - 1:
-            return 2 if n_b == 1 else 1
-        return sum(
-            wrong(n_b - kp - 1, size - kp) * combinatorics.binomial(n_b - 1, kp)
-            for kp in range(size + 1)
-            if n_b - kp >= 2
-        )
-
-    monkeypatch.setattr(
-        lattice_oracle, "count_compatible_subsets", lambda n_b, n_t, size: wrong(n_b, size)
-    )
-    assert _failed_checks(capsys) == ["lattice subset counts vs diagonal Stirling (score <= 6)"]
-
-
-@pytest.mark.parametrize("size", [2, 5])  # a recurrence row, the full placement
-def test_verify_recurrence_check_catches_wrong_count(capsys, monkeypatch, size):
-    # n_b = 6 lies beyond the subset-count check's quick scope (n_b <= 5)
-    real = lattice_oracle.count_compatible_subsets
-
-    def wrong(n_b, n_t, k):
-        return real(n_b, n_t, k) + ((n_b, k) == (6, size))
-
-    monkeypatch.setattr(lattice_oracle, "count_compatible_subsets", wrong)
-    assert _failed_checks(capsys) == ["lattice partition recurrence (score <= 6)"]
-
-
-def test_verify_series_check_catches_wrong_second_series_row(capsys, monkeypatch):
-    # coefficient_to_distribution is read only by the second-series loop
-    real = series.coefficient_to_distribution
-
-    def wrong(s, n_b, **kw):
-        d = real(s, n_b, **kw)
-        return two_race.RankDistribution(d.n_b, d.n_t, d.probs[::-1]) if n_b == 4 else d
-
-    monkeypatch.setattr(series, "coefficient_to_distribution", wrong)
-    assert _failed_checks(capsys) == ["generating-function rows vs exact rows (order <= 8)"]
 
 
 def test_verify_json(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from racerank import lattice_oracle
-from racerank.combinatorics import binomial, stirling_diagonal
+from racerank.combinatorics import stirling_diagonal
 from racerank.lattice_oracle import (
     below_diagonal_points,
     brute_force_composition,
@@ -16,7 +16,6 @@ from racerank.lattice_oracle import (
     brute_force_two_race,
     count_compatible_subsets,
 )
-from racerank.two_race import full_distribution
 
 
 def test_below_diagonal_worked_example():
@@ -115,22 +114,6 @@ def test_count_compatible_subsets_rejects_clipped_lattice():
         count_compatible_subsets(3, 5, 2)
 
 
-def test_partition_recurrence_on_oracle_counts():
-    # cnt(s, i) plays the diagonal count for diagonal s, i placed points
-    def cnt(s, i):
-        return count_compatible_subsets(s, s + 1, i)
-
-    for n_t in range(2, 9):
-        for i in range(n_t - 1):
-            rhs = sum(
-                cnt(n_t - kp - 1, i - kp) * binomial(n_t - 1, kp)
-                for kp in range(i + 1)
-                if n_t - kp >= 2
-            )
-            assert cnt(n_t, i) == rhs
-        assert cnt(n_t, n_t - 1) == 1
-
-
 def test_brute_force_two_race_examples():
     assert brute_force_two_race(3, 4).probs == (
         Fraction(1, 6),
@@ -154,12 +137,6 @@ def test_brute_force_two_race_budget_and_range(monkeypatch):
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             brute_force_two_race(*args)
-
-
-def test_brute_force_matches_closed_form():
-    for n_b in range(1, 7):
-        for n_t in range(2, 2 * n_b + 2):
-            assert brute_force_two_race(n_b, n_t) == full_distribution(n_b, n_t)
 
 
 def test_brute_force_score_consistency_at_two_races():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from _reference import EULERIAN_ROWS, SECOND_GF_ROWS
 from racerank import lattice_oracle, series, two_race
 from racerank.combinatorics import eulerian, factorial
 from racerank.series import (
@@ -17,38 +18,9 @@ from racerank.series import (
     middle_score_gf,
     second_gf_expand,
 )
-from racerank.two_race import full_distribution, p_middle
+from racerank.two_race import full_distribution
 
 ONE = PolyY((1,))
-
-# n! * (x^n coefficient of g) for n = 1..6, as printed rows
-G_ROWS = {
-    1: [1],
-    2: [1, 1],
-    3: [1, 4, 1],
-    4: [1, 11, 11, 1],
-    5: [1, 26, 66, 26, 1],
-    6: [1, 57, 302, 302, 57, 1],
-}
-
-# x^n coefficient of the second generating function, n = 2..6
-SECOND_ROWS = {
-    2: PolyY((0, 1)),
-    3: PolyY((0, Fraction(2, 3), Fraction(1, 3))),
-    4: PolyY((0, Fraction(4, 12), Fraction(7, 12), Fraction(1, 12))),
-    5: PolyY((0, Fraction(8, 60), Fraction(33, 60), Fraction(18, 60), Fraction(1, 60))),
-    6: PolyY(
-        (
-            0,
-            Fraction(16, 360),
-            Fraction(131, 360),
-            Fraction(171, 360),
-            Fraction(41, 360),
-            Fraction(1, 360),
-        )
-    ),
-}
-
 
 def test_polyy_canonical_form():
     assert PolyY((1, 2, 0, 0)) == PolyY((1, 2))
@@ -96,20 +68,8 @@ def test_eulerian_gf_printed_rows():
     g = eulerian_gf(8)
     assert g.coefficient(0) == PolyY()
     assert g.coefficient(1) == ONE
-    for n, row in G_ROWS.items():
+    for n, row in enumerate(EULERIAN_ROWS, start=1):
         assert g.coefficient(n) * factorial(n) == PolyY(row)
-
-
-def test_eulerian_gf_rows_are_palindromic_eulerian_rows():
-    g = eulerian_gf(12)
-    for n in range(1, 13):
-        poly = g.coefficient(n) * factorial(n)
-        coeffs = [poly[k] for k in range(n)]
-        assert poly.degree <= n - 1
-        assert coeffs == coeffs[::-1]
-        assert all(c >= 0 and c.denominator == 1 for c in coeffs)
-        assert sum(coeffs) == factorial(n)
-        assert coeffs == [eulerian(n, k) for k in range(n)]
 
 
 def test_series_div_exact_detects_nonpolynomial_quotient():
@@ -150,7 +110,7 @@ def test_integration():
 
 def test_second_gf_printed_rows():
     h = second_gf_expand(8)
-    for n, row in SECOND_ROWS.items():
+    for n, row in SECOND_GF_ROWS.items():
         assert h.coefficient(n) == row
     with pytest.raises(ValueError):
         second_gf_expand(1)
@@ -200,18 +160,6 @@ def test_coefficient_to_distribution_shifted_flag():
 def test_coefficient_to_distribution_beyond_truncation():
     with pytest.raises(ValueError):
         coefficient_to_distribution(middle_score_gf(4), 5)
-
-
-def test_series_rows_match_two_race_to_10():
-    yg = middle_score_gf(10)
-    for n_b in range(1, 11):
-        d = coefficient_to_distribution(yg, n_b)
-        assert d.probs == tuple(p_middle(n_b, m) for m in range(1, n_b + 2))
-    h = second_gf_expand(10)
-    for n_b in range(2, 11):
-        assert coefficient_to_distribution(h, n_b, n_t=n_b) == full_distribution(
-            n_b, n_b
-        )
 
 
 @pytest.mark.parametrize("gf", [eulerian_gf, middle_score_gf, second_gf_expand])
