@@ -16,18 +16,30 @@ unchanged: boat i's fixed part is i and the other n_r - 1 races deal
 n_b - 1 boats fixed part 0 and deals each race the values the tracked
 boat's rank left over; the threshold is the tracked boat's score.
 
+Every configuration is visited, but only the head races (all but the last)
+are walked one order at a time, by ``itertools.product`` over their
+permutations.  The last race is scored in numpy: its orders are the columns
+of one cached int8 table of all k! orders of k positions, k <=
+``ORDER_TABLE_WIDTH``, and a wider last race first deals its leading
+width - k values by ``itertools.permutations``.  Over the sorted values
+left to the table, boat j's value is below its limit exactly when its
+position is below ``searchsorted(values, limit)``, so one comparison with
+the table counts the beaten boats of every order, for a batch of heads at
+once, and ``bincount`` tallies them into exact int64 counts.
+
 Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
 is called and is refused before any permutation or placement is generated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .two_race import RankDistribution
 
@@ -46,6 +58,12 @@ DEFAULT_BUDGET = 10**8
 # tracemalloc (Python 3.11.7), a set of such tuples costs ~113 B a point, so
 # the bound holds ~55 MiB.
 POINT_BUDGET = 5 * 10**5
+# Widest last race whose orders are tabulated: the 7! orders of 7 int8
+# positions hold 35 KB (8! orders of 8 would add ~1.2 MB to peak memory).
+ORDER_TABLE_WIDTH = 7
+# Cells one comparison of the order table with a batch of heads may fill;
+# the 7-wide table (35280 cells) is compared with one head at a time.
+BATCH_CELLS = 2**16
 
 
 def _check_lattice(n_b: int, n_t: int) -> None:
@@ -179,18 +197,68 @@ def _check_enumeration(size: int, races: int) -> None:
                 )
 
 
+@functools.cache
+def _orders(k: int) -> np.ndarray:
+    """All k! orders of range(k) as the int8 columns of a k x k! table,
+    built by inserting value j at each of the j + 1 places of every order
+    of range(j).  Row j holds boat j's position in every order, so a
+    comparison per boat reduces over contiguous rows."""
+    table = np.zeros((0, 1), dtype=np.int8)
+    for j in range(k):
+        orders = table.shape[1]
+        grown = np.empty((j + 1, orders * (j + 1)), dtype=np.int8)
+        for place in range(j + 1):
+            block = grown[:, place * orders:(place + 1) * orders]
+            block[:place] = table[:place]
+            block[place] = j
+            block[place + 1:] = table[place:]
+        table = grown
+    table.flags.writeable = False
+    return table
+
+
 def _rank_law(
     fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int
 ) -> tuple[Fraction, ...]:
     """P(m = k + 1) for k = 0..len(fixed) under the module's enumeration
     rule: boat j scores fixed[j] plus its value in each of ``races``, which
-    all hold the same number of values."""
+    all hold len(fixed) values.
+
+    Head races are walked by ``itertools.product`` and their limits read
+    in batches.  The last race deals its first width - ``ORDER_TABLE_WIDTH``
+    values, if any, by ``itertools.permutations`` and the rest, sorted, by
+    the columns of ``_orders``: with below[j] the number of those values
+    under boat j's limit, ``table < below`` marks the beaten boats of every
+    order of every head in the batch."""
     _check_enumeration(len(races[0]) if races else 0, len(races))
+    if not races or not fixed:
+        # one configuration: no race is dealt, or it deals no values
+        beaten = sum(part < threshold for part in fixed)
+        return tuple(Fraction(int(k == beaten)) for k in range(len(fixed) + 1))
+    *heads, last = races
+    n = len(fixed)
     need = math.prod(math.factorial(len(race)) for race in races)
-    counts: Counter[int] = Counter()
-    # The last race is walked lazily: listing all its orders costs memory.
-    for head in itertools.product(*map(itertools.permutations, races[:-1])):
-        limits = [threshold - sum(parts) for parts in zip(fixed, *head)]
-        tails = itertools.permutations(races[-1]) if races else [(0,) * len(fixed)]
-        counts.update(sum(map(operator.lt, tail, limits)) for tail in tails)
-    return tuple(Fraction(counts[k], need) for k in range(len(fixed) + 1))
+    last = sorted(last)
+    cut = max(n - ORDER_TABLE_WIDTH, 0)
+    table = _orders(n - cut)
+    splits = []
+    for prefix in itertools.permutations(range(n), cut):
+        rest = np.array([v for i, v in enumerate(last) if i not in prefix])
+        splits.append((np.array([last[i] for i in prefix], dtype=np.int64), rest))
+    # every head's limits, boat by boat, read BATCH_CELLS // table.size heads at a time
+    limits = (
+        threshold - sum(parts)
+        for head in itertools.product(*map(itertools.permutations, heads))
+        for parts in zip(fixed, *head)
+    )
+    batch = n * max(BATCH_CELLS // table.size, 1)
+    # exact: every count is at most need <= DEFAULT_BUDGET, far below 2**63
+    counts = np.zeros(n + 1, dtype=np.int64)
+    while (block := np.fromiter(itertools.islice(limits, batch), np.int64)).size:
+        block = block.reshape(-1, n)
+        for dealt, rest in splits:
+            own = (dealt < block[:, :cut]).sum(axis=1, dtype=np.int8)
+            below = np.searchsorted(rest, block[:, cut:]).astype(np.int8)
+            beaten = (table < below[:, :, None]).sum(axis=1, dtype=np.int8)
+            counts += np.bincount((beaten + own[:, None]).ravel(), minlength=n + 1)
+    return tuple(Fraction(c, need) for c in counts.tolist())

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .combinatorics import eulerian, factorial, stirling2
@@ -53,7 +53,9 @@ class RankDistribution:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.probs):
             raise ValueError("RankDistribution: negative probability")
-        if sum(self.probs) != 1:
+        # summed as integers over the entries' least common denominator
+        denominator = lcm(*(p.denominator for p in self.probs))
+        if sum(p.numerator * (denominator // p.denominator) for p in self.probs) != denominator:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
 
     def p(self, m: int) -> Fraction:

@@ -36,7 +36,7 @@ _COMBINATORICS = _builders(
 )
 _TWO_RACE = _builders(two_race, "comb", "factorial", "stirling2", "eulerian")
 _SERIES = _builders(series, "PolyY", "comb", "factorial", "_div_one_minus_y")
-_ENUMERATION = _builders(lattice_oracle, "itertools", "math")
+_ENUMERATION = _builders(lattice_oracle, "itertools", "math", "np")
 _MONTECARLO = _builders(montecarlo, "np")
 
 _ROW = combinatorics.TRIANGLE_ROW_BUDGET + 1

@@ -16,6 +16,7 @@ from racerank.lattice_oracle import (
     brute_force_two_race,
     count_compatible_subsets,
 )
+from racerank.two_race import full_distribution
 
 
 def test_below_diagonal_worked_example():
@@ -175,6 +176,29 @@ def test_brute_force_score_unrelabeled_crosscheck(n_b, n_r, n_t):
     assert brute_force_score(n_b, n_r, n_t).probs == expected
 
 
+@pytest.mark.parametrize("n_t", range(2, 20))
+def test_brute_force_two_race_past_the_order_table(n_t):
+    # n_b = 9 deals two values of the last race before the 7-wide table
+    assert brute_force_two_race(9, n_t) == full_distribution(9, n_t)
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_brute_force_composition_one_race_past_the_order_table(r):
+    # exactly r - 1 of the leftover values 1..9 without r lie below r
+    probs = brute_force_composition(9, (r,)).probs
+    assert probs == tuple(Fraction(int(m == r)) for m in range(1, 10))
+
+
+@pytest.mark.parametrize("k", range(lattice_oracle.ORDER_TABLE_WIDTH + 1))
+def test_order_table_holds_every_order_once(k):
+    # the oracle is exhaustive only if the table misses no order and repeats none
+    table = lattice_oracle._orders(k)
+    orders = [tuple(column) for column in table.T.tolist()]
+    assert table.shape == (k, math.factorial(k))
+    assert len(set(orders)) == len(orders)
+    assert set(orders) == set(itertools.permutations(range(k)))
+
+
 def test_brute_force_score_budget(monkeypatch):
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**6)
     with pytest.raises(ValueError, match="budget"):
@@ -209,7 +233,12 @@ def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
     def refuse(*_):
         raise AssertionError("a permutation was generated over budget")
 
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} was used over budget")
+
     monkeypatch.setattr(lattice_oracle.itertools, "permutations", refuse)
+    monkeypatch.setattr(lattice_oracle, "np", NoNumpy())
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
         oracle(*args)

@@ -270,6 +270,12 @@ def test_rank_distribution_validation():
         RankDistribution(2, 3, (Fraction(1, 2), Fraction(1, 3), Fraction(0)))
     with pytest.raises(ValueError):
         RankDistribution(2, 3, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
+    # an n_b = 60 row whose entries sum to 1 - 1/60!
+    row = list(full_distribution(60, 40).probs)
+    row[20] -= Fraction(1, factorial(60))
+    assert row[20] > 0
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        RankDistribution(60, 40, tuple(row))
     d = full_distribution(3, 4)
     assert d.p(2) == Fraction(2, 3)
     with pytest.raises(ValueError):
