@@ -85,8 +85,6 @@ _TRIANGLES = {
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    if args.n_max > args.cap:
-        raise CLIError(f"n_max {args.n_max} exceeds cap {args.cap} (raise --cap)")
     rows = _TRIANGLES[args.command](args.n_max)
     _emit(args, {"n_max": args.n_max}, {"rows": rows}, "combinatorics",
           lambda: print("\n".join(" ".join(map(str, r)) for r in rows)))
@@ -257,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _TRIANGLES:
         p = sub.add_parser(name, help=f"print {name.capitalize()} triangle rows 1..N")
         p.add_argument("n_max", type=int)
-        p.add_argument("--cap", type=int, default=60, help="largest allowed depth")
         p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("dist", help="exact final-rank distribution for a score")

@@ -1,9 +1,9 @@
 """Independent brute-force oracles for the closed forms elsewhere.
 
-Everything here counts finite configurations directly -- lattice points,
-non-attacking placements, exhaustive race outcomes -- without consulting the
-formulas in `combinatorics` or `two_race`, so agreement between the two
-routes is meaningful evidence.
+Everything here counts finite configurations directly -- non-attacking rook
+placements under the staircase x + y < n_t, exhaustive race outcomes --
+without consulting the formulas in `combinatorics` or `two_race`, so
+agreement between the two routes is meaningful evidence.
 
 The race oracles share one enumeration rule.  Boat j scores a fixed part
 plus its value in each race; every race deals its values to the boats in
@@ -44,7 +44,6 @@ import numpy as np
 from .two_race import RankDistribution
 
 __all__ = [
-    "below_diagonal_points",
     "count_compatible_subsets",
     "brute_force_two_race",
     "brute_force_score",
@@ -54,48 +53,12 @@ __all__ = [
 # Maximum number of elementary configurations an enumeration may touch, read
 # when the enumeration is called.
 DEFAULT_BUDGET = 10**8
-# Maximum size of the point set below_diagonal_points builds.  Measured with
-# tracemalloc (Python 3.11.7), a set of such tuples costs ~113 B a point, so
-# the bound holds ~55 MiB.
-POINT_BUDGET = 5 * 10**5
 # Widest last race whose orders are tabulated: the 7! orders of 7 int8
 # positions hold 35 KB (8! orders of 8 would add ~1.2 MB to peak memory).
 ORDER_TABLE_WIDTH = 7
 # Cells one comparison of the order table with a batch of heads may fill;
 # the 7-wide table (35280 cells) is compared with one head at a time.
 BATCH_CELLS = 2**16
-
-
-def _check_lattice(n_b: int, n_t: int) -> None:
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if n_t < 2:
-        raise ValueError(f"n_t must be >= 2, got {n_t}")
-
-
-def _pairs_up_to(s: int) -> int:
-    """Pairs of positive integers with x + y <= s."""
-    return max(s, 0) * max(s - 1, 0) // 2
-
-
-def below_diagonal_points(n_b: int, n_t: int) -> set[tuple[int, int]]:
-    """All (x, y) with 1 <= x, y <= n_b and x + y < n_t: the two-race rank
-    pairs scoring strictly below n_t.  The points are counted by
-    inclusion-exclusion over x > n_b and y > n_b, and a set larger than
-    ``POINT_BUDGET`` is refused before any point is made.  The filter scans
-    the square of side min(n_b, n_t - 2), at most twice as many pairs as it
-    keeps, whatever n_b is."""
-    _check_lattice(n_b, n_t)
-    s = n_t - 1
-    count = _pairs_up_to(s) - 2 * _pairs_up_to(s - n_b) + _pairs_up_to(s - 2 * n_b)
-    if count > POINT_BUDGET:
-        raise ValueError(
-            f"{count} points exceed the point budget {POINT_BUDGET} "
-            "(lattice_oracle.POINT_BUDGET)"
-        )
-    # no coordinate exceeds n_t - 2, so the filtered square has that side
-    side = range(1, min(n_b, n_t - 2) + 1)
-    return {(x, y) for x in side for y in side if x + y < n_t}
 
 
 def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
@@ -106,8 +69,8 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
     Requires n_t <= n_b + 1 so the staircase of points is not clipped by the
     lattice edge: row x then holds the columns 1..n_t - 1 - x.  Counts by
     backtracking over the rows, shortest first, straight from that rule; no
-    closed form or point set is consulted, keeping this an independent check
-    of ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the
+    closed form is consulted, keeping this an independent check of
+    ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the
     row lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a
     bound above ``DEFAULT_BUDGET`` is refused before any row is built.
     """
@@ -117,7 +80,10 @@ def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
         )
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    _check_lattice(n_b, n_t)
+    if n_b < 1:
+        raise ValueError(f"n_b must be >= 1, got {n_b}")
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}")
     _check_enumeration(n_t - 1, 1)
     rows = [range(1, n_t - x) for x in range(n_t - 2, 0, -1)]
 

@@ -16,6 +16,8 @@ Dividing by 1 - y is a running sum; the quotients are genuine polynomials, so
 a remainder raises :class:`ExactDivisionError`.  n! [x^n] integral(g) is
 q_(n-1), so all three series come from one set of rows, each turned into
 ``Fraction``s over n! at the end, after the ``SERIES_ORDER_BUDGET`` check.
+Only the builders check it: a :class:`SeriesX` holds the coefficients it is
+given and pads nothing.
 """
 
 from __future__ import annotations
@@ -96,30 +98,17 @@ class PolyY:
 
 
 class SeriesX:
-    """Series in x truncated after x**order, with PolyY coefficients; orders
-    above ``SERIES_ORDER_BUDGET`` are refused.
+    """Series in x truncated after x**order, holding the PolyY coefficients
+    it is given: ``order`` is len(coeffs) - 1.
 
     ``score_offset`` records the score a rank-generating series' rows stand
-    for, as n_t - n_b (1 for the middle score, 0 for one below it); a
-    series built by hand records none."""
+    for, as n_t - n_b (1 for the middle score, 0 for one below it)."""
 
     __slots__ = ("order", "coeffs", "score_offset")
 
-    def __init__(
-        self,
-        order: int,
-        coeffs: Iterable[PolyY | int | Fraction] = (),
-        score_offset: int | None = None,
-    ):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        _check_order(order)  # before the padding PolyYs exist
-        cs = [c if isinstance(c, PolyY) else PolyY((c,)) for c in coeffs]
-        if len(cs) > order + 1:
-            raise ValueError("more coefficients than the truncation order allows")
-        cs += [PolyY()] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs: tuple[PolyY, ...] = tuple(cs)
+    def __init__(self, coeffs: Iterable[PolyY], score_offset: int):
+        self.coeffs: tuple[PolyY, ...] = tuple(coeffs)
+        self.order = len(self.coeffs) - 1
         self.score_offset = score_offset
 
     def coefficient(self, n: int) -> PolyY:
@@ -131,9 +120,7 @@ class SeriesX:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesX):
             return NotImplemented
-        return (self.order, self.coeffs, self.score_offset) == (
-            other.order, other.coeffs, other.score_offset
-        )
+        return (self.coeffs, self.score_offset) == (other.coeffs, other.score_offset)
 
 
 def _div_one_minus_y(r: list[int]) -> list[int]:
@@ -162,23 +149,23 @@ def _eulerian_rows(order: int) -> list[list[int]]:
     return rows
 
 
-def _series(order: int, rows: Iterable[list[int]], score_offset: int) -> SeriesX:
+def _series(rows: Iterable[list[int]], score_offset: int) -> SeriesX:
     """The series whose x^n coefficient is rows[n] / n!, standing for the
     score n_t = n + score_offset."""
     coeffs = (PolyY(Fraction(c, factorial(n)) for c in row) for n, row in enumerate(rows))
-    return SeriesX(order, coeffs, score_offset)
+    return SeriesX(coeffs, score_offset)
 
 
 def eulerian_gf(order: int) -> SeriesX:
     """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); the x^n coefficient is
     the order-n Eulerian polynomial in y divided by n!."""
-    return _series(order, _eulerian_rows(order), 1)
+    return _series(_eulerian_rows(order), 1)
 
 
 def middle_score_gf(order: int) -> SeriesX:
     """y * g(x, y): the x^n, y^m coefficient is P(final rank m) for n boats
     and the middle score n + 1."""
-    return _series(order, ([0] + q for q in _eulerian_rows(order)), 1)
+    return _series(([0] + q for q in _eulerian_rows(order)), 1)
 
 
 def second_gf_expand(order: int) -> SeriesX:
@@ -193,7 +180,7 @@ def second_gf_expand(order: int) -> SeriesX:
         for n in range(1, order + 1)
     ]
     rows[1][0] -= 1
-    return _series(order, rows, 0)
+    return _series(rows, 0)
 
 
 def coefficient_to_distribution(
@@ -205,22 +192,18 @@ def coefficient_to_distribution(
     The y exponent is the rank m itself; pass ``shifted=True`` for series
     written one y power low (the bare g, where y^k pairs with rank m = k+1).
     ``n_t`` defaults to the score the series stands for, n_b +
-    ``s.score_offset``, and any other label is refused.  A series built by
-    hand records no score: ``n_t`` then defaults to the middle score
-    n_b + 1 and any label is taken as given.
+    ``s.score_offset``, and any other label is refused.
     """
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_b > s.order:
         raise ValueError(f"series truncated at x^{s.order}, cannot read x^{n_b}")
-    score = n_b + (1 if s.score_offset is None else s.score_offset)
-    if n_t is None:
-        n_t = score
-    elif s.score_offset is not None and n_t != score:
+    score = n_b + s.score_offset
+    if n_t is not None and n_t != score:
         raise ValueError(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
             f"got n_t = {n_t}"
         )
     poly = s.coeffs[n_b]
     probs = tuple(poly[m - 1 if shifted else m] for m in range(1, n_b + 2))
-    return RankDistribution(n_b, n_t, probs)
+    return RankDistribution(n_b, score, probs)

@@ -70,13 +70,9 @@ OVERSIZED = {
     "stirling_form_distribution": (
         lambda: racerank.stirling_form_distribution(_FLEET, 2), _TWO_RACE
     ),
-    "SeriesX": (lambda: racerank.SeriesX(_ORDER), _SERIES),
     "eulerian_gf": (lambda: racerank.eulerian_gf(_ORDER), _SERIES),
     "middle_score_gf": (lambda: racerank.middle_score_gf(_ORDER), _SERIES),
     "second_gf_expand": (lambda: racerank.second_gf_expand(_ORDER), _SERIES),
-    "below_diagonal_points": (
-        lambda: racerank.below_diagonal_points(1000, 2001), _builders(lattice_oracle, "range")
-    ),
     "count_compatible_subsets": (
         lambda: racerank.count_compatible_subsets(2000, 1500, 1),
         _builders(lattice_oracle, "set"),
@@ -113,6 +109,7 @@ NO_SIZE = {
     "RankMomentsEstimate": "a record of given numbers",
     "SimResult": "a record of given numbers",
     "PolyY": "holds the coefficients it is given",
+    "SeriesX": "holds the coefficients it is given",
     "RankDistribution": "checks the probabilities it is given",
     "distribution_moments": "one pass over a given distribution",
     "reflect_distribution": "one pass over a given distribution",

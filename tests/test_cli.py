@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 import racerank
 from racerank import combinatorics, lattice_oracle, montecarlo, series, two_race
-from racerank.cli import CURVE_COLUMNS, main
+from racerank.cli import CURVE_COLUMNS, _build_parser, main
 from racerank.two_race import full_distribution
 
 
@@ -25,7 +26,8 @@ def run_cli(capsys, *argv):
 # SHA-256 of stdout, recorded before the identity checks moved out of cli.py;
 # every byte these commands print must stay the same.  The two `verify --json`
 # records were re-recorded when their provenance became "checks", and
-# `dist --help` when `--cap` left it; no other byte of them changed.
+# `dist --help`, `eulerian --help` and `stirling --help` when `--cap` left
+# each of them; no other byte of them changed.
 GOLDEN_STDOUT = [
     ("verify --level quick", "bfc0d690477b5f56d74c35bd0321801e0da96bbb3a5c30df52f773efd4bbd0aa"),
     ("verify --level quick --json", "e418f72e447468e2aed097adb5776ccc1075d71fe7b98cc9357fdfa49dc7a22c"),
@@ -70,8 +72,8 @@ GOLDEN_STDOUT = [
     ("stirling 6 --json", "f9a9022313cb486b2a3148dfb2d605ee39ada26c1a835dfb689167acdaa66743"),
     ("approx 21 4 40", "d75723f295d7373134a01410c1eb73d8a294662503535cb0390de966e6232159"),
     ("--help", "8807a8811120535255a94ee173f8ac5688555129a9e0edf8e345512385661afd"),
-    ("eulerian --help", "b0a37d28f5d3286354abfd0f2d5fe614bc80b1418c2a593426c1ce7ef3e60655"),
-    ("stirling --help", "5f80fe5ac1fa288cbf784bbfed48cc202a802679c0b1cc8d9c6287355f0d9894"),
+    ("eulerian --help", "9be232c0b4ae633681b9e4764847fa79175fcc9e427171aed915797ab2d65953"),
+    ("stirling --help", "8357356f9d03cebd53614af2b32991d7358ac7fd835cbefeb872da50d2d07744"),
     ("dist --help", "3dc9152d01d678e9360b6b08a5f87764e74c2c81c899b4da8d08d3e22f1b1673"),
     ("curve --help", "a6c40349c3dbc0329006a799cdbc125f30f220f6085571133763eba2cfd33602"),
     ("approx --help", "16db1feb6c02100220d1e4eb2b228d7bd94cfd17cea524beb6c419a50b1f3925"),
@@ -118,10 +120,19 @@ def test_stirling_rows(capsys):
     assert out.splitlines()[-1] == "1 7 6 1"
 
 
-def test_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "eulerian", "10", "--cap", "5")
-    assert code == 2
-    assert "cap" in err
+@pytest.mark.parametrize("command", ["eulerian", "stirling"])
+def test_triangles_have_no_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        run_cli(capsys, command, "10", "--cap", "5")
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eulerian", "stirling"])
+def test_triangle_rows_bounded_only_by_the_budget(capsys, command):
+    # 61 rows lie under combinatorics.TRIANGLE_ROW_BUDGET, the one bound
+    code, out, _ = run_cli(capsys, command, "61")
+    assert code == 0
+    assert len(out.splitlines()) == 61
 
 
 @pytest.mark.parametrize("form", ["exact", "stirling", "bruteforce", "series"])
@@ -387,7 +398,7 @@ def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
 @pytest.mark.parametrize("command", ["eulerian", "stirling"])
 def test_triangle_budget_is_one_error_line(capsys, command):
     n = combinatorics.TRIANGLE_ROW_BUDGET + 100
-    code, out, err = run_cli(capsys, command, str(n), "--cap", str(2 * n))
+    code, out, err = run_cli(capsys, command, str(n))
     assert code == 2 and out == ""
     assert err == (
         f"error: row n = {n} exceeds the triangle budget "
@@ -420,6 +431,19 @@ def test_bruteforce_budget_is_one_error_line(capsys, monkeypatch):
         "error: enumeration needs 2000! configurations, budget is "
         f"{lattice_oracle.DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)\n"
     )
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    # parsed, not run: a flag the parser no longer knows fails here
+    assert argv[0] == "racerank"
+    _build_parser().parse_args(argv[1:])
 
 
 def test_dist_has_no_enumeration_cap(capsys):

@@ -10,26 +10,12 @@ import pytest
 from racerank import lattice_oracle
 from racerank.combinatorics import stirling_diagonal
 from racerank.lattice_oracle import (
-    below_diagonal_points,
     brute_force_composition,
     brute_force_score,
     brute_force_two_race,
     count_compatible_subsets,
 )
 from racerank.two_race import full_distribution
-
-
-def test_below_diagonal_worked_example():
-    expected = {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)}
-    for n_b in (4, 5, 8):
-        assert below_diagonal_points(n_b, 5) == expected
-
-
-def test_below_diagonal_edges():
-    assert below_diagonal_points(5, 2) == set()
-    assert below_diagonal_points(3, 7) == {
-        (x, y) for x in (1, 2, 3) for y in (1, 2, 3)
-    }
 
 
 def test_count_compatible_subsets_worked_example():
@@ -39,7 +25,7 @@ def test_count_compatible_subsets_worked_example():
 def test_count_compatible_subsets_by_direct_subset_filter():
     # independent in-test recount: filter all subsets explicitly
     for n_t in range(2, 7):
-        pts = sorted(below_diagonal_points(n_t - 1, n_t))
+        pts = [(x, y) for x in range(1, n_t) for y in range(1, n_t) if x + y < n_t]
         for size in range(n_t):
             direct = sum(
                 1
@@ -50,15 +36,6 @@ def test_count_compatible_subsets_by_direct_subset_filter():
                 )
             )
             assert count_compatible_subsets(n_t - 1, n_t, size) == direct
-
-
-def test_count_compatible_subsets_needs_no_point_set(monkeypatch):
-    # the direct-filter test above shares only the rule with the walk
-    def unreachable(*_):
-        raise AssertionError("the staircase walk built the point set")
-
-    monkeypatch.setattr(lattice_oracle, "below_diagonal_points", unreachable)
-    assert [count_compatible_subsets(4, 5, i) for i in range(5)] == [1, 6, 7, 1, 0]
 
 
 def test_count_compatible_subsets_matches_diagonal_stirling():
@@ -73,41 +50,9 @@ def test_count_compatible_subsets_matches_diagonal_stirling():
 
 def test_count_compatible_subsets_budget_edge():
     assert math.factorial(11) <= lattice_oracle.DEFAULT_BUDGET < math.factorial(12)
-    assert count_compatible_subsets(11, 12, 1) == len(below_diagonal_points(11, 12)) == 55
+    assert count_compatible_subsets(11, 12, 1) == math.comb(11, 2) == 55
     with pytest.raises(ValueError, match=r"^enumeration needs 12! configurations"):
         count_compatible_subsets(12, 13, 1)
-
-
-def test_below_diagonal_count_is_exact(monkeypatch):
-    # a budget one below the set's size refuses it, naming that size
-    for n_b in range(1, 8):
-        for n_t in range(2, 2 * n_b + 4):
-            size = len(below_diagonal_points(n_b, n_t))
-            monkeypatch.setattr(lattice_oracle, "POINT_BUDGET", size - 1)
-            with pytest.raises(ValueError, match=f"^{size} points exceed"):
-                below_diagonal_points(n_b, n_t)
-            monkeypatch.undo()
-
-
-def test_point_budget_trips_before_any_point(monkeypatch):
-    def unreachable(*_):
-        raise AssertionError("a point was made past the budget check")
-
-    monkeypatch.setattr(lattice_oracle, "range", unreachable, raising=False)
-    with pytest.raises(ValueError, match="point budget"):
-        below_diagonal_points(1000, 2001)
-
-
-def test_below_diagonal_scans_only_the_staircase(monkeypatch):
-    # no coordinate exceeds n_t - 2, so no range need be longer than n_t
-    def short_range(*args):
-        r = range(*args)
-        if len(r) > 3:
-            raise AssertionError(f"scanned {r} for n_t = 3")
-        return r
-
-    monkeypatch.setattr(lattice_oracle, "range", short_range, raising=False)
-    assert below_diagonal_points(10**4, 3) == {(1, 1)}
 
 
 def test_count_compatible_subsets_rejects_clipped_lattice():

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "SeriesX",
     "SimConfig",
     "SimResult",
-    "below_diagonal_points",
     "binomial",
     "brute_force_composition",
     "brute_force_score",

@@ -3,9 +3,7 @@
 import pytest
 
 from racerank import (
-    SeriesX,
     SimConfig,
-    below_diagonal_points,
     binomial,
     brute_force_composition,
     brute_force_score,
@@ -49,14 +47,14 @@ REFUSALS = {
     "stirling_binomial_sum": (
         lambda: stirling_binomial_sum(2, 3), "stirling_binomial_sum: k must be in [0, 2], got 3"
     ),
-    "below_diagonal_points n_b": (lambda: below_diagonal_points(0, 2), "n_b must be >= 1, got 0"),
-    "below_diagonal_points n_t": (lambda: below_diagonal_points(3, 1), "n_t must be >= 2, got 1"),
-    "below_diagonal_points budget": (
-        lambda: below_diagonal_points(1000, 2001),
-        "1000000 points exceed the point budget 500000 (lattice_oracle.POINT_BUDGET)",
-    ),
     "count_compatible_subsets": (
         lambda: count_compatible_subsets(3, 4, -1), "size must be >= 0, got -1"
+    ),
+    "count_compatible_subsets n_b": (
+        lambda: count_compatible_subsets(0, 1, 0), "n_b must be >= 1, got 0"
+    ),
+    "count_compatible_subsets n_t": (
+        lambda: count_compatible_subsets(3, 1, 0), "n_t must be >= 2, got 1"
     ),
     # one recursion level per staircase row: 1498 rows raised RecursionError
     "count_compatible_subsets budget": (
@@ -90,16 +88,12 @@ REFUSALS = {
     "SimConfig": (
         lambda: SimConfig(n_b=3, n_r=0, trials=10, seed=1, n_t=4), "n_r must be >= 1"
     ),
-    "SeriesX budget": (
-        lambda: SeriesX(10**9),
-        "order = 1000000000 exceeds the series budget 60 (series.SERIES_ORDER_BUDGET)",
-    ),
     "middle_band_grid budget": (
         lambda: middle_band_grid(200, 30, points=10**8),
         "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
     ),
     "SeriesX.coefficient": (
-        lambda: SeriesX(3).coefficient(4), "coefficient index must be in [0, 3], got 4"
+        lambda: eulerian_gf(3).coefficient(4), "coefficient index must be in [0, 3], got 4"
     ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"

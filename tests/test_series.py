@@ -12,7 +12,6 @@ from racerank.series import (
     SERIES_ORDER_BUDGET,
     ExactDivisionError,
     PolyY,
-    SeriesX,
     coefficient_to_distribution,
     eulerian_gf,
     middle_score_gf,
@@ -56,11 +55,6 @@ def test_polyy_division():
 
 
 def test_series_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        SeriesX(2, (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        SeriesX(-1)
-    assert SeriesX(3, (0, 1)).coefficient(3) == PolyY()
     assert eulerian_gf(4) != eulerian_gf(5)
 
 
@@ -140,14 +134,6 @@ def test_coefficient_to_distribution_refuses_a_foreign_score():
     assert (eulerian_gf(5).score_offset, yg.score_offset, h.score_offset) == (1, 1, 0)
 
 
-def test_hand_built_series_takes_any_score():
-    s = SeriesX(1, (0, PolyY((0, 1))))
-    assert s.score_offset is None
-    assert coefficient_to_distribution(s, 1).n_t == 2
-    assert coefficient_to_distribution(s, 1, n_t=7).n_t == 7
-    assert s != SeriesX(1, (0, PolyY((0, 1))), score_offset=1)
-
-
 def test_coefficient_to_distribution_shifted_flag():
     g = eulerian_gf(8)
     yg = middle_score_gf(8)
@@ -172,17 +158,6 @@ def test_order_budget_trips_before_any_series(monkeypatch, gf):
     message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
     with pytest.raises(ValueError, match=message):
         gf(order)
-
-
-def test_seriesx_budget_trips_before_any_padding(monkeypatch):
-    assert SeriesX(SERIES_ORDER_BUDGET).order == SERIES_ORDER_BUDGET
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a coefficient was padded past the budget check")
-
-    monkeypatch.setattr(series, "PolyY", unreachable)
-    with pytest.raises(ValueError, match="exceeds the series budget"):
-        SeriesX(SERIES_ORDER_BUDGET + 1)
 
 
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():
