@@ -13,16 +13,19 @@ reflection n_t -> 2 n_b + 3 - n_t, m -> n_b + 2 - m covers the upper half.
 Each closed form is evaluated one whole row at a time: the numerators
 n_b! * P(m), m = 1..n_b+1, are built as Python ints over the single
 denominator n_b!, an upper-half score reverses the row of its lower-half
-mirror, and each entry becomes one ``Fraction`` at the end.  Rows are
-refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
+mirror, and each entry becomes one ``Fraction`` at the end.  A row costs
+O(n_b^2) big-integer additions and no binomial coefficient: the alternating
+sum is one list differenced n_b + 1 times, the Stirling form a polynomial in
+(1 + y) expanded by Horner's rule.  Rows are refused above
+``EXACT_N_B_BUDGET`` boats before any term is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from math import lcm
+from operator import add, sub
 
 from .combinatorics import eulerian, factorial, stirling2
 
@@ -51,7 +54,7 @@ class RankDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probs):
+        if any(p.numerator < 0 for p in self.probs):
             raise ValueError("RankDistribution: negative probability")
         # summed as integers over the entries' least common denominator
         denominator = lcm(*(p.denominator for p in self.probs))
@@ -67,10 +70,12 @@ class RankDistribution:
 
 # Largest fleet the closed-form rows and p_middle evaluate; larger n_b is
 # rejected before any term is computed.  A row costs O(n_b^2) big-integer
-# products; the Stirling weights come from the cached stirling2 triangle
-# (rows up to 449 build in ~0.05 s and hold ~18 MB).  Measured on a 2-vCPU
-# Xeon (Python 3.11.7) at n_b = 450, n_t = 451, the slowest row: Stirling
-# form ~0.6 s, alternating sum ~0.25 s (n_b = 500: 0.85 s and 0.4 s).
+# additions; measured on a 2-vCPU Xeon (Python 3.11.7) at n_t = n_b + 1, the
+# slowest row, n_b = 450 takes ~0.04-0.05 s (alternating sum) and
+# ~0.02-0.03 s (Stirling form), n_b = 500 ~0.05-0.08 s and ~0.03-0.04 s.
+# So the cached triangles, not the rows, set the bound: the stirling2 rows
+# to 450 hold ~18 MB (built once in ~0.2-0.35 s), ~46 MB with the eulerian
+# rows p_middle reads (see combinatorics.TRIANGLE_ROW_BUDGET).
 EXACT_N_B_BUDGET = 450
 
 
@@ -99,28 +104,37 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
 
     With e = n_b - n_t + 1 >= 0 and j = m - 1 - k the sum is one convolution
     n_b! P(m) = sum_{j<m} (-1)^(m-1-j) C(n_b+1, m-1-j) b_j of the integers
-    b_j = (e+1+j)^(n_t-1) (e+j)! / j!.
+    b_j = (e+1+j)^(n_t-1) (e+j)! / j!: the x^(m-1) coefficient of
+    (1-x)^(n_b+1) sum_j b_j x^j.  So the row is the list b differenced
+    n_b + 1 times, O(n_b^2) big-integer subtractions with no binomial.  The
+    ratios (e+j)!/j! come from one running product, each step exact.
     """
     _check_budget(n_b)
     e = n_b - n_t + 1
-    signed_binomials = [(-1) ** k * comb(n_b + 1, k) for k in range(n_b + 1)]
-    b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_b + 1)]
-    return [sum(map(mul, signed_binomials[m - 1 :: -1], b)) for m in range(1, n_b + 2)]
+    b = []
+    ratio = factorial(e)
+    for j in range(n_b + 1):
+        b.append((e + 1 + j) ** (n_t - 1) * ratio)
+        ratio = ratio * (e + j + 1) // (j + 1)
+    for _ in range(n_b + 1):
+        b = [b[0], *map(sub, b[1:], b)]  # times (1 - x), truncated
+    return b
 
 
 def _stirling_row(n_b: int, n_t: int) -> list[int]:
     """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
-    2 <= n_t <= n_b+1.  The weights (-1)^i D(n_t, i) (1+n_b-i)! are computed
-    once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached Stirling
-    triangle; entries with m >= n_t are empty sums."""
+    2 <= n_t <= n_b+1.  The weights w_i = (-1)^i D(n_t, i) (1+n_b-i)! are
+    computed once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached
+    Stirling triangle.  Entry m is (-1)^m sum_i w_i C(i-1, m-1), and that
+    sum is the y^(m-1) coefficient of sum_i w_i (1+y)^(i-1), which Horner's
+    rule builds in O(n_t^2) big-integer additions with no binomial.  Entries
+    with m >= n_t are empty sums."""
     _check_budget(n_b)
-    signed_weights = [
-        (-1) ** i * stirling2(n_t - 1, n_t - i) * factorial(1 + n_b - i) for i in range(1, n_t)
-    ]
-    return [
-        (-1) ** m * sum(signed_weights[i - 1] * comb(i - 1, m - 1) for i in range(m, n_t))
-        for m in range(1, n_b + 2)
-    ]
+    q = [0]
+    for i in range(n_t - 1, 0, -1):
+        w = (-1) ** i * stirling2(n_t - 1, n_t - i) * factorial(1 + n_b - i)
+        q = [q[0] + w, *map(add, q[1:], q), q[-1]]  # q (1 + y) + w
+    return [-c if m % 2 else c for m, c in enumerate(q, start=1)] + [0] * (n_b + 1 - n_t)
 
 
 def p_exact(n_b: int, n_t: int, m: int) -> Fraction:

@@ -12,6 +12,15 @@ require every row entry to equal them exactly.  The Stirling weights here come
 from the explicit alternating sum ``stirling_diagonal``, the rows' from the
 ``stirling2`` recurrence triangle, so the two share no Stirling engine.
 
+``alternating_row_by_convolution`` and ``stirling_row_by_binomial_sums``
+are the rows' earlier evaluations, kept verbatim but for the budget check:
+each row entry as its own sum of products with binomial coefficients.  They
+share the library rows' formulas and Stirling triangle but not their
+evaluation order (n_b + 1 differences, Horner's rule), so the tests can
+require the two evaluations to give equal integers at sizes up to the
+exact-row budget, where the term-by-term ``Fraction`` references are too
+slow.
+
 ``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
 paper's printed tables.
 """
@@ -19,10 +28,12 @@ paper's printed tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 import numpy as np
 
-from racerank.combinatorics import binomial, factorial, stirling_diagonal
+from racerank.combinatorics import binomial, factorial, stirling2, stirling_diagonal
 from racerank.series import PolyY
 
 # Eulerian rows 1..7; row 7 is the palindromic completion of the truncated
@@ -107,3 +118,30 @@ def p_stirling_terms(n_b: int, n_t: int, m: int) -> Fraction:
         term = stirling_diagonal(n_t, i) * factorial(1 + n_b - i) * binomial(i - 1, m - 1)
         acc += -term if (i + m) % 2 else term
     return Fraction(acc, factorial(n_b))
+
+
+def alternating_row_by_convolution(n_b: int, n_t: int) -> list[int]:
+    """n_b! * P(m) for m = 1..n_b+1 from the alternating sum, 2 <= n_t <= n_b+1.
+
+    With e = n_b - n_t + 1 >= 0 and j = m - 1 - k the sum is one convolution
+    n_b! P(m) = sum_{j<m} (-1)^(m-1-j) C(n_b+1, m-1-j) b_j of the integers
+    b_j = (e+1+j)^(n_t-1) (e+j)! / j!.
+    """
+    e = n_b - n_t + 1
+    signed_binomials = [(-1) ** k * comb(n_b + 1, k) for k in range(n_b + 1)]
+    b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_b + 1)]
+    return [sum(map(mul, signed_binomials[m - 1 :: -1], b)) for m in range(1, n_b + 2)]
+
+
+def stirling_row_by_binomial_sums(n_b: int, n_t: int) -> list[int]:
+    """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
+    2 <= n_t <= n_b+1.  The weights (-1)^i D(n_t, i) (1+n_b-i)! are computed
+    once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached Stirling
+    triangle; entries with m >= n_t are empty sums."""
+    signed_weights = [
+        (-1) ** i * stirling2(n_t - 1, n_t - i) * factorial(1 + n_b - i) for i in range(1, n_t)
+    ]
+    return [
+        (-1) ** m * sum(signed_weights[i - 1] * comb(i - 1, m - 1) for i in range(m, n_t))
+        for m in range(1, n_b + 2)
+    ]

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import p_exact_terms, p_stirling_terms
+from _reference import (
+    alternating_row_by_convolution,
+    p_exact_terms,
+    p_stirling_terms,
+    stirling_row_by_binomial_sums,
+)
 from racerank import two_race
 from racerank.combinatorics import factorial
 from racerank.lattice_oracle import brute_force_two_race
@@ -124,6 +129,25 @@ def test_rows_equal_term_by_term_reference(case):
 @pytest.mark.parametrize("n_t", [2, 3, 31, 60, 61])
 def test_n_b60_rows_equal_term_by_term_reference(n_t):
     _assert_rows_match_reference(60, n_t)
+
+
+def _assert_rows_match_reference_rows(n_b, n_t):
+    assert two_race._alternating_row(n_b, n_t) == alternating_row_by_convolution(n_b, n_t)
+    assert two_race._stirling_row(n_b, n_t) == stirling_row_by_binomial_sums(n_b, n_t)
+
+
+# ~0.1 s an example at n_b = 80 (the references' binomial sums dominate), so
+# the 15 examples stay near 1 s.
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 80))
+def test_rows_equal_binomial_sum_rows(n_b):
+    for n_t in range(2, n_b + 2):
+        _assert_rows_match_reference_rows(n_b, n_t)
+
+
+@pytest.mark.parametrize("n_t", [2, 226, 451])
+def test_rows_equal_binomial_sum_rows_at_n_b450(n_t):
+    _assert_rows_match_reference_rows(450, n_t)
 
 
 def test_exact_budget_trips_before_any_term(monkeypatch):
@@ -268,7 +292,7 @@ def test_distribution_moments():
 def test_rank_distribution_validation():
     with pytest.raises(ValueError):
         RankDistribution(2, 3, (Fraction(1, 2), Fraction(1, 3), Fraction(0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative probability"):
         RankDistribution(2, 3, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
     # an n_b = 60 row whose entries sum to 1 - 1/60!
     row = list(full_distribution(60, 40).probs)
