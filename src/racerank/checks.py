@@ -121,11 +121,8 @@ def _lattice_recurrence_ok(n_t_max: int) -> bool:
 
 
 def _series_rows_ok(order: int) -> bool:
-    g = series.eulerian_gf(order)
-    for n in range(1, order + 1):
-        poly = g.coefficient(n) * combinatorics.factorial(n)
-        if [poly[k] for k in range(n)] != combinatorics.eulerian_triangle(n)[-1]:
-            return False
+    if series.eulerian_gf(order).rows[1:] != combinatorics.eulerian_triangle(order):
+        return False
     second = series.second_gf_expand(order)
     for n_b in range(2, order + 1):
         dist = series.coefficient_to_distribution(second, n_b, n_t=n_b)

@@ -26,8 +26,8 @@ __all__ = [
 # Largest n for which factorial(n) and binomial(n, k) are computed; larger n
 # is refused before any product is taken.  Measured on a 2-vCPU Xeon (Python
 # 3.11.7): factorial(10^5) ~0.16 s and C(10^5, 5*10^4) ~0.14 s, against
-# ~13 s for factorial(10^6).  two_race reads factorial(2 n_b - 1), at most
-# 899 under two_race.EXACT_N_B_BUDGET.
+# ~13 s for factorial(10^6).  two_race reads at most factorial(n_b), so at
+# most 450! under two_race.EXACT_N_B_BUDGET.
 FACTORIAL_BUDGET = 10**5
 
 

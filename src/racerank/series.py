@@ -14,25 +14,24 @@ denominator row y^n - y, the division reads
 
 Dividing by 1 - y is a running sum; the quotients are genuine polynomials, so
 a remainder raises :class:`ExactDivisionError`.  n! [x^n] integral(g) is
-q_(n-1), so all three series come from one set of rows, each turned into
-``Fraction``s over n! at the end, after the ``SERIES_ORDER_BUDGET`` check.
-Only the builders check it: a :class:`SeriesX` holds the coefficients it is
-given and pads nothing.
+q_(n-1), so all three series come from one set of rows, and a
+:class:`SeriesX` holds those integer rows as built.  Only
+:func:`coefficient_to_distribution` divides by n!, for the one row it reads.
+Only the builders check ``SERIES_ORDER_BUDGET``: a :class:`SeriesX` holds the
+rows it is given and pads nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from operator import index
-from typing import Iterable
 
 from .two_race import RankDistribution
 
 __all__ = [
     "ExactDivisionError",
-    "PolyY",
     "SeriesX",
     "eulerian_gf",
     "middle_score_gf",
@@ -42,7 +41,8 @@ __all__ = [
 
 # Largest order the expansions reach.  The rows cost O(order^3) big-integer
 # products: on a 2-vCPU Xeon (Python 3.11.7) order 40 takes ~4 ms and order
-# 60 ~15 ms, so the bound now guards the size of the rationals, not the time.
+# 60 ~15 ms, so the bound guards the size of the integer rows (row n sums to
+# n!), not the time.
 SERIES_ORDER_BUDGET = 60
 
 
@@ -58,69 +58,21 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none is possible."""
 
 
-class PolyY:
-    """Polynomial in y over Fraction; coeffs[k] multiplies y**k.  No trailing
-    zero coefficients are kept, so equality and hashing are structural."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(index(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree in y; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyY((other,))
-        return self.coeffs == other.coeffs if isinstance(other, PolyY) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __mul__(self, scalar: int | Fraction) -> "PolyY":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return PolyY(c * scalar for c in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"PolyY({self.coeffs!r})"
-
-
+@dataclass(frozen=True)
 class SeriesX:
-    """Series in x truncated after x**order, holding the PolyY coefficients
-    it is given: ``order`` is len(coeffs) - 1.
+    """Series in x truncated after x**order, held as its integer rows:
+    ``rows[n][k]`` is n! times the coefficient of x**n y**k, and entries
+    past the end of a row are 0.
 
     ``score_offset`` records the score a rank-generating series' rows stand
     for, as n_t - n_b (1 for the middle score, 0 for one below it)."""
 
-    __slots__ = ("order", "coeffs", "score_offset")
+    rows: list[list[int]]
+    score_offset: int
 
-    def __init__(self, coeffs: Iterable[PolyY], score_offset: int):
-        self.coeffs: tuple[PolyY, ...] = tuple(coeffs)
-        self.order = len(self.coeffs) - 1
-        self.score_offset = score_offset
-
-    def coefficient(self, n: int) -> PolyY:
-        """Coefficient of x**n."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index must be in [0, {self.order}], got {n}")
-        return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeriesX):
-            return NotImplemented
-        return (self.coeffs, self.score_offset) == (other.coeffs, other.score_offset)
+    @property
+    def order(self) -> int:
+        return len(self.rows) - 1
 
 
 def _div_one_minus_y(r: list[int]) -> list[int]:
@@ -149,23 +101,16 @@ def _eulerian_rows(order: int) -> list[list[int]]:
     return rows
 
 
-def _series(rows: Iterable[list[int]], score_offset: int) -> SeriesX:
-    """The series whose x^n coefficient is rows[n] / n!, standing for the
-    score n_t = n + score_offset."""
-    coeffs = (PolyY(Fraction(c, factorial(n)) for c in row) for n, row in enumerate(rows))
-    return SeriesX(coeffs, score_offset)
-
-
 def eulerian_gf(order: int) -> SeriesX:
-    """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); the x^n coefficient is
-    the order-n Eulerian polynomial in y divided by n!."""
-    return _series(_eulerian_rows(order), 1)
+    """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); row n is the order-n
+    Eulerian polynomial in y."""
+    return SeriesX(_eulerian_rows(order), 1)
 
 
 def middle_score_gf(order: int) -> SeriesX:
     """y * g(x, y): the x^n, y^m coefficient is P(final rank m) for n boats
     and the middle score n + 1."""
-    return _series(([0] + q for q in _eulerian_rows(order)), 1)
+    return SeriesX([[0] + q for q in _eulerian_rows(order)], 1)
 
 
 def second_gf_expand(order: int) -> SeriesX:
@@ -180,7 +125,7 @@ def second_gf_expand(order: int) -> SeriesX:
         for n in range(1, order + 1)
     ]
     rows[1][0] -= 1
-    return _series(rows, 0)
+    return SeriesX(rows, 0)
 
 
 def coefficient_to_distribution(
@@ -204,6 +149,8 @@ def coefficient_to_distribution(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
             f"got n_t = {n_t}"
         )
-    poly = s.coeffs[n_b]
-    probs = tuple(poly[m - 1 if shifted else m] for m in range(1, n_b + 2))
-    return RankDistribution(n_b, score, probs)
+    first = 0 if shifted else 1
+    counts = s.rows[n_b][first : first + n_b + 1]
+    counts += [0] * (n_b + 1 - len(counts))
+    total = factorial(n_b)
+    return RankDistribution(n_b, score, tuple(Fraction(c, total) for c in counts))

@@ -22,7 +22,8 @@ exact-row budget, where the term-by-term ``Fraction`` references are too
 slow.
 
 ``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
-paper's printed tables.
+paper's printed tables, as the integer rows n! [x^n] that a
+``racerank.series.SeriesX`` holds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from operator import mul
 import numpy as np
 
 from racerank.combinatorics import binomial, factorial, stirling2, stirling_diagonal
-from racerank.series import PolyY
 
 # Eulerian rows 1..7; row 7 is the palindromic completion of the truncated
 # printed row: 7 entries, sum 7!
@@ -48,14 +48,14 @@ EULERIAN_ROWS = [
     [1, 120, 1191, 2416, 1191, 120, 1],
 ]
 
-# x^n coefficient of the second generating function, n = 2..6
+# n! [x^n] of the second generating function, n = 2..6; over n!/2 the rows
+# read 1; 2, 1; 4, 7, 1; 8, 33, 18, 1; 16, 131, 171, 41, 1 from y^1 on
 SECOND_GF_ROWS = {
-    2: PolyY((0, 1)),
-    3: PolyY((0, Fraction(2, 3), Fraction(1, 3))),
-    4: PolyY((0, Fraction(4, 12), Fraction(7, 12), Fraction(1, 12))),
-    5: PolyY((0, Fraction(8, 60), Fraction(33, 60), Fraction(18, 60), Fraction(1, 60))),
-    6: PolyY((0, Fraction(16, 360), Fraction(131, 360), Fraction(171, 360),
-              Fraction(41, 360), Fraction(1, 360))),
+    2: [0, 2],
+    3: [0, 4, 2],
+    4: [0, 8, 14, 2],
+    5: [0, 16, 66, 36, 2],
+    6: [0, 32, 262, 342, 82, 2],
 }
 
 

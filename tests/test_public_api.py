@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "AsymptoticParams",
     "CurvePoint",
     "ExactDivisionError",
-    "PolyY",
     "RankDistribution",
     "RankMoments",
     "RankMomentsEstimate",

@@ -92,9 +92,6 @@ REFUSALS = {
         lambda: middle_band_grid(200, 30, points=10**8),
         "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
     ),
-    "SeriesX.coefficient": (
-        lambda: eulerian_gf(3).coefficient(4), "coefficient index must be in [0, 3], got 4"
-    ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
     ),

@@ -11,40 +11,12 @@ from racerank.combinatorics import eulerian, factorial
 from racerank.series import (
     SERIES_ORDER_BUDGET,
     ExactDivisionError,
-    PolyY,
     coefficient_to_distribution,
     eulerian_gf,
     middle_score_gf,
     second_gf_expand,
 )
 from racerank.two_race import full_distribution
-
-ONE = PolyY((1,))
-
-def test_polyy_canonical_form():
-    assert PolyY((1, 2, 0, 0)) == PolyY((1, 2))
-    assert PolyY((0, 0)).degree == -1
-    assert PolyY((0,)).coeffs == ()
-    assert PolyY((Fraction(1, 2),))[0] == Fraction(1, 2)
-    assert PolyY((1,))[5] == 0
-
-
-def test_polyy_rejects_inexact_coefficients():
-    for bad in (0.5, "1/2"):
-        with pytest.raises(TypeError):
-            PolyY((1, bad))
-
-
-def test_polyy_arithmetic():
-    # only scalar products remain; the series are expanded in integer rows
-    p = PolyY((1, 2))
-    assert p * 2 == PolyY((2, 4))
-    assert 2 * p == PolyY((2, 4))
-    assert p * Fraction(1, 2) == PolyY((Fraction(1, 2), 1))
-    with pytest.raises(TypeError):
-        p * p
-    with pytest.raises(TypeError):
-        p + p
 
 
 def test_polyy_division():
@@ -60,10 +32,10 @@ def test_series_order_mismatch_rejected():
 
 def test_eulerian_gf_printed_rows():
     g = eulerian_gf(8)
-    assert g.coefficient(0) == PolyY()
-    assert g.coefficient(1) == ONE
+    assert g.order == 8
+    assert g.rows[0] == []
     for n, row in enumerate(EULERIAN_ROWS, start=1):
-        assert g.coefficient(n) * factorial(n) == PolyY(row)
+        assert g.rows[n] == row
 
 
 def test_series_div_exact_detects_nonpolynomial_quotient():
@@ -78,34 +50,40 @@ def test_series_div_round_trip():
     # sum_k C(n, k) q_k (y^(n-k) - y) = 1 - y^n with q_k = k! [x^k] g
     g = eulerian_gf(8)
     for n in range(9):
-        product = [Fraction(0)] * (n + 1)
+        product = [0] * (n + 1)
         for k in range(n + 1):
-            for i, a in enumerate((g.coefficient(k) * factorial(k)).coeffs):
+            for i, a in enumerate(g.rows[k]):
                 product[i + n - k] += comb(n, k) * a
                 product[i + 1] -= comb(n, k) * a
         numerator = [1] + [0] * n
         numerator[n] -= 1
-        assert PolyY(product) == PolyY(numerator)
+        assert product == numerator
 
 
 def test_integration():
     # second_gf_expand = (y - 1) * integral(g) + g - x, where the x^n
     # coefficient of integral(g) is the x^(n-1) coefficient of g over n
     g, h = eulerian_gf(8), second_gf_expand(8)
-    assert h.coefficient(0) == PolyY()
+
+    def coefficient(s, n, k):
+        row = s.rows[n]
+        return Fraction(row[k], factorial(n)) if 0 <= k < len(row) else 0
+
+    assert h.rows[0] == []
     for n in range(1, 9):
-        prev = g.coefficient(n - 1)
         expected = [
-            g.coefficient(n)[k] + (prev[k - 1] - prev[k]) / n - (n == 1 and k == 0)
+            coefficient(g, n, k)
+            + (coefficient(g, n - 1, k - 1) - coefficient(g, n - 1, k)) / n
+            - (n == 1 and k == 0)
             for k in range(n + 1)
         ]
-        assert h.coefficient(n) == PolyY(expected)
+        assert [coefficient(h, n, k) for k in range(n + 1)] == expected
 
 
 def test_second_gf_printed_rows():
     h = second_gf_expand(8)
     for n, row in SECOND_GF_ROWS.items():
-        assert h.coefficient(n) == row
+        assert h.rows[n] == row
     with pytest.raises(ValueError):
         second_gf_expand(1)
 
@@ -135,12 +113,15 @@ def test_coefficient_to_distribution_refuses_a_foreign_score():
 
 
 def test_coefficient_to_distribution_shifted_flag():
-    g = eulerian_gf(8)
-    yg = middle_score_gf(8)
-    for n_b in range(1, 9):
-        assert coefficient_to_distribution(g, n_b, shifted=True) == (
-            coefficient_to_distribution(yg, n_b)
-        )
+    # g's row n_b has n_b entries, so the shifted read of rank n_b + 1 lies
+    # past its end at every order the budget admits
+    for order in (8, SERIES_ORDER_BUDGET):
+        g = eulerian_gf(order)
+        yg = middle_score_gf(order)
+        for n_b in range(1, order + 1):
+            assert coefficient_to_distribution(g, n_b, shifted=True) == (
+                coefficient_to_distribution(yg, n_b)
+            )
 
 
 def test_coefficient_to_distribution_beyond_truncation():
@@ -163,8 +144,7 @@ def test_order_budget_trips_before_any_series(monkeypatch, gf):
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():
     g = eulerian_gf(SERIES_ORDER_BUDGET)
     for n in range(1, SERIES_ORDER_BUDGET + 1):
-        poly = g.coefficient(n) * factorial(n)
-        assert poly.coeffs == tuple(eulerian(n, k) for k in range(n))
+        assert g.rows[n] == [eulerian(n, k) for k in range(n)]
 
 
 def test_second_gf_rows_equal_full_distribution_to_budget():

@@ -4,10 +4,14 @@ at order 40, as a gate.
 The digests below were recorded with the bivariate ``Fraction`` series
 algebra (order-by-order series division and term-wise integration).  Any
 rewrite of the expansion must reproduce every rational exactly; a changed
-digest is a wrong coefficient, not a test to update.
+digest is a wrong coefficient, not a test to update.  The series hold the
+integer rows n! [x^n]; the digest reads each entry as the reduced rational
+row[k] / n! and leaves out a row's trailing zeros, as the recording did.
 """
 
 import hashlib
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -22,10 +26,12 @@ DIGESTS = {
 
 
 def _coefficients_digest(gf) -> str:
-    text = "".join(
-        f"{n}: " + " ".join(map(str, poly.coeffs)) + "\n"
-        for n, poly in enumerate(gf(ORDER).coeffs)
-    )
+    text = ""
+    for n, row in enumerate(gf(ORDER).rows):
+        coeffs = [Fraction(c, factorial(n)) for c in row]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        text += f"{n}: " + " ".join(map(str, coeffs)) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
