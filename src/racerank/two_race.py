@@ -13,11 +13,15 @@ reflection n_t -> 2 n_b + 3 - n_t, m -> n_b + 2 - m covers the upper half.
 Each closed form is evaluated one whole row at a time: the numerators
 n_b! * P(m), m = 1..n_b+1, are built as Python ints over the single
 denominator n_b!, an upper-half score reverses the row of its lower-half
-mirror, and each entry becomes one ``Fraction`` at the end.  A row costs
-O(n_b^2) big-integer additions and no binomial coefficient: the alternating
-sum is one list differenced n_b + 1 times, the Stirling form a polynomial in
-(1 + y) expanded by Horner's rule.  Rows are refused above
-``EXACT_N_B_BUDGET`` boats before any term is computed.
+mirror, and each entry becomes one ``Fraction`` at the end.  A lower-half
+score can beat at most n_t - 2 boats (k beaten boats hold distinct ranks in
+each race, so their scores sum to at least k(k+1) and at most k(n_t - 1)),
+so P(m) = 0 for m >= n_t and each row computes only its band m < n_t: zeros
+past m = n_t - 1, O(n_b n_t) big-integer additions for the alternating row
+(one list of n_t - 1 entries differenced n_b + 1 times), O(n_t^2) for the
+Stirling row (a polynomial in (1 + y) expanded by Horner's rule), and no
+binomial coefficient.  The zero entries share one ``Fraction``.  Rows are
+refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
 """
 
 from __future__ import annotations
@@ -54,11 +58,13 @@ class RankDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if any(p.numerator < 0 for p in self.probs):
+        numerators = [p.numerator for p in self.probs]
+        denominators = [p.denominator for p in self.probs]
+        if any(a < 0 for a in numerators):
             raise ValueError("RankDistribution: negative probability")
         # summed as integers over the entries' least common denominator
-        denominator = lcm(*(p.denominator for p in self.probs))
-        if sum(p.numerator * (denominator // p.denominator) for p in self.probs) != denominator:
+        denominator = lcm(*denominators)
+        if sum(a * (denominator // d) for a, d in zip(numerators, denominators)) != denominator:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
 
     def p(self, m: int) -> Fraction:
@@ -69,13 +75,14 @@ class RankDistribution:
 
 
 # Largest fleet the closed-form rows and p_middle evaluate; larger n_b is
-# rejected before any term is computed.  A row costs O(n_b^2) big-integer
-# additions; measured on a 2-vCPU Xeon (Python 3.11.7) at n_t = n_b + 1, the
-# slowest row, n_b = 450 takes ~0.04-0.05 s (alternating sum) and
-# ~0.02-0.03 s (Stirling form), n_b = 500 ~0.05-0.08 s and ~0.03-0.04 s.
-# So the cached triangles, not the rows, set the bound: the stirling2 rows
-# to 450 hold ~18 MB (built once in ~0.2-0.35 s), ~46 MB with the eulerian
-# rows p_middle reads (see combinatorics.TRIANGLE_ROW_BUDGET).
+# rejected before any term is computed.  A row costs O(n_b n_t) big-integer
+# additions (alternating sum) or O(n_t^2) (Stirling form).  Measured on a
+# 2-vCPU Xeon (Python 3.11.7) at n_b = 450: n_t = n_b + 1, the slowest row,
+# takes ~0.04-0.06 s (alternating) and ~0.02-0.03 s (Stirling), n_t = 2
+# ~0.2-0.3 ms and ~0.02 ms; n_b = 500, n_t = 501 takes ~0.05-0.08 s and
+# ~0.03-0.04 s.  So the cached triangles, not the rows, set the bound: the
+# stirling2 rows to 450 hold ~18 MB (built once in ~0.2-0.35 s), ~46 MB with
+# the eulerian rows p_middle reads (see combinatorics.TRIANGLE_ROW_BUDGET).
 EXACT_N_B_BUDGET = 450
 
 
@@ -105,35 +112,41 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
     With e = n_b - n_t + 1 >= 0 and j = m - 1 - k the sum is one convolution
     n_b! P(m) = sum_{j<m} (-1)^(m-1-j) C(n_b+1, m-1-j) b_j of the integers
     b_j = (e+1+j)^(n_t-1) (e+j)! / j!: the x^(m-1) coefficient of
-    (1-x)^(n_b+1) sum_j b_j x^j.  So the row is the list b differenced
-    n_b + 1 times, O(n_b^2) big-integer subtractions with no binomial.  The
-    ratios (e+j)!/j! come from one running product, each step exact.
+    (1-x)^(n_b+1) sum_j b_j x^j, which reads only b_0..b_(m-1).  Entries
+    m >= n_t are zero (see the module docstring), so only b_j with
+    j < n_t - 1 is built: that list differenced n_b + 1 times and padded
+    with zeros is the row, O(n_b n_t) big-integer subtractions with no
+    binomial.  The ratios (e+j)!/j! come from one running product, each step
+    exact.
     """
     _check_budget(n_b)
     e = n_b - n_t + 1
     b = []
     ratio = factorial(e)
-    for j in range(n_b + 1):
+    for j in range(n_t - 1):
         b.append((e + 1 + j) ** (n_t - 1) * ratio)
         ratio = ratio * (e + j + 1) // (j + 1)
     for _ in range(n_b + 1):
         b = [b[0], *map(sub, b[1:], b)]  # times (1 - x), truncated
-    return b
+    return b + [0] * (n_b + 2 - n_t)
 
 
 def _stirling_row(n_b: int, n_t: int) -> list[int]:
     """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
     2 <= n_t <= n_b+1.  The weights w_i = (-1)^i D(n_t, i) (1+n_b-i)! are
     computed once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached
-    Stirling triangle.  Entry m is (-1)^m sum_i w_i C(i-1, m-1), and that
-    sum is the y^(m-1) coefficient of sum_i w_i (1+y)^(i-1), which Horner's
-    rule builds in O(n_t^2) big-integer additions with no binomial.  Entries
-    with m >= n_t are empty sums."""
+    Stirling triangle and (1+n_b-i)! from one running product.  Entry m is
+    (-1)^m sum_i w_i C(i-1, m-1), and that sum is the y^(m-1) coefficient of
+    sum_i w_i (1+y)^(i-1), which Horner's rule builds in O(n_t^2) big-integer
+    additions with no binomial.  Entries with m >= n_t are empty sums, the
+    zeros past m = n_t - 1."""
     _check_budget(n_b)
     q = [0]
+    f = factorial(2 + n_b - n_t)  # (1+n_b-i)! at i = n_t - 1
     for i in range(n_t - 1, 0, -1):
-        w = (-1) ** i * stirling2(n_t - 1, n_t - i) * factorial(1 + n_b - i)
+        w = stirling2(n_t - 1, n_t - i) * (-f if i % 2 else f)
         q = [q[0] + w, *map(add, q[1:], q), q[-1]]  # q (1 + y) + w
+        f *= 2 + n_b - i
     return [-c if m % 2 else c for m, c in enumerate(q, start=1)] + [0] * (n_b + 1 - n_t)
 
 
@@ -179,13 +192,20 @@ def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
     return Fraction(_stirling_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
+# Shared by every zero entry of an assembled row, which then skips the gcd a
+# fresh Fraction(0, n_b!) would pay.
+_ZERO = Fraction(0)
+
+
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
     _check_score(n_b, n_t, 2 * n_b + 1)
     row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
     if n_t > n_b + 1:
         row.reverse()
     denominator = factorial(n_b)
-    return RankDistribution(n_b, n_t, tuple(Fraction(c, denominator) for c in row))
+    return RankDistribution(
+        n_b, n_t, tuple(Fraction(c, denominator) if c else _ZERO for c in row)
+    )
 
 
 def full_distribution(n_b: int, n_t: int) -> RankDistribution:

@@ -150,6 +150,19 @@ def test_rows_equal_binomial_sum_rows_at_n_b450(n_t):
     _assert_rows_match_reference_rows(450, n_t)
 
 
+def test_rows_vanish_past_the_band():
+    # A lower-half score beats at most n_t - 2 boats, so P(m) = 0 for every
+    # m >= n_t; the closed-form rows build only m < n_t and pad zeros.  The
+    # reference convolution and the enumeration compute the whole row.
+    for n_b in range(1, 41):
+        for n_t in range(2, n_b + 2):
+            row = alternating_row_by_convolution(n_b, n_t)
+            assert all(c > 0 for c in row[: n_t - 1])
+            assert all(c == 0 for c in row[n_t - 1 :])
+            if n_b <= 6:
+                assert all(p == 0 for p in brute_force_two_race(n_b, n_t).probs[n_t - 1 :])
+
+
 def test_exact_budget_trips_before_any_term(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a term was computed past the budget check")
@@ -294,6 +307,8 @@ def test_rank_distribution_validation():
         RankDistribution(2, 3, (Fraction(1, 2), Fraction(1, 3), Fraction(0)))
     with pytest.raises(ValueError, match="negative probability"):
         RankDistribution(2, 3, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
+    with pytest.raises(ValueError, match="must sum to exactly 1"):
+        RankDistribution(1, 2, ())
     # an n_b = 60 row whose entries sum to 1 - 1/60!
     row = list(full_distribution(60, 40).probs)
     row[20] -= Fraction(1, factorial(60))
