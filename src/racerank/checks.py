@@ -4,11 +4,15 @@ Each entry of :data:`CHECKS` pits two routes that share no formula against
 each other over every case up to a size bound: closed forms against
 brute-force enumeration, Stirling forms against alternating sums, lattice
 counts against special numbers, series coefficients against exact rows.
-``quick`` and ``full`` differ only in those bounds.
+``quick`` and ``full`` differ only in those bounds.  Each check does its
+work once per call: the two closed forms are compared as whole integer rows
+n_b! * P(m), one row of each per (n_b, n_t), and the partition recurrence
+counts each staircase size once, from a cache that lives only for that call.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from . import combinatorics, lattice_oracle, series, two_race
@@ -64,13 +68,14 @@ def _stirling_sum_ok(n_max: int) -> bool:
 
 
 def _forms_agree_ok(n_b_max: int) -> bool:
-    # every entry of the two forms' shared domain; the upper half is the same
+    # the two forms' whole shared domain, one integer row of each per
+    # (n_b, n_t): both rows hold n_b! * P(m) over the one denominator n_b!, so
+    # they are equal exactly when every entry is; the upper half is the same
     # reversed row for both routes, checked against enumeration below
     return all(
-        two_race.p_exact(n_b, n_t, m) == two_race.p_stirling_form(n_b, n_t, m)
+        two_race._alternating_row(n_b, n_t) == two_race._stirling_row(n_b, n_t)
         for n_b in range(1, n_b_max + 1)
         for n_t in range(2, n_b + 2)
-        for m in range(1, n_b + 2)
     )
 
 
@@ -103,6 +108,8 @@ def _lattice_counts_ok(n_t_max: int) -> bool:
 
 
 def _lattice_recurrence_ok(n_t_max: int) -> bool:
+    # each (n_t, i) is counted once per call, though both sides read it
+    @functools.cache
     def count(n_t: int, i: int) -> int:
         return lattice_oracle.count_compatible_subsets(n_t, n_t + 1, i)
 

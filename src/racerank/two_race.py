@@ -58,8 +58,18 @@ class RankDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        numerators = [p.numerator for p in self.probs]
-        denominators = [p.denominator for p in self.probs]
+        try:
+            numerators = [p.numerator for p in self.probs]
+            denominators = [p.denominator for p in self.probs]
+        except AttributeError:
+            bad = next(
+                p for p in self.probs
+                if not (hasattr(p, "numerator") and hasattr(p, "denominator"))
+            )
+            raise TypeError(
+                "RankDistribution: probabilities must be exact rationals "
+                f"(int or Fraction), got {type(bad).__name__}"
+            ) from None
         if any(a < 0 for a in numerators):
             raise ValueError("RankDistribution: negative probability")
         # summed as integers over the entries' least common denominator

@@ -7,10 +7,13 @@ tests).  An entry only earns that place if it can fail, so each row here
 corrupts one route and pins the exact list of checks that
 ``checks.run("quick")`` then reports failed.  Every entry is the
 target of at least one row; a new entry without one fails
-``test_every_check_has_a_corruption_row``.
+``test_every_check_has_a_corruption_row``.  The last three tests pin the
+work of the two checks whose sides share work: each row pair and each
+lattice count is built once per call, and again in the next run.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 
@@ -36,6 +39,22 @@ def _reversed_at(n_b, n_t):
             if (d.n_b, d.n_t) == (n_b, n_t):
                 return RankDistribution(n_b, n_t, d.probs[::-1])
             return d
+
+        return wrong
+
+    return corrupt
+
+
+def _entry_plus_one_at(at, m):
+    """The real integer row, plus one at entry m where the arguments equal
+    ``at``."""
+
+    def corrupt(real):
+        def wrong(*args):
+            row = real(*args)
+            if args == at:
+                row[m - 1] += 1
+            return row
 
         return wrong
 
@@ -120,6 +139,15 @@ ROWS = {
         _plus_one_at((4, 2)),
         ["alternating-sum form vs Stirling form"],
     ),
+    # the alternating side of the same check: n_b = 6 lies beyond the oracle
+    # check's quick scope (n_b <= 5), and n_t = 4 is neither the series
+    # check's n_t = n_b nor the middle score, so no other check builds it
+    "alternating_entry": (
+        "alternating-sum form vs Stirling form",
+        [(two_race, "_alternating_row")],
+        _entry_plus_one_at((6, 4), 2),
+        ["alternating-sum form vs Stirling form"],
+    ),
     # a score below the middle, which the excedance check never enumerates
     "enumeration_below_middle": (
         "closed form vs brute-force enumeration",
@@ -187,3 +215,61 @@ def test_corruption_fails_exactly_the_pinned_checks(monkeypatch, row):
     for module, name in attributes:
         monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     assert [c["name"] for c in checks.run("quick") if not c["ok"]] == failed
+
+
+# the work of one call at the full bound: each (n_b, n_t) row of each form,
+# and each size up to the full placement (n - 1 rooks) of every staircase
+# n <= 8, which the recurrence's right-hand sums reach down to n = 1
+_FORMS_ROWS = Counter({(n_b, n_t): 1 for n_b in range(1, 9) for n_t in range(2, n_b + 2)})
+_RECURRENCE_COUNTS = Counter({(n, n + 1, i): 1 for n in range(1, 9) for i in range(n)})
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that counts its argument tuples."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_forms_check_builds_each_row_pair_once(monkeypatch):
+    alternating = _counting(monkeypatch, two_race, "_alternating_row")
+    stirling = _counting(monkeypatch, two_race, "_stirling_row")
+    entry_routes = [
+        _counting(monkeypatch, two_race, name)
+        for name in ("p_exact", "p_stirling_form", "stirling_form_distribution")
+    ]
+    assert checks._forms_agree_ok(8)
+    assert len(_FORMS_ROWS) == 36
+    assert alternating == stirling == _FORMS_ROWS
+    assert not any(entry_routes)
+
+
+def test_recurrence_check_counts_each_size_once(monkeypatch):
+    calls = _counting(monkeypatch, lattice_oracle, "count_compatible_subsets")
+    assert checks._lattice_recurrence_ok(8)
+    assert calls == _RECURRENCE_COUNTS
+
+
+def test_checks_keep_nothing_between_runs(monkeypatch):
+    work = [
+        _counting(monkeypatch, two_race, "_alternating_row"),
+        _counting(monkeypatch, two_race, "_stirling_row"),
+        _counting(monkeypatch, lattice_oracle, "count_compatible_subsets"),
+    ]
+    per_run = []
+    for _ in range(2):
+        assert all(c["ok"] for c in checks.run("full"))
+        per_run.append([calls.copy() for calls in work])
+        for calls in work:
+            calls.clear()
+    assert per_run[0] == per_run[1]
+    alternating, stirling, counts = per_run[1]
+    assert _FORMS_ROWS.keys() <= alternating.keys()
+    assert _FORMS_ROWS.keys() <= stirling.keys()
+    assert _RECURRENCE_COUNTS.keys() <= counts.keys()

@@ -309,6 +309,9 @@ def test_rank_distribution_validation():
         RankDistribution(2, 3, (Fraction(3, 2), Fraction(-1, 2), Fraction(0)))
     with pytest.raises(ValueError, match="must sum to exactly 1"):
         RankDistribution(1, 2, ())
+    for entry, name in [(0.5, "float"), ("1/2", "str"), (None, "NoneType")]:
+        with pytest.raises(TypeError, match=rf"exact rationals \(int or Fraction\), got {name}$"):
+            RankDistribution(1, 2, (Fraction(1, 2), entry))
     # an n_b = 60 row whose entries sum to 1 - 1/60!
     row = list(full_distribution(60, 40).probs)
     row[20] -= Fraction(1, factorial(60))
