@@ -96,7 +96,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
-    two_race._check_score(n_b, n_t, 2 * n_b + 1)  # before any series is built
+    two_race._check_score(n_b, n_t)  # before any series is built
     # keyed by the score_offset each series records, so its rows label n_t
     gf = {1: series.middle_score_gf, 0: series.second_gf_expand}.get(n_t - n_b)
     if gf is None:
@@ -105,7 +105,9 @@ def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     return series.coefficient_to_distribution(gf(max(n_b, 2)), n_b)
 
 
-# --form -> (route, provenance); routes look up their function when called
+# --form -> (route, provenance); routes look up their function when called.
+# "two_race.p_stirling_form" names the Stirling form of P(m), not a function;
+# it is printed output, so the label stays byte for byte.
 _FORMS = {
     "exact": (lambda a: two_race.full_distribution(a.n_b, a.n_t), "two_race"),
     "stirling": (lambda a: two_race.stirling_form_distribution(a.n_b, a.n_t),

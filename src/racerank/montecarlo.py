@@ -470,17 +470,19 @@ def curve_sweep(
 ) -> list[CurvePoint]:
     """Monte Carlo sweep over scores with the normal-limit columns attached.
     Grid point k runs on substream k of the seed, so the whole table is
-    deterministic and the points are statistically independent."""
+    deterministic and the points are statistically independent.  Every score
+    is checked before the first point is simulated."""
+    grid = [int(n_t) for n_t in n_t_grid]
+    centered = [centered_score(n_t, n_b, n_r) for n_t in grid]
     rows = []
-    for idx, raw_n_t in enumerate(n_t_grid):
-        n_t = int(raw_n_t)
+    for idx, n_t in enumerate(grid):
         result = simulate(
             SimConfig(n_b=n_b, n_r=n_r, trials=trials, seed=seed, n_t=n_t, stream=idx)
         )
         rows.append(
             CurvePoint(
                 n_t=n_t,
-                centered=centered_score(n_t, n_b, n_r),
+                centered=centered[idx],
                 mean_theory=mean_final_rank(n_b, n_r, n_t),
                 mean_mc=result.mean,
                 var_theory=variance_final_rank(n_b, n_r, n_t),

@@ -137,13 +137,19 @@ def coefficient_to_distribution(
     The y exponent is the rank m itself; pass ``shifted=True`` for series
     written one y power low (the bare g, where y^k pairs with rank m = k+1).
     ``n_t`` defaults to the score the series stands for, n_b +
-    ``s.score_offset``, and any other label is refused.
+    ``s.score_offset``, and any other label is refused, as is a row whose
+    score no two-race fleet reaches (n_t < 2).
     """
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_b > s.order:
         raise ValueError(f"series truncated at x^{s.order}, cannot read x^{n_b}")
     score = n_b + s.score_offset
+    if score < 2:
+        raise ValueError(
+            f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
+            "below the lowest score 2"
+        )
     if n_t is not None and n_t != score:
         raise ValueError(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "

@@ -35,9 +35,7 @@ from .combinatorics import eulerian, factorial, stirling2
 
 __all__ = [
     "RankDistribution",
-    "p_exact",
     "p_middle",
-    "p_stirling_form",
     "full_distribution",
     "stirling_form_distribution",
     "reflect_distribution",
@@ -96,16 +94,11 @@ class RankDistribution:
 EXACT_N_B_BUDGET = 450
 
 
-def _check_rank(n_b: int, m: int) -> None:
-    if not 1 <= m <= n_b + 1:
-        raise ValueError(f"rank m must be in [1, {n_b + 1}], got {m}")
-
-
-def _check_score(n_b: int, n_t: int, top: int, what: str = "score n_t") -> None:
+def _check_score(n_b: int, n_t: int) -> None:
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 2 <= n_t <= top:
-        raise ValueError(f"{what} must be in [2, {top}], got {n_t}")
+    if not 2 <= n_t <= 2 * n_b + 1:
+        raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
 
 
 def _check_budget(n_b: int) -> None:
@@ -160,46 +153,16 @@ def _stirling_row(n_b: int, n_t: int) -> list[int]:
     return [-c if m % 2 else c for m, c in enumerate(q, start=1)] + [0] * (n_b + 1 - n_t)
 
 
-def p_exact(n_b: int, n_t: int, m: int) -> Fraction:
-    """P(final rank = m) from the alternating-sum closed form
-
-        (1 + n_b) * sum_{k=0}^{m-1} (-1)^k (1+n_b-n_t+m-k)^(n_t-1)
-                    (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!),
-
-    valid for 2 <= n_t <= n_b + 1 (:func:`full_distribution` covers the upper
-    half by reflection).  On that domain every factorial argument is >= 0, so
-    every summand is defined.  Evaluated as entry m of the whole row, in
-    integers over the one denominator n_b!.
-    """
-    _check_score(n_b, n_t, n_b + 1, "p_exact: n_t")
-    _check_rank(n_b, m)
-    return Fraction(_alternating_row(n_b, n_t)[m - 1], factorial(n_b))
-
-
 def p_middle(n_b: int, m: int) -> Fraction:
     """Middle-score (n_t = n_b + 1) rank probability: E(n_b, m-1) / n_b!.
     Zero at m = n_b + 1 (with the lowest scores taken, no competitor can be
     beaten by the whole fleet)."""
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
-    _check_rank(n_b, m)
+    if not 1 <= m <= n_b + 1:
+        raise ValueError(f"rank m must be in [1, {n_b + 1}], got {m}")
     _check_budget(n_b)
     return Fraction(eulerian(n_b, m - 1), factorial(n_b))
-
-
-def p_stirling_form(n_b: int, n_t: int, m: int) -> Fraction:
-    """P(final rank = m) rewritten through diagonal Stirling counts:
-
-        (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1)
-
-    with D(n_t, i) = S(n_t - 1, n_t - i) read from the cached
-    :func:`~racerank.combinatorics.stirling2` triangle.  Agrees with
-    :func:`p_exact` on the whole shared domain.  Evaluated as entry m of the
-    whole row, in integers over the one denominator n_b!.
-    """
-    _check_score(n_b, n_t, n_b + 1, "p_stirling_form: n_t")
-    _check_rank(n_b, m)
-    return Fraction(_stirling_row(n_b, n_t)[m - 1], factorial(n_b))
 
 
 # Shared by every zero entry of an assembled row, which then skips the gcd a
@@ -208,7 +171,7 @@ _ZERO = Fraction(0)
 
 
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
-    _check_score(n_b, n_t, 2 * n_b + 1)
+    _check_score(n_b, n_t)
     row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
     if n_t > n_b + 1:
         row.reverse()
@@ -220,14 +183,23 @@ def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
 
 def full_distribution(n_b: int, n_t: int) -> RankDistribution:
     """Exact final-rank distribution over m = 1..n_b+1 for any valid score
-    2 <= n_t <= 2 n_b + 1; the entries sum to exactly 1.  The lower half is
-    the alternating-sum row of :func:`p_exact`, built in one pass."""
+    2 <= n_t <= 2 n_b + 1; the entries sum to exactly 1 and ``.p(m)`` reads
+    one.  For n_t <= n_b + 1 (every factorial argument >= 0) it is the
+    alternating-sum form, the upper half its reflection:
+
+        P(m) = (1 + n_b) * sum_{k=0}^{m-1} (-1)^k (1+n_b-n_t+m-k)^(n_t-1)
+                           (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!)"""
     return _assemble(n_b, n_t, _alternating_row)
 
 
 def stirling_form_distribution(n_b: int, n_t: int) -> RankDistribution:
-    """Same distribution as :func:`full_distribution`, assembled from the row
-    of :func:`p_stirling_form` instead (an independent algebraic route)."""
+    """Same distribution as :func:`full_distribution`, from the independent
+    diagonal-Stirling rewrite of its lower half, n_t <= n_b + 1:
+
+        P(m) = (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1)
+
+    with D(n_t, i) = S(n_t - 1, n_t - i) read from the cached
+    :func:`~racerank.combinatorics.stirling2` triangle."""
     return _assemble(n_b, n_t, _stirling_row)
 
 

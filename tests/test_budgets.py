@@ -70,9 +70,7 @@ OVERSIZED = {
         lambda: racerank.eulerian_from_stirling(_ROW, _ROW // 2), _COMBINATORICS
     ),
     "stirling_binomial_sum": (lambda: racerank.stirling_binomial_sum(_ROW, 0), _COMBINATORICS),
-    "p_exact": (lambda: racerank.p_exact(_FLEET, 2, 1), _TWO_RACE),
     "p_middle": (lambda: racerank.p_middle(_FLEET, 1), _TWO_RACE),
-    "p_stirling_form": (lambda: racerank.p_stirling_form(_FLEET, 2, 1), _TWO_RACE),
     "full_distribution": (lambda: racerank.full_distribution(_FLEET, 2), _TWO_RACE),
     "stirling_form_distribution": (
         lambda: racerank.stirling_form_distribution(_FLEET, 2), _TWO_RACE

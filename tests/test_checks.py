@@ -132,7 +132,8 @@ ROWS = {
         ["binomial-weighted Stirling sum"],
     ),
     # a wrong triangle entry reaching the Stirling rows through the public
-    # p_stirling_form; the alternating sum and the enumeration still agree
+    # stirling_form_distribution; the alternating sum and the enumeration
+    # still agree
     "stirling_weight": (
         "alternating-sum form vs Stirling form",
         [(two_race, "stirling2")],
@@ -240,14 +241,11 @@ def _counting(monkeypatch, module, name):
 def test_forms_check_builds_each_row_pair_once(monkeypatch):
     alternating = _counting(monkeypatch, two_race, "_alternating_row")
     stirling = _counting(monkeypatch, two_race, "_stirling_row")
-    entry_routes = [
-        _counting(monkeypatch, two_race, name)
-        for name in ("p_exact", "p_stirling_form", "stirling_form_distribution")
-    ]
+    law = _counting(monkeypatch, two_race, "stirling_form_distribution")
     assert checks._forms_agree_ok(8)
     assert len(_FORMS_ROWS) == 36
     assert alternating == stirling == _FORMS_ROWS
-    assert not any(entry_routes)
+    assert not law
 
 
 def test_recurrence_check_counts_each_size_once(monkeypatch):

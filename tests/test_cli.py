@@ -446,6 +446,13 @@ def test_readme_command_line_parses(argv):
     _build_parser().parse_args(argv[1:])
 
 
+def test_readme_library_example_runs():
+    # run, not parsed: a name the package no longer exports fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_dist_has_no_enumeration_cap(capsys):
     with pytest.raises(SystemExit):
         run_cli(capsys, "dist", "3", "4", "--form", "bruteforce", "--cap", "10")

@@ -477,6 +477,15 @@ def test_grid_budget_trips_before_linspace(monkeypatch):
         middle_band_grid(200, 30, points=22)
 
 
+def test_curve_sweep_checks_every_score_before_simulating(monkeypatch):
+    def unreachable(config):
+        raise AssertionError("a grid point was simulated before the scores were checked")
+
+    monkeypatch.setattr(mc, "simulate", unreachable)
+    with pytest.raises(ValueError, match=r"^score must be in \[2, 6\], got 100$"):
+        curve_sweep(3, 2, [4, 100], 2_000_000, 1)
+
+
 def test_curve_sweep_deterministic_and_sane():
     grid = middle_band_grid(21, 4, points=7)
     rows1 = curve_sweep(21, 4, grid, trials=3000, seed=SEED)

@@ -38,9 +38,7 @@ PUBLIC_NAMES = [
     "middle_band_grid",
     "middle_score_gf",
     "normal_cdf",
-    "p_exact",
     "p_middle",
-    "p_stirling_form",
     "rank_moments_theory",
     "reflect_distribution",
     "second_gf_expand",

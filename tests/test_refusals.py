@@ -18,6 +18,7 @@ from racerank import (
     p_middle,
     rank_moments_theory,
     reflect_distribution,
+    second_gf_expand,
     stirling2,
     stirling_binomial_sum,
     stirling_triangle,
@@ -94,6 +95,11 @@ REFUSALS = {
     ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
+    ),
+    # row 1 of the below-middle series stands for n_t = 1, which no fleet scores
+    "coefficient_to_distribution score": (
+        lambda: coefficient_to_distribution(second_gf_expand(3), 1),
+        "the series' rows stand for n_t = n_b + 0 = 1, below the lowest score 2",
     ),
     "p_middle": (lambda: p_middle(0, 1), "n_b must be >= 1, got 0"),
     "reflect_distribution": (

@@ -20,9 +20,7 @@ from racerank.two_race import (
     RankDistribution,
     distribution_moments,
     full_distribution,
-    p_exact,
     p_middle,
-    p_stirling_form,
     reflect_distribution,
     stirling_form_distribution,
 )
@@ -40,34 +38,33 @@ def brute_distribution(n_b, n_t):
 
 
 def test_p_exact_examples():
-    assert p_exact(3, 3, 1) == Fraction(2, 3)  # == brute force over S_3
-    assert p_exact(3, 4, 2) == Fraction(2, 3)  # Eulerian row {1,4,1} / 3!
+    # P(m) of the alternating-sum form, read from its law
+    assert full_distribution(3, 3).p(1) == Fraction(2, 3)  # == brute force over S_3
+    assert full_distribution(3, 4).p(2) == Fraction(2, 3)  # Eulerian row {1,4,1} / 3!
     for n_b in (1, 2, 5, 9):
-        assert p_exact(n_b, 2, 1) == 1
+        assert full_distribution(n_b, 2).p(1) == 1
 
 
 def test_p_exact_matches_brute_force():
     for n_b in range(1, 7):
         for n_t in range(2, n_b + 2):
-            expected = brute_distribution(n_b, n_t)
-            for m in range(1, n_b + 2):
-                assert p_exact(n_b, n_t, m) == expected[m - 1]
+            assert full_distribution(n_b, n_t).probs == brute_distribution(n_b, n_t)
 
 
 def test_p_exact_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        p_exact(3, 5, 1)  # upper range: full_distribution reflects
-    with pytest.raises(ValueError):
-        p_exact(3, 1, 1)
-    with pytest.raises(ValueError):
-        p_exact(3, 3, 5)
+    with pytest.raises(ValueError, match=r"^score n_t must be in \[2, 7\], got 1$"):
+        full_distribution(3, 1)
+    with pytest.raises(ValueError, match=r"^rank m must be in \[1, 4\], got 5$"):
+        full_distribution(3, 3).p(5)
+    with pytest.raises(ValueError, match=r"^rank m must be in \[1, 4\], got 0$"):
+        p_middle(3, 0)
 
 
 def test_upper_half_reflection():
     assert full_distribution(3, 7).p(4) == 1  # highest score -> always last
     for m in range(1, 5):
-        assert full_distribution(3, 5).p(m) == p_exact(3, 4, 5 - m)
-    assert full_distribution(4, 6).p(3) == p_exact(4, 5, 3)
+        assert full_distribution(3, 5).p(m) == full_distribution(3, 4).p(5 - m)
+    assert full_distribution(4, 6).p(3) == full_distribution(4, 5).p(3)
     # both sides against brute force
     expected = brute_distribution(4, 6)
     for m in range(1, 6):
@@ -99,10 +96,11 @@ def test_middle_score_alternating_sum_specialization():
 
 
 def test_p_stirling_form_examples():
-    assert p_stirling_form(3, 3, 1) == Fraction(2, 3)  # (6 - 2) / 6
-    assert p_stirling_form(3, 4, 2) == Fraction(2, 3)
+    # P(m) of the diagonal-Stirling form, read from its law
+    assert stirling_form_distribution(3, 3).p(1) == Fraction(2, 3)  # (6 - 2) / 6
+    assert stirling_form_distribution(3, 4).p(2) == Fraction(2, 3)
     for n_b in (1, 2, 5):
-        assert p_stirling_form(n_b, 2, 1) == 1
+        assert stirling_form_distribution(n_b, 2).p(1) == 1
 
 
 def _assert_rows_match_reference(n_b, n_t):
@@ -122,8 +120,9 @@ def _assert_rows_match_reference(n_b, n_t):
 def test_rows_equal_term_by_term_reference(case):
     n_b, n_t, m = case
     _assert_rows_match_reference(n_b, n_t)
-    assert p_exact(n_b, n_t, m) == p_exact_terms(n_b, n_t, m)
-    assert p_stirling_form(n_b, n_t, m) == p_stirling_terms(n_b, n_t, m)
+    # the mirrored upper-half entry is the reference's lower-half entry
+    mirror = full_distribution(n_b, 2 * n_b + 3 - n_t)
+    assert mirror.p(n_b + 2 - m) == p_exact_terms(n_b, n_t, m)
 
 
 @pytest.mark.parametrize("n_t", [2, 3, 31, 60, 61])
@@ -175,8 +174,7 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
         lambda: full_distribution(n_b, 2),
         lambda: full_distribution(n_b, 2 * n_b + 1),  # upper half, via reflection
         lambda: stirling_form_distribution(n_b, n_b + 1),
-        lambda: p_exact(n_b, 10, 3),
-        lambda: p_stirling_form(n_b, 10, 3),
+        lambda: stirling_form_distribution(n_b, 2 * n_b),  # upper half, via reflection
         lambda: p_middle(n_b, 1),
     ]
     for call in calls:
