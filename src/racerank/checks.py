@@ -89,11 +89,11 @@ def _oracle_agrees_ok(n_b_max: int) -> bool:
 
 def _excedance_ok(n_max: int) -> bool:
     # the excedance statistic #{i : a(i) <= n - i} is the number of boats a
-    # middle-score (n + 1) competitor loses to, so m - 1 carries its histogram
+    # middle-score (n + 1) competitor loses to, so m - 1 carries its histogram;
+    # the Eulerian row starts with 1, so the law's reduced counts are that row
     for n in range(1, n_max + 1):
         dist = lattice_oracle.brute_force_two_race(n, n + 1)
-        counts = [p * combinatorics.factorial(n) for p in dist.probs]
-        if counts != combinatorics.eulerian_triangle(n)[-1] + [0]:
+        if list(dist.counts) != combinatorics.eulerian_triangle(n)[-1] + [0]:
             return False
     return True
 

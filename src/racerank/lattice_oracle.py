@@ -25,7 +25,8 @@ width - k values by ``itertools.permutations``.  Over the sorted values
 left to the table, boat j's value is below its limit exactly when its
 position is below ``searchsorted(values, limit)``, so one comparison with
 the table counts the beaten boats of every order, for a batch of heads at
-once, and ``bincount`` tallies them into exact int64 counts.
+once, and ``bincount`` tallies them into exact int64 counts.  A law is
+handed over as those counts over the number of configurations visited.
 
 Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
 is called and is refused before any permutation or placement is generated.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -130,8 +130,7 @@ def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
         raise ValueError(f"tracked ranks must lie in [1, {n_b}], got {tuple(ranks)}")
     leftovers = [[v for v in range(1, n_b + 1) if v != r] for r in ranks]
     score = sum(ranks)
-    probs = _rank_law([0] * (n_b - 1), leftovers, score)
-    return RankDistribution(n_b, score, probs)
+    return RankDistribution(n_b, score, *_rank_law([0] * (n_b - 1), leftovers, score))
 
 
 def _score_law(n_b: int, n_r: int, n_t: int) -> RankDistribution:
@@ -142,8 +141,7 @@ def _score_law(n_b: int, n_r: int, n_t: int) -> RankDistribution:
     if not n_r <= n_t <= n_r * n_b + 1:
         raise ValueError(f"score n_t must be in [{n_r}, {n_r * n_b + 1}], got {n_t}")
     values = range(1, n_b + 1)
-    probs = _rank_law(values, [values] * (n_r - 1), n_t)
-    return RankDistribution(n_b, n_t, probs)
+    return RankDistribution(n_b, n_t, *_rank_law(values, [values] * (n_r - 1), n_t))
 
 
 def _check_enumeration(size: int, races: int) -> None:
@@ -185,10 +183,11 @@ def _orders(k: int) -> np.ndarray:
 
 def _rank_law(
     fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int
-) -> tuple[Fraction, ...]:
-    """P(m = k + 1) for k = 0..len(fixed) under the module's enumeration
-    rule: boat j scores fixed[j] plus its value in each of ``races``, which
-    all hold len(fixed) values.
+) -> tuple[list[int], int]:
+    """(counts, need): counts[k] of the ``need`` configurations give
+    m = k + 1, k = 0..len(fixed), under the module's enumeration rule: boat
+    j scores fixed[j] plus its value in each of ``races``, which all hold
+    len(fixed) values.
 
     Head races are walked by ``itertools.product`` and their limits read
     in batches.  The last race deals its first width - ``ORDER_TABLE_WIDTH``
@@ -200,7 +199,7 @@ def _rank_law(
     if not races or not fixed:
         # one configuration: no race is dealt, or it deals no values
         beaten = sum(part < threshold for part in fixed)
-        return tuple(Fraction(int(k == beaten)) for k in range(len(fixed) + 1))
+        return [int(k == beaten) for k in range(len(fixed) + 1)], 1
     *heads, last = races
     n = len(fixed)
     need = math.prod(math.factorial(len(race)) for race in races)
@@ -227,4 +226,4 @@ def _rank_law(
             below = np.searchsorted(rest, block[:, cut:]).astype(np.int8)
             beaten = (table < below[:, :, None]).sum(axis=1, dtype=np.int8)
             counts += np.bincount((beaten + own[:, None]).ravel(), minlength=n + 1)
-    return tuple(Fraction(c, need) for c in counts.tolist())
+    return counts.tolist(), need

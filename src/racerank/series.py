@@ -15,8 +15,9 @@ denominator row y^n - y, the division reads
 Dividing by 1 - y is a running sum; the quotients are genuine polynomials, so
 a remainder raises :class:`ExactDivisionError`.  n! [x^n] integral(g) is
 q_(n-1), so all three series come from one set of rows, and a
-:class:`SeriesX` holds those integer rows as built.  Only
-:func:`coefficient_to_distribution` divides by n!, for the one row it reads.
+:class:`SeriesX` holds those integer rows as built.
+:func:`coefficient_to_distribution` hands one row over to a
+:class:`~racerank.two_race.RankDistribution` as counts over n!.
 Only the builders check ``SERIES_ORDER_BUDGET``: a :class:`SeriesX` holds the
 rows it is given and pads nothing.
 """
@@ -24,7 +25,6 @@ rows it is given and pads nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 
@@ -65,10 +65,13 @@ class SeriesX:
     past the end of a row are 0.
 
     ``score_offset`` records the score a rank-generating series' rows stand
-    for, as n_t - n_b (1 for the middle score, 0 for one below it)."""
+    for, as n_t - n_b (1 for the middle score, 0 for one below it), and
+    ``rank_one_power`` the power of y that holds rank 1 (0 for the bare g,
+    1 for the two rank-generating series)."""
 
     rows: list[list[int]]
     score_offset: int
+    rank_one_power: int
 
     @property
     def order(self) -> int:
@@ -104,13 +107,13 @@ def _eulerian_rows(order: int) -> list[list[int]]:
 def eulerian_gf(order: int) -> SeriesX:
     """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); row n is the order-n
     Eulerian polynomial in y."""
-    return SeriesX(_eulerian_rows(order), 1)
+    return SeriesX(_eulerian_rows(order), 1, 0)
 
 
 def middle_score_gf(order: int) -> SeriesX:
     """y * g(x, y): the x^n, y^m coefficient is P(final rank m) for n boats
     and the middle score n + 1."""
-    return SeriesX([[0] + q for q in _eulerian_rows(order)], 1)
+    return SeriesX([[0] + q for q in _eulerian_rows(order)], 1, 1)
 
 
 def second_gf_expand(order: int) -> SeriesX:
@@ -125,7 +128,7 @@ def second_gf_expand(order: int) -> SeriesX:
         for n in range(1, order + 1)
     ]
     rows[1][0] -= 1
-    return SeriesX(rows, 0)
+    return SeriesX(rows, 0, 1)
 
 
 def coefficient_to_distribution(
@@ -138,7 +141,8 @@ def coefficient_to_distribution(
     written one y power low (the bare g, where y^k pairs with rank m = k+1).
     ``n_t`` defaults to the score the series stands for, n_b +
     ``s.score_offset``, and any other label is refused, as is a row whose
-    score no two-race fleet reaches (n_t < 2).
+    score no two-race fleet reaches (n_t < 2) and a ``shifted`` that
+    disagrees with ``s.rank_one_power``.
     """
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
@@ -155,8 +159,9 @@ def coefficient_to_distribution(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
             f"got n_t = {n_t}"
         )
-    first = 0 if shifted else 1
+    first = s.rank_one_power
+    if shifted != (first == 0):
+        raise ValueError(f"the series' rows hold rank 1 at y^{first}, got shifted={shifted}")
     counts = s.rows[n_b][first : first + n_b + 1]
     counts += [0] * (n_b + 1 - len(counts))
-    total = factorial(n_b)
-    return RankDistribution(n_b, score, tuple(Fraction(c, total) for c in counts))
+    return RankDistribution(n_b, score, counts, factorial(n_b))

@@ -13,22 +13,22 @@ reflection n_t -> 2 n_b + 3 - n_t, m -> n_b + 2 - m covers the upper half.
 Each closed form is evaluated one whole row at a time: the numerators
 n_b! * P(m), m = 1..n_b+1, are built as Python ints over the single
 denominator n_b!, an upper-half score reverses the row of its lower-half
-mirror, and each entry becomes one ``Fraction`` at the end.  A lower-half
-score can beat at most n_t - 2 boats (k beaten boats hold distinct ranks in
-each race, so their scores sum to at least k(k+1) and at most k(n_t - 1)),
-so P(m) = 0 for m >= n_t and each row computes only its band m < n_t: zeros
-past m = n_t - 1, O(n_b n_t) big-integer additions for the alternating row
-(one list of n_t - 1 entries differenced n_b + 1 times), O(n_t^2) for the
-Stirling row (a polynomial in (1 + y) expanded by Horner's rule), and no
-binomial coefficient.  The zero entries share one ``Fraction``.  Rows are
-refused above ``EXACT_N_B_BUDGET`` boats before any term is computed.
+mirror, and the row is handed to :class:`RankDistribution` as built.  A
+lower-half score can beat at most n_t - 2 boats (k beaten boats hold
+distinct ranks in each race, so their scores sum to at least k(k+1) and at
+most k(n_t - 1)), so P(m) = 0 for m >= n_t and each row computes only its
+band m < n_t: zeros past m = n_t - 1, O(n_b n_t) big-integer additions for
+the alternating row (one list of n_t - 1 entries differenced n_b + 1
+times), O(n_t^2) for the Stirling row (a polynomial in (1 + y) expanded by
+Horner's rule), and no binomial coefficient.  Rows are refused above
+``EXACT_N_B_BUDGET`` boats before any term is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 
 from .combinatorics import eulerian, factorial, stirling2
@@ -38,48 +38,59 @@ __all__ = [
     "p_middle",
     "full_distribution",
     "stirling_form_distribution",
-    "reflect_distribution",
     "distribution_moments",
 ]
 
 @dataclass(frozen=True)
 class RankDistribution:
-    """Exact distribution of a final rank; probs[m - 1] = P(rank = m).
+    """Exact distribution of a final rank; P(rank = m) = counts[m - 1] / total.
 
-    Virtual-competitor distributions run over m = 1..n_b + 1;
-    tracked-boat distributions (composition mode) over m = 1..n_b.
-    n_t records the score the distribution was computed for.
+    Virtual-competitor distributions run over m = 1..n_b + 1, tracked-boat
+    ones (composition mode) over m = 1..n_b; n_t is the score it is for.
+    Int or ``Fraction`` counts are scaled by the lcm of their denominators,
+    checked, and reduced with ``total`` by their gcd, so each law has one
+    representation and equal laws compare and hash equal.
     """
 
     n_b: int
     n_t: int
-    probs: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    total: int = 1
 
     def __post_init__(self) -> None:
+        total = self.total
+        if not isinstance(total, int):
+            raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
+        if total < 1:
+            raise ValueError(f"RankDistribution: total must be positive, got {total}")
         try:
-            numerators = [p.numerator for p in self.probs]
-            denominators = [p.denominator for p in self.probs]
+            scale = lcm(*(c.denominator for c in self.counts))
         except AttributeError:
-            bad = next(
-                p for p in self.probs
-                if not (hasattr(p, "numerator") and hasattr(p, "denominator"))
-            )
+            bad = next(c for c in self.counts if not hasattr(c, "denominator"))
             raise TypeError(
                 "RankDistribution: probabilities must be exact rationals "
                 f"(int or Fraction), got {type(bad).__name__}"
             ) from None
-        if any(a < 0 for a in numerators):
+        counts = [c.numerator * (scale // c.denominator) for c in self.counts]
+        total *= scale
+        if any(c < 0 for c in counts):
             raise ValueError("RankDistribution: negative probability")
-        # summed as integers over the entries' least common denominator
-        denominator = lcm(*denominators)
-        if sum(a * (denominator // d) for a, d in zip(numerators, denominators)) != denominator:
+        if sum(counts) != total:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
+        g = gcd(total, *counts)
+        object.__setattr__(self, "counts", tuple(c // g for c in counts))
+        object.__setattr__(self, "total", total // g)
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """P(rank = m) for every m, as reduced ``Fraction``s."""
+        return tuple(Fraction(c, self.total) for c in self.counts)
 
     def p(self, m: int) -> Fraction:
         """P(final rank = m), 1-based."""
-        if not 1 <= m <= len(self.probs):
-            raise ValueError(f"rank m must be in [1, {len(self.probs)}], got {m}")
-        return self.probs[m - 1]
+        if not 1 <= m <= len(self.counts):
+            raise ValueError(f"rank m must be in [1, {len(self.counts)}], got {m}")
+        return Fraction(self.counts[m - 1], self.total)
 
 
 # Largest fleet the closed-form rows and p_middle evaluate; larger n_b is
@@ -165,20 +176,12 @@ def p_middle(n_b: int, m: int) -> Fraction:
     return Fraction(eulerian(n_b, m - 1), factorial(n_b))
 
 
-# Shared by every zero entry of an assembled row, which then skips the gcd a
-# fresh Fraction(0, n_b!) would pay.
-_ZERO = Fraction(0)
-
-
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
     _check_score(n_b, n_t)
     row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
     if n_t > n_b + 1:
         row.reverse()
-    denominator = factorial(n_b)
-    return RankDistribution(
-        n_b, n_t, tuple(Fraction(c, denominator) if c else _ZERO for c in row)
-    )
+    return RankDistribution(n_b, n_t, row, factorial(n_b))
 
 
 def full_distribution(n_b: int, n_t: int) -> RankDistribution:
@@ -203,17 +206,8 @@ def stirling_form_distribution(n_b: int, n_t: int) -> RankDistribution:
     return _assemble(n_b, n_t, _stirling_row)
 
 
-def reflect_distribution(d: RankDistribution) -> RankDistribution:
-    """Reflection n_t -> 2 n_b + 3 - n_t, m -> n_b + 2 - m; an involution on
-    the family of virtual-competitor distributions."""
-    if len(d.probs) != d.n_b + 1:
-        raise ValueError("reflection is defined for virtual-competitor distributions")
-    return RankDistribution(d.n_b, 2 * d.n_b + 3 - d.n_t, tuple(reversed(d.probs)))
-
-
 def distribution_moments(d: RankDistribution) -> tuple[Fraction, Fraction]:
-    """Exact (mean, variance) of the final rank."""
-    mean = sum((p * m for m, p in enumerate(d.probs, start=1)), Fraction(0))
-    second = sum((p * m * m for m, p in enumerate(d.probs, start=1)), Fraction(0))
-    return mean, second - mean * mean
-
+    """Exact (mean, variance) of the final rank: integer sums, divided once."""
+    first = sum(m * c for m, c in enumerate(d.counts, start=1))
+    second = sum(m * m * c for m, c in enumerate(d.counts, start=1))
+    return Fraction(first, d.total), Fraction(second * d.total - first * first, d.total**2)

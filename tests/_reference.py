@@ -21,6 +21,10 @@ require the two evaluations to give equal integers at sizes up to the
 exact-row budget, where the term-by-term ``Fraction`` references are too
 slow.
 
+``moments_by_fraction_sums`` is the earlier evaluation of
+``racerank.two_race.distribution_moments``: one ``Fraction`` term per rank,
+where the library sums integer counts and divides once.
+
 ``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
 paper's printed tables, as the integer rows n! [x^n] that a
 ``racerank.series.SeriesX`` holds.
@@ -145,3 +149,11 @@ def stirling_row_by_binomial_sums(n_b: int, n_t: int) -> list[int]:
         (-1) ** m * sum(signed_weights[i - 1] * comb(i - 1, m - 1) for i in range(m, n_t))
         for m in range(1, n_b + 2)
     ]
+
+
+def moments_by_fraction_sums(probs) -> tuple[Fraction, Fraction]:
+    """(mean, variance) of a rank law given as P(m) for m = 1, 2, ..., summed
+    one Fraction term at a time."""
+    mean = sum((p * m for m, p in enumerate(probs, start=1)), Fraction(0))
+    second = sum((p * m * m for m, p in enumerate(probs, start=1)), Fraction(0))
+    return mean, second - mean * mean

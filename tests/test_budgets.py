@@ -114,9 +114,8 @@ NO_SIZE = {
     "RankMomentsEstimate": "a record of given numbers",
     "SimResult": "a record of given numbers",
     "SeriesX": "holds the rows it is given",
-    "RankDistribution": "checks the probabilities it is given",
+    "RankDistribution": "checks the counts it is given",
     "distribution_moments": "one pass over a given distribution",
-    "reflect_distribution": "one pass over a given distribution",
     "coefficient_to_distribution": "reads one coefficient of a series already built",
 }
 

@@ -37,7 +37,7 @@ def _reversed_at(n_b, n_t):
         def wrong(*args, **kwargs):
             d = real(*args, **kwargs)
             if (d.n_b, d.n_t) == (n_b, n_t):
-                return RankDistribution(n_b, n_t, d.probs[::-1])
+                return RankDistribution(n_b, n_t, d.counts[::-1], d.total)
             return d
 
         return wrong

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "normal_cdf",
     "p_middle",
     "rank_moments_theory",
-    "reflect_distribution",
     "second_gf_expand",
     "simulate",
     "stirling2",

@@ -15,9 +15,9 @@ from racerank import (
     eulerian_triangle,
     factorial,
     middle_band_grid,
+    middle_score_gf,
     p_middle,
     rank_moments_theory,
-    reflect_distribution,
     second_gf_expand,
     stirling2,
     stirling_binomial_sum,
@@ -101,11 +101,21 @@ REFUSALS = {
         lambda: coefficient_to_distribution(second_gf_expand(3), 1),
         "the series' rows stand for n_t = n_b + 0 = 1, below the lowest score 2",
     ),
-    "p_middle": (lambda: p_middle(0, 1), "n_b must be >= 1, got 0"),
-    "reflect_distribution": (
-        lambda: reflect_distribution(brute_force_composition(3, (1, 2))),
-        "reflection is defined for virtual-competitor distributions",
+    # a shifted read of y * g came back as (0, 1/6, 2/3, 1/6) for n_t = 4
+    "coefficient_to_distribution shifted": (
+        lambda: coefficient_to_distribution(middle_score_gf(5), 3, shifted=True),
+        "the series' rows hold rank 1 at y^1, got shifted=True",
     ),
+    "coefficient_to_distribution second shifted": (
+        lambda: coefficient_to_distribution(second_gf_expand(5), 3, shifted=True),
+        "the series' rows hold rank 1 at y^1, got shifted=True",
+    ),
+    # an unshifted read of g failed as "probabilities must sum to exactly 1"
+    "coefficient_to_distribution unshifted": (
+        lambda: coefficient_to_distribution(eulerian_gf(5), 3),
+        "the series' rows hold rank 1 at y^0, got shifted=False",
+    ),
+    "p_middle": (lambda: p_middle(0, 1), "n_b must be >= 1, got 0"),
     "checks.run": (lambda: checks.run("slow"), "level must be 'quick' or 'full', got 'slow'"),
 }
 

@@ -110,6 +110,7 @@ def test_coefficient_to_distribution_refuses_a_foreign_score():
     with pytest.raises(ValueError, match="n_t = n_b \\+ 0 = 3, got n_t = 4"):
         coefficient_to_distribution(h, 3, n_t=4)
     assert (eulerian_gf(5).score_offset, yg.score_offset, h.score_offset) == (1, 1, 0)
+    assert (eulerian_gf(5).rank_one_power, yg.rank_one_power, h.rank_one_power) == (0, 1, 1)
 
 
 def test_coefficient_to_distribution_shifted_flag():

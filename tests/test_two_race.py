@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +9,20 @@ from hypothesis import strategies as st
 
 from _reference import (
     alternating_row_by_convolution,
+    moments_by_fraction_sums,
     p_exact_terms,
     p_stirling_terms,
     stirling_row_by_binomial_sums,
 )
 from racerank import two_race
 from racerank.combinatorics import factorial
-from racerank.lattice_oracle import brute_force_two_race
+from racerank.lattice_oracle import brute_force_score, brute_force_two_race
 from racerank.two_race import (
     EXACT_N_B_BUDGET,
     RankDistribution,
     distribution_moments,
     full_distribution,
     p_middle,
-    reflect_distribution,
     stirling_form_distribution,
 )
 
@@ -206,11 +207,7 @@ def test_upper_half_builds_one_distribution(monkeypatch, route):
             built.append(self.n_t)
             super().__post_init__()
 
-    def unreachable(d):
-        raise AssertionError("the upper half reflected a whole distribution")
-
     monkeypatch.setattr(two_race, "RankDistribution", Counted)
-    monkeypatch.setattr(two_race, "reflect_distribution", unreachable)
     d = route(5, 8)
     assert built == [8]
     assert d.probs == tuple(reversed(full_distribution(5, 5).probs))
@@ -257,29 +254,53 @@ def test_stirling_form_distribution_agrees():
             assert stirling_form_distribution(n_b, n_t) == full_distribution(n_b, n_t)
 
 
+def _assert_reflects(d):
+    """The law at the mirror score 2 n_b + 3 - n_t holds d's counts reversed."""
+    mirror = full_distribution(d.n_b, 2 * d.n_b + 3 - d.n_t)
+    assert (d.counts[::-1], d.total) == (mirror.counts, mirror.total)
+
+
 def test_reflection_involution():
+    # every score and its mirror, so reflecting twice returns each law
     for n_b in range(1, 7):
         for n_t in range(2, 2 * n_b + 2):
-            d = full_distribution(n_b, n_t)
-            r = reflect_distribution(d)
-            assert r == full_distribution(n_b, r.n_t)
-            assert reflect_distribution(r) == d
+            _assert_reflects(full_distribution(n_b, n_t))
+
+
+def _assert_one_representation(n_b, k):
+    """At every score of n_b, each route's law and the law rebuilt from its
+    Fractions or from counts scaled by k are one value: equal, equally
+    hashed, with identical reduced int counts and total."""
+    for n_t in range(2, 2 * n_b + 2):
+        d = full_distribution(n_b, n_t)
+        assert gcd(d.total, *d.counts) == 1
+        for law in (
+            stirling_form_distribution(n_b, n_t),
+            brute_force_two_race(n_b, n_t),
+            brute_force_score(n_b, 2, n_t),
+            RankDistribution(n_b, n_t, d.probs),
+            RankDistribution(n_b, n_t, [k * c for c in d.counts], k * d.total),
+        ):
+            assert law == d and hash(law) == hash(d)
+            assert (law.counts, law.total) == (d.counts, d.total)
+            assert all(type(c) is int for c in law.counts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 30).flatmap(
         lambda n_b: st.tuples(st.just(n_b), st.integers(2, 2 * n_b + 1))
-    )
+    ),
+    st.integers(1, 7),
+    st.integers(2, 10**30),
 )
-def test_exact_route_properties(case):
+def test_exact_route_properties(case, small_n_b, k):
     n_b, n_t = case
     d = full_distribution(n_b, n_t)
     assert len(d.probs) == n_b + 1 and sum(d.probs) == 1
-    r = reflect_distribution(d)
-    assert r == full_distribution(n_b, r.n_t)
-    assert reflect_distribution(r) == d
+    _assert_reflects(d)
     assert stirling_form_distribution(n_b, n_t) == d
+    _assert_one_representation(small_n_b, k)
     if n_t < 2 * n_b + 1:
         # a higher score never makes a better rank more likely
         higher = full_distribution(n_b, n_t + 1)
@@ -298,6 +319,9 @@ def test_distribution_moments():
     for n_b in (1, 3, 5):
         mean, var = distribution_moments(full_distribution(n_b, 2))
         assert mean == 1 and var == 0
+    for n_t in range(2, 122):
+        d = full_distribution(60, n_t)
+        assert distribution_moments(d) == moments_by_fraction_sums(d.probs)
 
 
 def test_rank_distribution_validation():
@@ -316,6 +340,22 @@ def test_rank_distribution_validation():
     assert row[20] > 0
     with pytest.raises(ValueError, match="sum to exactly 1"):
         RankDistribution(60, 40, tuple(row))
+    # its integer twin: one count lowered by 1 under the law's own total
+    d = full_distribution(60, 40)
+    counts = list(d.counts)
+    counts[20] -= 1
+    assert counts[20] > 0
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        RankDistribution(60, 40, tuple(counts), d.total)
+    with pytest.raises(ValueError, match="negative probability"):
+        RankDistribution(1, 2, (7, -1), 6)
+    # the total is refused before any count is scaled
+    for total in (0, -6):
+        with pytest.raises(ValueError, match=rf"^RankDistribution: total must be positive, got {total}$"):
+            RankDistribution(1, 2, (0, 0), total)
+    for total, name in [(6.0, "float"), (Fraction(6), "Fraction"), ("6", "str"), (None, "NoneType")]:
+        with pytest.raises(TypeError, match=rf"^RankDistribution: total must be an int, got {name}$"):
+            RankDistribution(1, 2, (1, 5), total)
     d = full_distribution(3, 4)
     assert d.p(2) == Fraction(2, 3)
     with pytest.raises(ValueError):
