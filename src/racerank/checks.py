@@ -100,29 +100,25 @@ def _excedance_ok(n_max: int) -> bool:
 
 def _lattice_counts_ok(n_t_max: int) -> bool:
     for n_t in range(2, n_t_max + 1):
-        n_b = n_t - 1
         for i in range(n_t - 1):
-            if lattice_oracle.count_compatible_subsets(n_b, n_t, i) != combinatorics.stirling_diagonal(n_t, i + 1):
+            if lattice_oracle.count_compatible_subsets(n_t, i) != combinatorics.stirling_diagonal(n_t, i + 1):
                 return False
     return True
 
 
 def _lattice_recurrence_ok(n_t_max: int) -> bool:
-    # each (n_t, i) is counted once per call, though both sides read it
-    @functools.cache
-    def count(n_t: int, i: int) -> int:
-        return lattice_oracle.count_compatible_subsets(n_t, n_t + 1, i)
-
+    # each (staircase, size) is counted once per call, though both sides read it
+    count = functools.cache(lattice_oracle.count_compatible_subsets)
     for n_t in range(2, n_t_max + 1):
         for i in range(n_t - 1):
             rhs = sum(
-                count(n_t - kp - 1, i - kp) * combinatorics.binomial(n_t - 1, kp)
+                count(n_t - kp, i - kp) * combinatorics.binomial(n_t - 1, kp)
                 for kp in range(i + 1)
                 if n_t - kp >= 2
             )
-            if count(n_t, i) != rhs:
+            if count(n_t + 1, i) != rhs:
                 return False
-        if count(n_t, n_t - 1) != 1:
+        if count(n_t + 1, n_t - 1) != 1:
             return False
     return True
 

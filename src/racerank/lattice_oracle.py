@@ -20,8 +20,9 @@ Every configuration is visited, but only the head races (all but the last)
 are walked one order at a time, by ``itertools.product`` over their
 permutations.  The last race is scored in numpy: its orders are the columns
 of one cached int8 table of all k! orders of k positions, k <=
-``ORDER_TABLE_WIDTH``, and a wider last race first deals its leading
-width - k values by ``itertools.permutations``.  Over the sorted values
+``ORDER_TABLE_WIDTH``, read from ``itertools.permutations(range(k))``, and a
+wider last race first deals its leading width - k boats every ordered
+choice of its values by ``itertools.permutations``.  Over the sorted values
 left to the table, boat j's value is below its limit exactly when its
 position is below ``searchsorted(values, limit)``, so one comparison with
 the table counts the beaten boats of every order, for a batch of heads at
@@ -30,6 +31,8 @@ handed over as those counts over the number of configurations visited.
 
 Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
 is called and is refused before any permutation or placement is generated.
+Sizes, scores and ranks are read through ``operator.index``, so a float is
+refused rather than truncated.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -61,27 +65,20 @@ ORDER_TABLE_WIDTH = 7
 BATCH_CELLS = 2**16
 
 
-def count_compatible_subsets(n_b: int, n_t: int, size: int) -> int:
-    """Number of ``size``-element sets of below-diagonal points that share no
-    row and no column (partial non-attacking rook placements).  The empty
-    placement counts once by convention.
+def count_compatible_subsets(n_t: int, size: int) -> int:
+    """Number of ``size``-element sets of points x, y >= 1 under the staircase
+    x + y < n_t that share no row and no column (partial non-attacking rook
+    placements).  The empty placement counts once by convention.
 
-    Requires n_t <= n_b + 1 so the staircase of points is not clipped by the
-    lattice edge: row x then holds the columns 1..n_t - 1 - x.  Counts by
-    backtracking over the rows, shortest first, straight from that rule; no
-    closed form is consulted, keeping this an independent check of
-    ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the
-    row lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a
-    bound above ``DEFAULT_BUDGET`` is refused before any row is built.
+    n_t alone defines the staircase: row x holds the columns 1..n_t - 1 - x.
+    Counts by backtracking over the rows, shortest first, straight from that
+    rule; no closed form is consulted, keeping this an independent check of
+    ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the row
+    lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a bound
+    above ``DEFAULT_BUDGET`` is refused before any row is built.
     """
-    if n_t > n_b + 1:
-        raise ValueError(
-            f"need n_t <= n_b + 1 for an unclipped point set; got n_t={n_t}, n_b={n_b}"
-        )
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")
     _check_enumeration(n_t - 1, 1)
@@ -122,6 +119,8 @@ def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
     """Exact final-rank distribution, over 1..n_b, of a real tracked boat
     whose per-race ranks are fixed, by composition-mode enumeration
     (((n_b - 1)!)^n_r configurations, refused above ``DEFAULT_BUDGET``)."""
+    n_b = operator.index(n_b)
+    ranks = [operator.index(r) for r in ranks]
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if len(ranks) < 1:
@@ -134,6 +133,7 @@ def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
 
 
 def _score_law(n_b: int, n_r: int, n_t: int) -> RankDistribution:
+    n_b, n_r, n_t = map(operator.index, (n_b, n_r, n_t))
     if n_r < 1:
         raise ValueError(f"n_r must be >= 1, got {n_r}")
     if n_b < 1:
@@ -163,20 +163,13 @@ def _check_enumeration(size: int, races: int) -> None:
 
 @functools.cache
 def _orders(k: int) -> np.ndarray:
-    """All k! orders of range(k) as the int8 columns of a k x k! table,
-    built by inserting value j at each of the j + 1 places of every order
-    of range(j).  Row j holds boat j's position in every order, so a
-    comparison per boat reduces over contiguous rows."""
-    table = np.zeros((0, 1), dtype=np.int8)
-    for j in range(k):
-        orders = table.shape[1]
-        grown = np.empty((j + 1, orders * (j + 1)), dtype=np.int8)
-        for place in range(j + 1):
-            block = grown[:, place * orders:(place + 1) * orders]
-            block[:place] = table[:place]
-            block[place] = j
-            block[place + 1:] = table[place:]
-        table = grown
+    """All k! orders of range(k), read from ``itertools.permutations``, as
+    the int8 columns of a read-only k x k! table.  Row j holds boat j's
+    position in every order, so a comparison per boat reduces over
+    contiguous rows."""
+    orders = math.factorial(k)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    table = np.fromiter(flat, np.int8, count=k * orders).reshape(orders, k).T.copy()
     table.flags.writeable = False
     return table
 
@@ -191,10 +184,11 @@ def _rank_law(
 
     Head races are walked by ``itertools.product`` and their limits read
     in batches.  The last race deals its first width - ``ORDER_TABLE_WIDTH``
-    values, if any, by ``itertools.permutations`` and the rest, sorted, by
-    the columns of ``_orders``: with below[j] the number of those values
-    under boat j's limit, ``table < below`` marks the beaten boats of every
-    order of every head in the batch."""
+    boats, if any, each ordered choice of its values by
+    ``itertools.permutations`` and the values left, sorted, by the columns of
+    ``_orders``: with below[j] the number of those values under boat j's
+    limit, ``table < below`` marks the beaten boats of every order of every
+    head in the batch."""
     _check_enumeration(len(races[0]) if races else 0, len(races))
     if not races or not fixed:
         # one configuration: no race is dealt, or it deals no values
@@ -206,10 +200,10 @@ def _rank_law(
     last = sorted(last)
     cut = max(n - ORDER_TABLE_WIDTH, 0)
     table = _orders(n - cut)
-    splits = []
-    for prefix in itertools.permutations(range(n), cut):
-        rest = np.array([v for i, v in enumerate(last) if i not in prefix])
-        splits.append((np.array([last[i] for i in prefix], dtype=np.int64), rest))
+    splits = [
+        (np.array(dealt, dtype=np.int64), np.array([v for v in last if v not in dealt]))
+        for dealt in itertools.permutations(last, cut)
+    ]
     # every head's limits, boat by boat, read BATCH_CELLS // table.size heads at a time
     limits = (
         threshold - sum(parts)

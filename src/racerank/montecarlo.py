@@ -52,6 +52,7 @@ loop of 2 to 6 elements once per row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -280,7 +281,8 @@ class SimConfig:
         elif self.n_t is not None:
             raise ValueError("give n_t or tracked_ranks, not both")
         else:
-            object.__setattr__(self, "tracked_ranks", tuple(self.tracked_ranks))
+            ranks = tuple(map(operator.index, self.tracked_ranks))
+            object.__setattr__(self, "tracked_ranks", ranks)
             if len(self.tracked_ranks) != self.n_r:
                 raise ValueError("tracked_ranks must list one rank per race")
             if any(not 1 <= r <= self.n_b for r in self.tracked_ranks):

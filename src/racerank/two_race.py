@@ -47,9 +47,10 @@ class RankDistribution:
 
     Virtual-competitor distributions run over m = 1..n_b + 1, tracked-boat
     ones (composition mode) over m = 1..n_b; n_t is the score it is for.
-    Int or ``Fraction`` counts are scaled by the lcm of their denominators,
-    checked, and reduced with ``total`` by their gcd, so each law has one
-    representation and equal laws compare and hash equal.
+    Int or ``Fraction`` counts are read once, scaled by the lcm of their
+    denominators to Python ints, checked, and reduced with ``total`` by their
+    gcd, so each law has one representation and equal laws compare and hash
+    equal.
     """
 
     n_b: int
@@ -63,20 +64,26 @@ class RankDistribution:
             raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
         if total < 1:
             raise ValueError(f"RankDistribution: total must be positive, got {total}")
+        entries = tuple(self.counts)
         try:
-            scale = lcm(*(c.denominator for c in self.counts))
+            scale = lcm(*(c.denominator for c in entries))
         except AttributeError:
-            bad = next(c for c in self.counts if not hasattr(c, "denominator"))
+            bad = next(c for c in entries if not hasattr(c, "denominator"))
             raise TypeError(
                 "RankDistribution: probabilities must be exact rationals "
                 f"(int or Fraction), got {type(bad).__name__}"
             ) from None
-        counts = [c.numerator * (scale // c.denominator) for c in self.counts]
+        counts = [int(c * scale) for c in entries]
         total *= scale
         if any(c < 0 for c in counts):
             raise ValueError("RankDistribution: negative probability")
         if sum(counts) != total:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
+        if len(counts) not in (self.n_b, self.n_b + 1):
+            raise ValueError(
+                f"RankDistribution: need {self.n_b} or {self.n_b + 1} ranks "
+                f"for n_b = {self.n_b}, got {len(counts)}"
+            )
         g = gcd(total, *counts)
         object.__setattr__(self, "counts", tuple(c // g for c in counts))
         object.__setattr__(self, "total", total // g)

@@ -79,7 +79,7 @@ OVERSIZED = {
     "middle_score_gf": (lambda: racerank.middle_score_gf(_ORDER), _SERIES),
     "second_gf_expand": (lambda: racerank.second_gf_expand(_ORDER), _SERIES),
     "count_compatible_subsets": (
-        lambda: racerank.count_compatible_subsets(2000, 1500, 1),
+        lambda: racerank.count_compatible_subsets(1500, 1),
         _builders(lattice_oracle, "set"),
     ),
     "brute_force_two_race": (lambda: racerank.brute_force_two_race(300000, 3), _ENUMERATION),

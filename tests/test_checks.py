@@ -77,14 +77,14 @@ def _triangle_row_changed(n, change):
 
 
 @functools.cache
-def _self_consistent_counts(n_b, size):
-    # count(1, 0) = 2 carried through the partition recurrence
-    if size == n_b - 1:
-        return 2 if n_b == 1 else 1
+def _self_consistent_counts(n_t, size):
+    # count(2, 0) = 2 carried through the partition recurrence
+    if size == n_t - 2:
+        return 2 if n_t == 2 else 1
     return sum(
-        _self_consistent_counts(n_b - kp - 1, size - kp) * combinatorics.binomial(n_b - 1, kp)
+        _self_consistent_counts(n_t - kp - 1, size - kp) * combinatorics.binomial(n_t - 2, kp)
         for kp in range(size + 1)
-        if n_b - kp >= 2
+        if n_t - kp >= 3
     )
 
 
@@ -164,25 +164,26 @@ ROWS = {
         ["excedance histogram vs Eulerian rows"],
     ),
     # the wrong table passes the recurrence check, and only the comparison
-    # with the diagonal Stirling numbers can see it (both read n_t = n_b + 1)
+    # with the diagonal Stirling numbers can see it (both read the same
+    # staircases)
     "self_consistent_counts": (
         "lattice subset counts vs diagonal Stirling",
         _COUNTS,
-        lambda real: lambda n_b, n_t, size: _self_consistent_counts(n_b, size),
+        lambda real: _self_consistent_counts,
         ["lattice subset counts vs diagonal Stirling"],
     ),
-    # n_b = 6 lies beyond the subset-count check's quick scope (n_b <= 5):
+    # staircase 7 lies beyond the subset-count check's quick scope (score <= 6):
     # a recurrence row, then the full placement
     "count_row": (
         "lattice partition recurrence",
         _COUNTS,
-        _plus_one_at((6, 7, 2)),
+        _plus_one_at((7, 2)),
         ["lattice partition recurrence"],
     ),
     "count_full_placement": (
         "lattice partition recurrence",
         _COUNTS,
-        _plus_one_at((6, 7, 5)),
+        _plus_one_at((7, 5)),
         ["lattice partition recurrence"],
     ),
     # coefficient_to_distribution is read only by the second-series loop
@@ -220,9 +221,9 @@ def test_corruption_fails_exactly_the_pinned_checks(monkeypatch, row):
 
 # the work of one call at the full bound: each (n_b, n_t) row of each form,
 # and each size up to the full placement (n - 1 rooks) of every staircase
-# n <= 8, which the recurrence's right-hand sums reach down to n = 1
+# n + 1 <= 9, which the recurrence's right-hand sums reach down to 2
 _FORMS_ROWS = Counter({(n_b, n_t): 1 for n_b in range(1, 9) for n_t in range(2, n_b + 2)})
-_RECURRENCE_COUNTS = Counter({(n, n + 1, i): 1 for n in range(1, 9) for i in range(n)})
+_RECURRENCE_COUNTS = Counter({(n + 1, i): 1 for n in range(1, 9) for i in range(n)})
 
 
 def _counting(monkeypatch, module, name):

@@ -14,6 +14,7 @@ from racerank import (
     eulerian_gf,
     eulerian_triangle,
     factorial,
+    full_distribution,
     middle_band_grid,
     middle_score_gf,
     p_middle,
@@ -49,17 +50,14 @@ REFUSALS = {
         lambda: stirling_binomial_sum(2, 3), "stirling_binomial_sum: k must be in [0, 2], got 3"
     ),
     "count_compatible_subsets": (
-        lambda: count_compatible_subsets(3, 4, -1), "size must be >= 0, got -1"
-    ),
-    "count_compatible_subsets n_b": (
-        lambda: count_compatible_subsets(0, 1, 0), "n_b must be >= 1, got 0"
+        lambda: count_compatible_subsets(4, -1), "size must be >= 0, got -1"
     ),
     "count_compatible_subsets n_t": (
-        lambda: count_compatible_subsets(3, 1, 0), "n_t must be >= 2, got 1"
+        lambda: count_compatible_subsets(1, 0), "n_t must be >= 2, got 1"
     ),
     # one recursion level per staircase row: 1498 rows raised RecursionError
     "count_compatible_subsets budget": (
-        lambda: count_compatible_subsets(2000, 1500, 1),
+        lambda: count_compatible_subsets(1500, 1),
         "enumeration needs 1499! configurations, budget is 100000000 "
         "(lattice_oracle.DEFAULT_BUDGET)",
     ),
@@ -126,3 +124,27 @@ def test_refusal_message(case):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# a size, score or rank that is not an integer is refused, not truncated
+NOT_AN_INTEGER = {
+    "full_distribution n_t": lambda: full_distribution(3, 4.0),
+    # np.fromiter truncated the limits 3.5, ... and returned the n_t = 4 law
+    "brute_force_score n_t": lambda: brute_force_score(3, 2, 4.5),
+    "brute_force_two_race n_t": lambda: brute_force_two_race(3, 4.5),
+    "brute_force_score n_b": lambda: brute_force_score(3.0, 2, 4),
+    "brute_force_score n_r": lambda: brute_force_score(3, 2.0, 4),
+    # rank 1.5 passed the [1, n_b] check and race 1 dealt three values to two boats
+    "brute_force_composition rank": lambda: brute_force_composition(3, (1.5, 2)),
+    "brute_force_composition n_b": lambda: brute_force_composition(3.0, (1, 2)),
+    # accepted, and simulate then failed inside numpy
+    "SimConfig tracked_ranks": lambda: SimConfig(
+        n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=(1.5, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_AN_INTEGER)
+def test_non_integer_refusal(case):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        NOT_AN_INTEGER[case]()

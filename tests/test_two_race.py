@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,6 +357,23 @@ def test_rank_distribution_validation():
     for total, name in [(6.0, "float"), (Fraction(6), "Fraction"), ("6", "str"), (None, "NoneType")]:
         with pytest.raises(TypeError, match=rf"^RankDistribution: total must be an int, got {name}$"):
             RankDistribution(1, 2, (1, 5), total)
+    # a law of its fleet: n_b ranks (composition mode) or n_b + 1 (a virtual
+    # competitor), checked after the sum
+    for counts in [(1,), (1, 1), (1, 4, 1, 0, 0)]:
+        with pytest.raises(
+            ValueError,
+            match=rf"^RankDistribution: need 3 or 4 ranks for n_b = 3, got {len(counts)}$",
+        ):
+            RankDistribution(3, 4, counts, sum(counts))
+    # entries are read once: a one-shot iterator is not emptied by the lcm pass
+    assert RankDistribution(3, 4, iter([1, 4, 1, 0]), 6) == full_distribution(3, 4)
+    # numpy integers are stored as Python ints, which do not overflow
+    d = RankDistribution(3, 4, np.array([1, 4, 1, 0]), 6)
+    assert d == full_distribution(3, 4)
+    assert all(type(c) is int for c in d.counts)
+    d = RankDistribution(1, 2, np.array([2**62, 2**62]), 2**63)
+    assert (d.counts, d.total) == ((1, 1), 2)
+    assert all(type(c) is int for c in d.counts)
     d = full_distribution(3, 4)
     assert d.p(2) == Fraction(2, 3)
     with pytest.raises(ValueError):
