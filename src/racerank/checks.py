@@ -135,9 +135,10 @@ def _series_rows_ok(order: int) -> bool:
 
 
 def _middle_identity_ok(n_b_max: int) -> bool:
+    # n_b! P(m) = E(n_b, m - 1), and the row starts with 1, so it is the reduced counts
     return all(
-        tuple(two_race.p_middle(n_b, m) for m in range(1, n_b + 2))
-        == two_race.full_distribution(n_b, n_b + 1).probs
+        list(two_race.full_distribution(n_b, n_b + 1).counts)
+        == combinatorics.eulerian_triangle(n_b)[-1] + [0]
         for n_b in range(1, n_b_max + 1)
     )
 

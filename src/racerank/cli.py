@@ -98,7 +98,7 @@ def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
     two_race._check_score(n_b, n_t)  # before any series is built
     # keyed by the score_offset each series records, so its rows label n_t
-    gf = {1: series.middle_score_gf, 0: series.second_gf_expand}.get(n_t - n_b)
+    gf = {1: series.eulerian_gf, 0: series.second_gf_expand}.get(n_t - n_b)
     if gf is None:
         raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
     # the x^n_b coefficient is exact at any order >= n_b

@@ -77,6 +77,7 @@ def count_compatible_subsets(n_t: int, size: int) -> int:
     lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a bound
     above ``DEFAULT_BUDGET`` is refused before any row is built.
     """
+    n_t, size = operator.index(n_t), operator.index(size)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     if n_t < 2:

@@ -117,11 +117,14 @@ _GRID_HALF_WIDTH = 3.2
 GRID_POINT_BUDGET = 10**5
 
 
-def _check_key_words(seed: int, stream: int) -> None:
-    """Refuse a seed or stream that does not fit its 64-bit half of the key."""
-    for name, value in (("seed", seed), ("stream", stream)):
+def _check_key_words(seed: int, stream: int) -> tuple[int, int]:
+    """Read a seed and stream as Python ints (a numpy int wraps in ``stream << 64``),
+    refusing one that does not fit its 64-bit half of the key."""
+    key_words = operator.index(seed), operator.index(stream)
+    for name, value in zip(("seed", "stream"), key_words):
         if not 0 <= value <= _MASK64:
             raise ValueError(f"{name} must be a 64-bit unsigned integer")
+    return key_words
 
 
 def _chunk_trials(per_trial: int) -> int:
@@ -263,13 +266,17 @@ class SimConfig:
     stream: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_b", "n_r", "trials"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_b < 1:
             raise ValueError("n_b must be >= 1")
         if self.n_r < 1:
             raise ValueError("n_r must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        _check_key_words(self.seed, self.stream)
+        seed, stream = _check_key_words(self.seed, self.stream)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream", stream)
         if self.n_b * self.n_r > TRIAL_WORD_BUDGET:
             raise ValueError(
                 f"one trial needs n_b*n_r = {self.n_b * self.n_r} words, "
@@ -278,6 +285,8 @@ class SimConfig:
         if self.tracked_ranks is None:
             if self.n_t is None:
                 raise ValueError("n_t is required unless tracked_ranks is given")
+            if self.n_t != self.n_t:  # every trial would tally m = 1
+                raise ValueError("n_t must not be NaN")
         elif self.n_t is not None:
             raise ValueError("give n_t or tracked_ranks, not both")
         else:
@@ -385,6 +394,7 @@ def empirical_rank_moments(
     over all boats would be pinned by the exact sum rule and estimate
     nothing.  Requires n_b >= 2 and trials >= 1000.
     """
+    n_b, trials = operator.index(n_b), operator.index(trials)
     if n_b < 2:
         raise ValueError("need n_b >= 2 for a pair covariance")
     if trials < 1000:
@@ -399,7 +409,7 @@ def empirical_rank_moments(
             f"trials = {trials} exceeds the moments budget {MOMENTS_TRIAL_BUDGET} "
             "(montecarlo.MOMENTS_TRIAL_BUDGET)"
         )
-    _check_key_words(seed, stream)
+    seed, stream = _check_key_words(seed, stream)
     # one race's rank sums are its ranks; boats 1 and 2 are rows 0 and 1
     score = _rank_sums(trials, 1, n_b)
     x01 = np.empty((2, trials))

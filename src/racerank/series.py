@@ -1,8 +1,9 @@
 """Truncated expansions of the two rank-generating functions behind `two_race`.
 
 * :func:`eulerian_gf` -- g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x), whose
-  x^n coefficient is the order-n Eulerian polynomial in y over n!; y * g
-  (:func:`middle_score_gf`) generates the middle-score rank distributions.
+  x^n coefficient is the order-n Eulerian polynomial in y over n!; read one
+  y power low (y^k pairs with rank k + 1), it generates the middle-score
+  rank distributions.
 * :func:`second_gf_expand` -- (y - 1) * integral(g) + g - x, generating the
   rank distributions for the score one below the middle (n_t = n_b).
 
@@ -14,7 +15,7 @@ denominator row y^n - y, the division reads
 
 Dividing by 1 - y is a running sum; the quotients are genuine polynomials, so
 a remainder raises :class:`ExactDivisionError`.  n! [x^n] integral(g) is
-q_(n-1), so all three series come from one set of rows, and a
+q_(n-1), so both series come from one set of rows, and a
 :class:`SeriesX` holds those integer rows as built.
 :func:`coefficient_to_distribution` hands one row over to a
 :class:`~racerank.two_race.RankDistribution` as counts over n!.
@@ -24,6 +25,7 @@ rows it is given and pads nothing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial
@@ -34,7 +36,6 @@ __all__ = [
     "ExactDivisionError",
     "SeriesX",
     "eulerian_gf",
-    "middle_score_gf",
     "second_gf_expand",
     "coefficient_to_distribution",
 ]
@@ -65,9 +66,9 @@ class SeriesX:
     past the end of a row are 0.
 
     ``score_offset`` records the score a rank-generating series' rows stand
-    for, as n_t - n_b (1 for the middle score, 0 for one below it), and
-    ``rank_one_power`` the power of y that holds rank 1 (0 for the bare g,
-    1 for the two rank-generating series)."""
+    for, as n_t - n_b (1 for g, the middle score, 0 for the series one
+    below it), and ``rank_one_power`` the power of y that holds rank 1 (0
+    for g, read one y power low, 1 for the series one below)."""
 
     rows: list[list[int]]
     score_offset: int
@@ -110,12 +111,6 @@ def eulerian_gf(order: int) -> SeriesX:
     return SeriesX(_eulerian_rows(order), 1, 0)
 
 
-def middle_score_gf(order: int) -> SeriesX:
-    """y * g(x, y): the x^n, y^m coefficient is P(final rank m) for n boats
-    and the middle score n + 1."""
-    return SeriesX([[0] + q for q in _eulerian_rows(order)], 1, 1)
-
-
 def second_gf_expand(order: int) -> SeriesX:
     """(y - 1) * integral(g) + g - x: the x^n, y^m coefficient is
     P(final rank m) when the score equals the fleet size n (one below the
@@ -132,18 +127,19 @@ def second_gf_expand(order: int) -> SeriesX:
 
 
 def coefficient_to_distribution(
-    s: SeriesX, n_b: int, n_t: int | None = None, shifted: bool = False
+    s: SeriesX, n_b: int, n_t: int | None = None, shifted: bool | None = None
 ) -> RankDistribution:
     """Read the x^n_b coefficient of a rank-generating series as a
     :class:`~racerank.two_race.RankDistribution`.
 
-    The y exponent is the rank m itself; pass ``shifted=True`` for series
-    written one y power low (the bare g, where y^k pairs with rank m = k+1).
-    ``n_t`` defaults to the score the series stands for, n_b +
-    ``s.score_offset``, and any other label is refused, as is a row whose
-    score no two-race fleet reaches (n_t < 2) and a ``shifted`` that
-    disagrees with ``s.rank_one_power``.
+    Rank 1 sits at the power of y that ``s.rank_one_power`` records: y^m
+    pairs with rank m in the series one below the middle, and y^k with rank
+    k + 1 in g, which is written one y power low (``shifted``).  ``n_t`` and
+    ``shifted`` default to what the series records, n_b + ``s.score_offset``
+    and ``s.rank_one_power == 0``; any other value is refused, as is a row
+    whose score no two-race fleet reaches (n_t < 2).
     """
+    n_b = operator.index(n_b)
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if n_b > s.order:
@@ -160,7 +156,7 @@ def coefficient_to_distribution(
             f"got n_t = {n_t}"
         )
     first = s.rank_one_power
-    if shifted != (first == 0):
+    if shifted is not None and shifted != (first == 0):
         raise ValueError(f"the series' rows hold rank 1 at y^{first}, got shifted={shifted}")
     counts = s.rows[n_b][first : first + n_b + 1]
     counts += [0] * (n_b + 1 - len(counts))

@@ -31,11 +31,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .combinatorics import eulerian, factorial, stirling2
+from .combinatorics import factorial, stirling2
 
 __all__ = [
     "RankDistribution",
-    "p_middle",
     "full_distribution",
     "stirling_form_distribution",
     "distribution_moments",
@@ -100,15 +99,15 @@ class RankDistribution:
         return Fraction(self.counts[m - 1], self.total)
 
 
-# Largest fleet the closed-form rows and p_middle evaluate; larger n_b is
-# rejected before any term is computed.  A row costs O(n_b n_t) big-integer
-# additions (alternating sum) or O(n_t^2) (Stirling form).  Measured on a
-# 2-vCPU Xeon (Python 3.11.7) at n_b = 450: n_t = n_b + 1, the slowest row,
-# takes ~0.04-0.06 s (alternating) and ~0.02-0.03 s (Stirling), n_t = 2
-# ~0.2-0.3 ms and ~0.02 ms; n_b = 500, n_t = 501 takes ~0.05-0.08 s and
-# ~0.03-0.04 s.  So the cached triangles, not the rows, set the bound: the
-# stirling2 rows to 450 hold ~18 MB (built once in ~0.2-0.35 s), ~46 MB with
-# the eulerian rows p_middle reads (see combinatorics.TRIANGLE_ROW_BUDGET).
+# Largest fleet the closed-form rows evaluate; larger n_b is rejected before
+# any term is computed.  A row costs O(n_b n_t) big-integer additions
+# (alternating sum) or O(n_t^2) (Stirling form).  Measured on a 2-vCPU Xeon
+# (Python 3.11.7) at n_b = 450: n_t = n_b + 1, the slowest row, takes
+# ~0.04-0.06 s (alternating) and ~0.02-0.03 s (Stirling), n_t = 2 ~0.2-0.3 ms
+# and ~0.02 ms; n_b = 500, n_t = 501 takes ~0.05-0.08 s and ~0.03-0.04 s.
+# So the cached triangle, not the rows, sets the bound: the stirling2 rows
+# to 450, the only triangle rows read here, hold ~18 MB by tracemalloc
+# (built once in ~0.03 s; see combinatorics.TRIANGLE_ROW_BUDGET).
 EXACT_N_B_BUDGET = 450
 
 
@@ -171,18 +170,6 @@ def _stirling_row(n_b: int, n_t: int) -> list[int]:
     return [-c if m % 2 else c for m, c in enumerate(q, start=1)] + [0] * (n_b + 1 - n_t)
 
 
-def p_middle(n_b: int, m: int) -> Fraction:
-    """Middle-score (n_t = n_b + 1) rank probability: E(n_b, m-1) / n_b!.
-    Zero at m = n_b + 1 (with the lowest scores taken, no competitor can be
-    beaten by the whole fleet)."""
-    if n_b < 1:
-        raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not 1 <= m <= n_b + 1:
-        raise ValueError(f"rank m must be in [1, {n_b + 1}], got {m}")
-    _check_budget(n_b)
-    return Fraction(eulerian(n_b, m - 1), factorial(n_b))
-
-
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
     _check_score(n_b, n_t)
     row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
@@ -198,7 +185,9 @@ def full_distribution(n_b: int, n_t: int) -> RankDistribution:
     alternating-sum form, the upper half its reflection:
 
         P(m) = (1 + n_b) * sum_{k=0}^{m-1} (-1)^k (1+n_b-n_t+m-k)^(n_t-1)
-                           (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!)"""
+                           (n_b-n_t+m-k)! / (k! (1+n_b-k)! (m-k-1)!)
+
+    At n_t = n_b + 1 it is E(n_b, m - 1) / n_b!; verify's middle-score identity checks this."""
     return _assemble(n_b, n_t, _alternating_row)
 
 

@@ -9,7 +9,7 @@ Gates 02-08 state no identity of their own: each runs its entries of
 ``racerank.checks.CHECKS`` (the one statement of every cross-route
 identity, which ``racerank verify`` runs too) at their ``full`` bounds:
 
-- 02: "middle-score identity"
+- 02: "middle-score identity" (the n_t = n_b + 1 law is the Eulerian row over n_b!)
 - 03: "alternating-sum form vs Stirling form"
 - 04: "closed form vs brute-force enumeration"
 - 05: "excedance histogram vs Eulerian rows"
@@ -54,10 +54,9 @@ from racerank.montecarlo import (
 from racerank.series import (
     coefficient_to_distribution,
     eulerian_gf,
-    middle_score_gf,
     second_gf_expand,
 )
-from racerank.two_race import full_distribution, p_middle
+from racerank.two_race import full_distribution
 
 SEED = 20260809
 
@@ -84,7 +83,7 @@ def test_01_eulerian_tables():
 
 def test_02_middle_score_identity():
     ok = full_check("middle-score identity")
-    report("02", "middle-score identity p_middle * n_b! = Eulerian (n_b <= 10)", ok)
+    report("02", "middle-score identity n_b! P(m) = E(n_b, m - 1) (n_b <= 10)", ok)
     assert ok
 
 
@@ -134,16 +133,15 @@ def test_09_generating_functions():
     second = second_gf_expand(12)
     for n, row in SECOND_GF_ROWS.items():
         ok = ok and second.rows[n] == row
-    yg = middle_score_gf(12)
-    for n_b in range(1, 11):
-        dist = coefficient_to_distribution(yg, n_b)
-        ok = ok and dist.probs == tuple(p_middle(n_b, m) for m in range(1, n_b + 2))
+    for n_b in range(1, 11):  # g is written one y power low
+        dist = coefficient_to_distribution(g, n_b, shifted=True)
+        ok = ok and dist == full_distribution(n_b, n_b + 1)
     for n_b in range(2, 11):
         ok = ok and coefficient_to_distribution(second, n_b, n_t=n_b) == (
             full_distribution(n_b, n_b)
         )
     for n_b in range(1, 8):  # brute-force oracle within its enumeration cap
-        ok = ok and coefficient_to_distribution(yg, n_b) == brute_force_two_race(
+        ok = ok and coefficient_to_distribution(g, n_b, shifted=True) == brute_force_two_race(
             n_b, n_b + 1
         )
         if n_b >= 2:

@@ -41,7 +41,7 @@ def _is_live(module, name):
 _COMBINATORICS = _builders(
     combinatorics, "math", "binomial", "factorial", "_eulerian_rows", "_stirling_rows"
 )
-_TWO_RACE = _builders(two_race, "factorial", "stirling2", "eulerian")
+_TWO_RACE = _builders(two_race, "factorial", "stirling2")
 _SERIES = _builders(series, "comb", "factorial", "_div_one_minus_y")
 _ENUMERATION = _builders(lattice_oracle, "itertools", "math", "np")
 _MONTECARLO = _builders(montecarlo, "np")
@@ -70,13 +70,11 @@ OVERSIZED = {
         lambda: racerank.eulerian_from_stirling(_ROW, _ROW // 2), _COMBINATORICS
     ),
     "stirling_binomial_sum": (lambda: racerank.stirling_binomial_sum(_ROW, 0), _COMBINATORICS),
-    "p_middle": (lambda: racerank.p_middle(_FLEET, 1), _TWO_RACE),
     "full_distribution": (lambda: racerank.full_distribution(_FLEET, 2), _TWO_RACE),
     "stirling_form_distribution": (
         lambda: racerank.stirling_form_distribution(_FLEET, 2), _TWO_RACE
     ),
     "eulerian_gf": (lambda: racerank.eulerian_gf(_ORDER), _SERIES),
-    "middle_score_gf": (lambda: racerank.middle_score_gf(_ORDER), _SERIES),
     "second_gf_expand": (lambda: racerank.second_gf_expand(_ORDER), _SERIES),
     "count_compatible_subsets": (
         lambda: racerank.count_compatible_subsets(1500, 1),

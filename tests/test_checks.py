@@ -104,6 +104,7 @@ ROWS = {
             "eulerian row sums and palindrome",
             "excedance histogram vs Eulerian rows",
             "generating-function rows vs exact rows",
+            "middle-score identity",
         ],
     ),
     # row 8 lies beyond the reference table and the excedance check's scope
@@ -111,7 +112,11 @@ ROWS = {
         "eulerian row sums and palindrome",
         _TRIANGLE,
         _triangle_row_changed(8, lambda row: [row[1], row[0], *row[2:]]),
-        ["eulerian row sums and palindrome", "generating-function rows vs exact rows"],
+        [
+            "eulerian row sums and palindrome",
+            "generating-function rows vs exact rows",
+            "middle-score identity",
+        ],
     ),
     "stirling_diagonal": (
         "diagonal Stirling vs recurrence Stirling",
@@ -193,13 +198,13 @@ ROWS = {
         _reversed_at(4, 4),
         ["generating-function rows vs exact rows"],
     ),
-    # the same wrong value in both modules: only a check that compares
-    # p_middle with a route free of Eulerian numbers can see it
-    "eulerian_in_both_modules": (
+    # a middle-score law beyond the oracle check's quick scope (n_b <= 5),
+    # which the series check (n_t = n_b) never reads
+    "middle_score_law": (
         "middle-score identity",
-        [(combinatorics, "eulerian"), (two_race, "eulerian")],
-        _plus_one_at((4, 1)),
-        ["Eulerian via Stirling transform", "middle-score identity"],
+        [(two_race, "full_distribution")],
+        _reversed_at(7, 8),
+        ["middle-score identity"],
     ),
 }
 

@@ -164,10 +164,10 @@ def test_dist_series_equals_exact(capsys, n_b, n_t):
     assert out.splitlines()[-1] == exact.splitlines()[-1]
 
 
-@pytest.mark.parametrize("n_t,built", [(5, "middle_score_gf"), (4, "second_gf_expand")])
+@pytest.mark.parametrize("n_t,built", [(5, "eulerian_gf"), (4, "second_gf_expand")])
 def test_dist_series_builds_one_series(capsys, monkeypatch, n_t, built):
     calls = []
-    for name in ("middle_score_gf", "second_gf_expand"):
+    for name in ("eulerian_gf", "second_gf_expand"):
         real = getattr(series, name)
         monkeypatch.setattr(
             series, name, lambda order, name=name, real=real: calls.append(name) or real(order)

@@ -263,6 +263,19 @@ def test_key_words_admit_the_64_bit_edges():
     assert empirical_rank_moments(3, 1000, seed=top, stream=top).trials == 1000
 
 
+@pytest.mark.parametrize("numpy_int", [np.int64, np.uint64])
+def test_numpy_integer_key_words_read_as_their_value(numpy_int):
+    # numpy_int(1) << 64 is 0, so a numpy stream once reran stream 0
+    def counts(seed, stream):
+        config = SimConfig(n_b=3, n_r=2, trials=1000, seed=seed, n_t=4, stream=stream)
+        assert type(config.seed) is type(config.stream) is int
+        return simulate(config).counts
+
+    assert counts(numpy_int(5), numpy_int(1)) == counts(5, 1) != counts(5, 0)
+    moments = empirical_rank_moments(3, 1000, numpy_int(5), stream=numpy_int(1))
+    assert moments == empirical_rank_moments(3, 1000, 5, stream=1)
+
+
 def test_trial_budget_admits_its_cap():
     # far above every tested trial: the widest is 2100 boats x 2 races
     assert mc.TRIAL_WORD_BUDGET >= 100 * 2100 * 2

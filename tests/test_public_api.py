@@ -36,9 +36,7 @@ PUBLIC_NAMES = [
     "full_distribution",
     "mean_final_rank",
     "middle_band_grid",
-    "middle_score_gf",
     "normal_cdf",
-    "p_middle",
     "rank_moments_theory",
     "second_gf_expand",
     "simulate",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racerank.lattice_oracle import brute_force_score
-from racerank.series import coefficient_to_distribution, middle_score_gf, second_gf_expand
+from racerank.series import coefficient_to_distribution, eulerian_gf, second_gf_expand
 from racerank.two_race import full_distribution, stirling_form_distribution
 
 # Largest (n_b!)^(n_r - 1) configuration count a drawn brute-force case enumerates.
@@ -69,7 +69,7 @@ def test_two_race_closed_forms_reflect_and_order(case):
 
 @cache
 def _series():
-    return middle_score_gf(SERIES_N_B), second_gf_expand(SERIES_N_B)
+    return eulerian_gf(SERIES_N_B), second_gf_expand(SERIES_N_B)
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,14 +10,13 @@ from racerank import (
     brute_force_two_race,
     coefficient_to_distribution,
     count_compatible_subsets,
+    empirical_rank_moments,
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
     factorial,
     full_distribution,
     middle_band_grid,
-    middle_score_gf,
-    p_middle,
     rank_moments_theory,
     second_gf_expand,
     stirling2,
@@ -87,6 +86,11 @@ REFUSALS = {
     "SimConfig": (
         lambda: SimConfig(n_b=3, n_r=0, trials=10, seed=1, n_t=4), "n_r must be >= 1"
     ),
+    # every comparison with NaN is false, so every trial tallied m = 1
+    "SimConfig n_t NaN": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=float("nan")),
+        "n_t must not be NaN",
+    ),
     "middle_band_grid budget": (
         lambda: middle_band_grid(200, 30, points=10**8),
         "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
@@ -99,21 +103,15 @@ REFUSALS = {
         lambda: coefficient_to_distribution(second_gf_expand(3), 1),
         "the series' rows stand for n_t = n_b + 0 = 1, below the lowest score 2",
     ),
-    # a shifted read of y * g came back as (0, 1/6, 2/3, 1/6) for n_t = 4
-    "coefficient_to_distribution shifted": (
-        lambda: coefficient_to_distribution(middle_score_gf(5), 3, shifted=True),
-        "the series' rows hold rank 1 at y^1, got shifted=True",
-    ),
     "coefficient_to_distribution second shifted": (
         lambda: coefficient_to_distribution(second_gf_expand(5), 3, shifted=True),
         "the series' rows hold rank 1 at y^1, got shifted=True",
     ),
     # an unshifted read of g failed as "probabilities must sum to exactly 1"
     "coefficient_to_distribution unshifted": (
-        lambda: coefficient_to_distribution(eulerian_gf(5), 3),
+        lambda: coefficient_to_distribution(eulerian_gf(5), 3, shifted=False),
         "the series' rows hold rank 1 at y^0, got shifted=False",
     ),
-    "p_middle": (lambda: p_middle(0, 1), "n_b must be >= 1, got 0"),
     "checks.run": (lambda: checks.run("slow"), "level must be 'quick' or 'full', got 'slow'"),
 }
 
@@ -140,6 +138,22 @@ NOT_AN_INTEGER = {
     # accepted, and simulate then failed inside numpy
     "SimConfig tracked_ranks": lambda: SimConfig(
         n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=(1.5, 2)
+    ),
+    "SimConfig n_b": lambda: SimConfig(n_b=3.0, n_r=2, trials=10, seed=1, n_t=4),
+    "SimConfig n_r": lambda: SimConfig(n_b=3, n_r=2.0, trials=10, seed=1, n_t=4),
+    "SimConfig trials": lambda: SimConfig(n_b=3, n_r=2, trials=10.5, seed=1, n_t=4),
+    # passed the 64-bit range check, and simulate then failed building the key
+    "SimConfig seed": lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1.5, n_t=4),
+    "SimConfig stream": lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=4, stream=2.0),
+    "empirical_rank_moments n_b": lambda: empirical_rank_moments(3.0, 1000, 1),
+    "empirical_rank_moments trials": lambda: empirical_rank_moments(3, 1000.0, 1),
+    "empirical_rank_moments stream": lambda: empirical_rank_moments(3, 1000, 1, stream=2.0),
+    # size 1.5 failed with an IndexError inside the walk, and 2.0 counted 2 rooks
+    "count_compatible_subsets size": lambda: count_compatible_subsets(5, 1.5),
+    "count_compatible_subsets whole size": lambda: count_compatible_subsets(6, 2.0),
+    "count_compatible_subsets n_t": lambda: count_compatible_subsets(6.0, 2),
+    "coefficient_to_distribution n_b": lambda: coefficient_to_distribution(
+        second_gf_expand(4), 2.0
     ),
 }
 

@@ -13,7 +13,6 @@ from racerank.series import (
     ExactDivisionError,
     coefficient_to_distribution,
     eulerian_gf,
-    middle_score_gf,
     second_gf_expand,
 )
 from racerank.two_race import full_distribution
@@ -89,8 +88,8 @@ def test_second_gf_printed_rows():
 
 
 def test_coefficient_to_distribution_examples():
-    yg = middle_score_gf(10)
-    d5 = coefficient_to_distribution(yg, 5)
+    g = eulerian_gf(10)
+    d5 = coefficient_to_distribution(g, 5)
     assert d5.probs == tuple(Fraction(c, 120) for c in (1, 26, 66, 26, 1, 0))
     h = second_gf_expand(10)
     assert coefficient_to_distribution(h, 3, n_t=3) == full_distribution(3, 3)
@@ -100,37 +99,41 @@ def test_coefficient_to_distribution_examples():
 
 def test_coefficient_to_distribution_refuses_a_foreign_score():
     # the middle row once came back labelled with any n_t it was given
-    yg = middle_score_gf(5)
+    g = eulerian_gf(5)
     for n_t in (3, 99):
         with pytest.raises(ValueError, match=f"n_t = n_b \\+ 1 = 4, got n_t = {n_t}"):
-            coefficient_to_distribution(yg, 3, n_t=n_t)
-    assert coefficient_to_distribution(yg, 3, n_t=4) == full_distribution(3, 4)
+            coefficient_to_distribution(g, 3, n_t=n_t)
+    assert coefficient_to_distribution(g, 3, n_t=4) == full_distribution(3, 4)
     h = second_gf_expand(5)
     assert coefficient_to_distribution(h, 3) == full_distribution(3, 3)
     with pytest.raises(ValueError, match="n_t = n_b \\+ 0 = 3, got n_t = 4"):
         coefficient_to_distribution(h, 3, n_t=4)
-    assert (eulerian_gf(5).score_offset, yg.score_offset, h.score_offset) == (1, 1, 0)
-    assert (eulerian_gf(5).rank_one_power, yg.rank_one_power, h.rank_one_power) == (0, 1, 1)
+    assert (g.score_offset, h.score_offset) == (1, 0)
+    assert (g.rank_one_power, h.rank_one_power) == (0, 1)
 
 
 def test_coefficient_to_distribution_shifted_flag():
-    # g's row n_b has n_b entries, so the shifted read of rank n_b + 1 lies
-    # past its end at every order the budget admits
+    # by default the read follows the power each series records; g's row n_b
+    # has n_b entries, so the shifted read of rank n_b + 1 lies past its end
+    # at every order the budget admits
     for order in (8, SERIES_ORDER_BUDGET):
-        g = eulerian_gf(order)
-        yg = middle_score_gf(order)
+        g, h = eulerian_gf(order), second_gf_expand(order)
         for n_b in range(1, order + 1):
-            assert coefficient_to_distribution(g, n_b, shifted=True) == (
-                coefficient_to_distribution(yg, n_b)
+            d = coefficient_to_distribution(g, n_b)
+            assert coefficient_to_distribution(g, n_b, shifted=True) == d
+            assert d == full_distribution(n_b, n_b + 1)
+        for n_b in range(2, order + 1):
+            assert coefficient_to_distribution(h, n_b, shifted=False) == (
+                coefficient_to_distribution(h, n_b)
             )
 
 
 def test_coefficient_to_distribution_beyond_truncation():
     with pytest.raises(ValueError):
-        coefficient_to_distribution(middle_score_gf(4), 5)
+        coefficient_to_distribution(eulerian_gf(4), 5)
 
 
-@pytest.mark.parametrize("gf", [eulerian_gf, middle_score_gf, second_gf_expand])
+@pytest.mark.parametrize("gf", [eulerian_gf, second_gf_expand])
 def test_order_budget_trips_before_any_series(monkeypatch, gf):
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built past the budget check")
@@ -155,7 +158,7 @@ def test_second_gf_rows_equal_full_distribution_to_budget():
 
 
 _RESULT_TYPE_ONLY = [("two_race", "RankDistribution")]
-_TRIANGLES_ONLY = [("combinatorics", name) for name in ("eulerian", "factorial", "stirling2")]
+_TRIANGLES_ONLY = [("combinatorics", name) for name in ("factorial", "stirling2")]
 
 
 @pytest.mark.parametrize(

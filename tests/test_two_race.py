@@ -16,14 +16,13 @@ from _reference import (
     stirling_row_by_binomial_sums,
 )
 from racerank import two_race
-from racerank.combinatorics import factorial
+from racerank.combinatorics import eulerian, factorial
 from racerank.lattice_oracle import brute_force_score, brute_force_two_race
 from racerank.two_race import (
     EXACT_N_B_BUDGET,
     RankDistribution,
     distribution_moments,
     full_distribution,
-    p_middle,
     stirling_form_distribution,
 )
 
@@ -59,7 +58,7 @@ def test_p_exact_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"^rank m must be in \[1, 4\], got 5$"):
         full_distribution(3, 3).p(5)
     with pytest.raises(ValueError, match=r"^rank m must be in \[1, 4\], got 0$"):
-        p_middle(3, 0)
+        full_distribution(3, 4).p(0)
 
 
 def test_upper_half_reflection():
@@ -76,11 +75,10 @@ def test_upper_half_reflection():
 
 
 def test_p_middle_rows():
-    assert [p_middle(4, m) for m in range(1, 6)] == [
-        Fraction(c, 24) for c in (1, 11, 11, 1, 0)
-    ]
-    assert [p_middle(1, m) for m in (1, 2)] == [1, 0]
-    assert p_middle(6, 3) == Fraction(302, 720)
+    # at n_t = n_b + 1 the law is the Eulerian row over n_b!
+    assert full_distribution(4, 5).probs == tuple(Fraction(c, 24) for c in (1, 11, 11, 1, 0))
+    assert full_distribution(1, 2).probs == (1, 0)
+    assert full_distribution(6, 7).p(3) == Fraction(302, 720)
 
 
 def test_middle_score_alternating_sum_specialization():
@@ -94,7 +92,7 @@ def test_middle_score_alternating_sum_specialization():
                     (m - k) ** n_b, factorial(k) * factorial(1 + n_b - k)
                 )
                 total += -term if k % 2 else term
-            assert (1 + n_b) * total == p_middle(n_b, m)
+            assert (1 + n_b) * total == Fraction(eulerian(n_b, m - 1), factorial(n_b))
 
 
 def test_p_stirling_form_examples():
@@ -170,14 +168,12 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
 
     monkeypatch.setattr(two_race, "factorial", unreachable)
     monkeypatch.setattr(two_race, "stirling2", unreachable)
-    monkeypatch.setattr(two_race, "eulerian", unreachable)
     n_b = EXACT_N_B_BUDGET + 1
     calls = [
         lambda: full_distribution(n_b, 2),
         lambda: full_distribution(n_b, 2 * n_b + 1),  # upper half, via reflection
         lambda: stirling_form_distribution(n_b, n_b + 1),
         lambda: stirling_form_distribution(n_b, 2 * n_b),  # upper half, via reflection
-        lambda: p_middle(n_b, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"two_race\.EXACT_N_B_BUDGET"):
@@ -196,7 +192,9 @@ def test_routes_agree_at_the_budget_edge(n_t):
     d = full_distribution(n_b, n_t)
     assert stirling_form_distribution(n_b, n_t) == d
     if n_t == n_b + 1:
-        assert tuple(p_middle(n_b, m) for m in range(1, n_b + 2)) == d.probs
+        assert d.probs == tuple(
+            Fraction(eulerian(n_b, m - 1), factorial(n_b)) for m in range(1, n_b + 2)
+        )
 
 
 @pytest.mark.parametrize("route", [full_distribution, stirling_form_distribution])
