@@ -6,8 +6,10 @@ brute-force enumeration, Stirling forms against alternating sums, lattice
 counts against special numbers, series coefficients against exact rows.
 ``quick`` and ``full`` differ only in those bounds.  Each check does its
 work once per call: the two closed forms are compared as whole integer rows
-n_b! * P(m), one row of each per (n_b, n_t), and the partition recurrence
-counts each staircase size once, from a cache that lives only for that call.
+n_b! * P(m), one row of each per (n_b, n_t); the enumeration walks each
+fleet's n_b! orders once and tallies every score from that one walk; and
+the partition recurrence counts each staircase size once, from a cache that
+lives only for that call.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ def _forms_agree_ok(n_b_max: int) -> bool:
 
 
 def _oracle_agrees_ok(n_b_max: int) -> bool:
+    # one enumeration per fleet tallies the law at every score
     for n_b in range(1, n_b_max + 1):
-        for n_t in range(2, 2 * n_b + 2):
-            if two_race.full_distribution(n_b, n_t) != lattice_oracle.brute_force_two_race(n_b, n_t):
-                return False
+        scores = range(2, 2 * n_b + 2)
+        laws = lattice_oracle._score_laws(n_b, 2, scores)
+        if any(two_race.full_distribution(n_b, n_t) != law for n_t, law in zip(scores, laws)):
+            return False
     return True
 
 

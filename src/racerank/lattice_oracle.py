@@ -26,8 +26,11 @@ choice of its values by ``itertools.permutations``.  Over the sorted values
 left to the table, boat j's value is below its limit exactly when its
 position is below ``searchsorted(values, limit)``, so one comparison with
 the table counts the beaten boats of every order, for a batch of heads at
-once, and ``bincount`` tallies them into exact int64 counts.  A law is
-handed over as those counts over the number of configurations visited.
+once, and ``bincount`` tallies them into exact int64 counts.  The
+thresholds are one more batch axis of the limits: one walk tallies the law
+at every threshold it is given, and ``BATCH_CELLS`` bounds each comparison
+with that axis counted in it.  A law is handed over as those counts over
+the number of configurations visited.
 
 Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
 is called and is refused before any permutation or placement is generated.
@@ -106,14 +109,14 @@ def brute_force_two_race(n_b: int, n_t: int) -> RankDistribution:
     races, 2 <= n_t <= 2 n_b + 1: boat i scores i + a(i) over the n_b!
     permutations a, refused when n_b! exceeds ``DEFAULT_BUDGET``.  Equal to
     ``brute_force_score(n_b, 2, n_t)``."""
-    return _score_law(n_b, 2, n_t)
+    return _score_laws(n_b, 2, [n_t])[0]
 
 
 def brute_force_score(n_b: int, n_r: int, n_t: int) -> RankDistribution:
     """Exact final-rank distribution of a score-n_t competitor over n_r
     races, n_r <= n_t <= n_r n_b + 1, by score-mode enumeration
     ((n_b!)^(n_r - 1) configurations, refused above ``DEFAULT_BUDGET``)."""
-    return _score_law(n_b, n_r, n_t)
+    return _score_laws(n_b, n_r, [n_t])[0]
 
 
 def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
@@ -130,19 +133,24 @@ def brute_force_composition(n_b: int, ranks: Sequence[int]) -> RankDistribution:
         raise ValueError(f"tracked ranks must lie in [1, {n_b}], got {tuple(ranks)}")
     leftovers = [[v for v in range(1, n_b + 1) if v != r] for r in ranks]
     score = sum(ranks)
-    return RankDistribution(n_b, score, *_rank_law([0] * (n_b - 1), leftovers, score))
+    (row,), need = _rank_law([0] * (n_b - 1), leftovers, [score])
+    return RankDistribution(n_b, score, row, need)
 
 
-def _score_law(n_b: int, n_r: int, n_t: int) -> RankDistribution:
-    n_b, n_r, n_t = map(operator.index, (n_b, n_r, n_t))
+def _score_laws(n_b: int, n_r: int, scores: Sequence[int]) -> list[RankDistribution]:
+    """The score-mode law at each of ``scores``, from one enumeration."""
+    n_b, n_r = operator.index(n_b), operator.index(n_r)
+    scores = [operator.index(n_t) for n_t in scores]
     if n_r < 1:
         raise ValueError(f"n_r must be >= 1, got {n_r}")
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
-    if not n_r <= n_t <= n_r * n_b + 1:
-        raise ValueError(f"score n_t must be in [{n_r}, {n_r * n_b + 1}], got {n_t}")
+    for n_t in scores:
+        if not n_r <= n_t <= n_r * n_b + 1:
+            raise ValueError(f"score n_t must be in [{n_r}, {n_r * n_b + 1}], got {n_t}")
     values = range(1, n_b + 1)
-    return RankDistribution(n_b, n_t, *_rank_law(values, [values] * (n_r - 1), n_t))
+    rows, need = _rank_law(values, [values] * (n_r - 1), scores)
+    return [RankDistribution(n_b, n_t, row, need) for n_t, row in zip(scores, rows)]
 
 
 def _check_enumeration(size: int, races: int) -> None:
@@ -176,27 +184,28 @@ def _orders(k: int) -> np.ndarray:
 
 
 def _rank_law(
-    fixed: Sequence[int], races: Sequence[Sequence[int]], threshold: int
-) -> tuple[list[int], int]:
-    """(counts, need): counts[k] of the ``need`` configurations give
-    m = k + 1, k = 0..len(fixed), under the module's enumeration rule: boat
-    j scores fixed[j] plus its value in each of ``races``, which all hold
-    len(fixed) values.
+    fixed: Sequence[int], races: Sequence[Sequence[int]], thresholds: Sequence[int]
+) -> tuple[list[list[int]], int]:
+    """(rows, need): rows[i][k] of the ``need`` configurations give m = k + 1
+    at threshold thresholds[i], k = 0..len(fixed), under the module's
+    enumeration rule: boat j scores fixed[j] plus its value in each of
+    ``races``, which all hold len(fixed) values.
 
-    Head races are walked by ``itertools.product`` and their limits read
-    in batches.  The last race deals its first width - ``ORDER_TABLE_WIDTH``
-    boats, if any, each ordered choice of its values by
-    ``itertools.permutations`` and the values left, sorted, by the columns of
-    ``_orders``: with below[j] the number of those values under boat j's
-    limit, ``table < below`` marks the beaten boats of every order of every
-    head in the batch."""
+    The configurations are walked once for every threshold, which is one
+    more batch axis of the limits.  Head races are walked by
+    ``itertools.product`` and their partial scores read in batches.  The last
+    race deals its first width - ``ORDER_TABLE_WIDTH`` boats, if any, each
+    ordered choice of its values by ``itertools.permutations`` and the values
+    left, sorted, by the columns of ``_orders``: with below[j] the number of
+    those values under boat j's limit, ``table < below`` marks the beaten
+    boats of every order of every (threshold, head) row of the batch."""
     _check_enumeration(len(races[0]) if races else 0, len(races))
     if not races or not fixed:
         # one configuration: no race is dealt, or it deals no values
-        beaten = sum(part < threshold for part in fixed)
-        return [int(k == beaten) for k in range(len(fixed) + 1)], 1
+        beaten = [sum(part < threshold for part in fixed) for threshold in thresholds]
+        return [[int(k == b) for k in range(len(fixed) + 1)] for b in beaten], 1
     *heads, last = races
-    n = len(fixed)
+    n, t = len(fixed), len(thresholds)
     need = math.prod(math.factorial(len(race)) for race in races)
     last = sorted(last)
     cut = max(n - ORDER_TABLE_WIDTH, 0)
@@ -205,20 +214,31 @@ def _rank_law(
         (np.array(dealt, dtype=np.int64), np.array([v for v in last if v not in dealt]))
         for dealt in itertools.permutations(last, cut)
     ]
-    # every head's limits, boat by boat, read BATCH_CELLS // table.size heads at a time
-    limits = (
-        threshold - sum(parts)
+    # every head's partial scores, boat by boat
+    partials = (
+        sum(parts)
         for head in itertools.product(*map(itertools.permutations, heads))
         for parts in zip(fixed, *head)
     )
-    batch = n * max(BATCH_CELLS // table.size, 1)
+    # each comparison fills at most BATCH_CELLS cells, `rows` (threshold,
+    # head) rows of table.size cells; a block reads the heads that fill about
+    # `rows` rows over all thresholds, and at least one head
+    rows = max(BATCH_CELLS // table.size, 1)
+    batch = n * max(rows // t, 1)
+    thresholds = np.array(thresholds, dtype=np.int64)[:, None, None]
     # exact: every count is at most need <= DEFAULT_BUDGET, far below 2**63
-    counts = np.zeros(n + 1, dtype=np.int64)
-    while (block := np.fromiter(itertools.islice(limits, batch), np.int64)).size:
+    counts = np.zeros(t * (n + 1), dtype=np.int64)
+    while (block := np.fromiter(itertools.islice(partials, batch), np.int64)).size:
         block = block.reshape(-1, n)
-        for dealt, rest in splits:
-            own = (dealt < block[:, :cut]).sum(axis=1, dtype=np.int8)
-            below = np.searchsorted(rest, block[:, cut:]).astype(np.int8)
-            beaten = (table < below[:, :, None]).sum(axis=1, dtype=np.int8)
-            counts += np.bincount((beaten + own[:, None]).ravel(), minlength=n + 1)
-    return counts.tolist(), need
+        # row i * len(block) + h holds head h's limits at threshold i
+        limits = (thresholds - block).reshape(-1, n)
+        offsets = np.repeat(np.arange(0, t * (n + 1), n + 1), len(block))
+        for start in range(0, len(limits), rows):
+            part, offset = limits[start : start + rows], offsets[start : start + rows]
+            for dealt, rest in splits:
+                own = (dealt < part[:, :cut]).sum(axis=1, dtype=np.int8)
+                below = np.searchsorted(rest, part[:, cut:]).astype(np.int8)
+                beaten = (table < below[:, :, None]).sum(axis=1, dtype=np.int8)
+                tally = beaten + (own + offset)[:, None]
+                counts += np.bincount(tally.ravel(), minlength=counts.size)
+    return counts.reshape(t, n + 1).tolist(), need

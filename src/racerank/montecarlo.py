@@ -459,7 +459,9 @@ def middle_band_grid(n_b: int, n_r: int, points: int = 21) -> list[int]:
     +- _GRID_HALF_WIDTH * sqrt(lam) and clipped to the attainable range.
     Duplicates after rounding are merged, so very narrow ranges may return
     fewer than ``points`` values.  A single point is the middle score, rounded;
-    more than ``GRID_POINT_BUDGET`` points are refused before any is made."""
+    more than ``GRID_POINT_BUDGET`` points are refused before any is made, and
+    a ``points`` that is not an integer is refused rather than truncated."""
+    points = operator.index(points)
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     if points > GRID_POINT_BUDGET:
@@ -483,8 +485,9 @@ def curve_sweep(
     """Monte Carlo sweep over scores with the normal-limit columns attached.
     Grid point k runs on substream k of the seed, so the whole table is
     deterministic and the points are statistically independent.  Every score
-    is checked before the first point is simulated."""
-    grid = [int(n_t) for n_t in n_t_grid]
+    is checked before the first point is simulated; a score that is not an
+    integer is refused rather than truncated."""
+    grid = [operator.index(n_t) for n_t in n_t_grid]
     centered = [centered_score(n_t, n_b, n_r) for n_t in grid]
     rows = []
     for idx, n_t in enumerate(grid):

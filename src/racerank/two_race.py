@@ -46,10 +46,12 @@ class RankDistribution:
 
     Virtual-competitor distributions run over m = 1..n_b + 1, tracked-boat
     ones (composition mode) over m = 1..n_b; n_t is the score it is for.
-    Int or ``Fraction`` counts are read once, scaled by the lcm of their
-    denominators to Python ints, checked, and reduced with ``total`` by their
-    gcd, so each law has one representation and equal laws compare and hash
-    equal.
+    A row of Python ints over an int total, as every route builds it, is
+    taken as given; any other row (``Fraction``, ``bool`` or numpy integer
+    entries) is read once and scaled by the lcm of its denominators to
+    Python ints.  The counts are then checked and reduced with ``total`` by
+    their gcd, so each law has one representation and equal laws compare
+    and hash equal.
     """
 
     n_b: int
@@ -63,18 +65,19 @@ class RankDistribution:
             raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
         if total < 1:
             raise ValueError(f"RankDistribution: total must be positive, got {total}")
-        entries = tuple(self.counts)
-        try:
-            scale = lcm(*(c.denominator for c in entries))
-        except AttributeError:
-            bad = next(c for c in entries if not hasattr(c, "denominator"))
-            raise TypeError(
-                "RankDistribution: probabilities must be exact rationals "
-                f"(int or Fraction), got {type(bad).__name__}"
-            ) from None
-        counts = [int(c * scale) for c in entries]
-        total *= scale
-        if any(c < 0 for c in counts):
+        counts = tuple(self.counts)
+        if {type(total), *map(type, counts)} != {int}:
+            try:
+                scale = lcm(*(c.denominator for c in counts))
+            except AttributeError:
+                bad = next(c for c in counts if not hasattr(c, "denominator"))
+                raise TypeError(
+                    "RankDistribution: probabilities must be exact rationals "
+                    f"(int or Fraction), got {type(bad).__name__}"
+                ) from None
+            counts = tuple(int(c * scale) for c in counts)
+            total *= scale
+        if counts and min(counts) < 0:
             raise ValueError("RankDistribution: negative probability")
         if sum(counts) != total:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
@@ -84,8 +87,11 @@ class RankDistribution:
                 f"for n_b = {self.n_b}, got {len(counts)}"
             )
         g = gcd(total, *counts)
-        object.__setattr__(self, "counts", tuple(c // g for c in counts))
-        object.__setattr__(self, "total", total // g)
+        if g > 1:
+            counts = tuple(c // g for c in counts)
+            total //= g
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @property
     def probs(self) -> tuple[Fraction, ...]:

@@ -7,9 +7,10 @@ tests).  An entry only earns that place if it can fail, so each row here
 corrupts one route and pins the exact list of checks that
 ``checks.run("quick")`` then reports failed.  Every entry is the
 target of at least one row; a new entry without one fails
-``test_every_check_has_a_corruption_row``.  The last three tests pin the
-work of the two checks whose sides share work: each row pair and each
-lattice count is built once per call, and again in the next run.
+``test_every_check_has_a_corruption_row``.  The last four tests pin the
+work of the three checks that could repeat it: each row pair, each fleet's
+enumeration and each lattice count is built once per call, and again in
+the next run.
 """
 
 import functools
@@ -31,14 +32,18 @@ def _plus_one_at(at):
 
 
 def _reversed_at(n_b, n_t):
-    """The real distribution route, with the (n_b, n_t) row reversed."""
+    """The real distribution route, with the (n_b, n_t) row reversed, in a
+    route that returns one law or in one that returns a list of them."""
+
+    def reverse(d):
+        if (d.n_b, d.n_t) == (n_b, n_t):
+            return RankDistribution(n_b, n_t, d.counts[::-1], d.total)
+        return d
 
     def corrupt(real):
         def wrong(*args, **kwargs):
-            d = real(*args, **kwargs)
-            if (d.n_b, d.n_t) == (n_b, n_t):
-                return RankDistribution(n_b, n_t, d.counts[::-1], d.total)
-            return d
+            laws = real(*args, **kwargs)
+            return list(map(reverse, laws)) if isinstance(laws, list) else reverse(laws)
 
         return wrong
 
@@ -90,6 +95,7 @@ def _self_consistent_counts(n_t, size):
 
 _TRIANGLE = [(combinatorics, "eulerian_triangle")]
 _ENUMERATION = [(lattice_oracle, "brute_force_two_race")]
+_SCORE_LAWS = [(lattice_oracle, "_score_laws")]
 _COUNTS = [(lattice_oracle, "count_compatible_subsets")]
 
 # row -> (target check, patched attributes, corruption of the real function,
@@ -154,10 +160,11 @@ ROWS = {
         _entry_plus_one_at((6, 4), 2),
         ["alternating-sum form vs Stirling form"],
     ),
-    # a score below the middle, which the excedance check never enumerates
+    # a score below the middle, which the excedance check never enumerates;
+    # the oracle check reads every score of a fleet from one _score_laws call
     "enumeration_below_middle": (
         "closed form vs brute-force enumeration",
-        _ENUMERATION,
+        _SCORE_LAWS,
         _reversed_at(3, 3),
         ["closed form vs brute-force enumeration"],
     ),
@@ -225,9 +232,11 @@ def test_corruption_fails_exactly_the_pinned_checks(monkeypatch, row):
 
 
 # the work of one call at the full bound: each (n_b, n_t) row of each form,
-# and each size up to the full placement (n - 1 rooks) of every staircase
-# n + 1 <= 9, which the recurrence's right-hand sums reach down to 2
+# one two-race enumeration of each fleet n_b <= 7 over its scores
+# 2..2 n_b + 1, and each size up to the full placement (n - 1 rooks) of every
+# staircase n + 1 <= 9, which the recurrence's right-hand sums reach down to 2
 _FORMS_ROWS = Counter({(n_b, n_t): 1 for n_b in range(1, 9) for n_t in range(2, n_b + 2)})
+_ORACLE_WALKS = Counter({(n_b, 1, tuple(range(2, 2 * n_b + 2))): 1 for n_b in range(1, 8)})
 _RECURRENCE_COUNTS = Counter({(n + 1, i): 1 for n in range(1, 9) for i in range(n)})
 
 
@@ -244,6 +253,20 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _counting_walks(monkeypatch):
+    """Patch ``lattice_oracle._rank_law`` with a wrapper that counts its
+    walks by (boats, races, thresholds)."""
+    walks = Counter()
+    real = lattice_oracle._rank_law
+
+    def counted(fixed, races, thresholds):
+        walks[len(fixed), len(races), tuple(thresholds)] += 1
+        return real(fixed, races, thresholds)
+
+    monkeypatch.setattr(lattice_oracle, "_rank_law", counted)
+    return walks
+
+
 def test_forms_check_builds_each_row_pair_once(monkeypatch):
     alternating = _counting(monkeypatch, two_race, "_alternating_row")
     stirling = _counting(monkeypatch, two_race, "_stirling_row")
@@ -252,6 +275,13 @@ def test_forms_check_builds_each_row_pair_once(monkeypatch):
     assert len(_FORMS_ROWS) == 36
     assert alternating == stirling == _FORMS_ROWS
     assert not law
+
+
+def test_oracle_check_enumerates_each_fleet_once(monkeypatch):
+    walks = _counting_walks(monkeypatch)
+    assert checks._oracle_agrees_ok(7)
+    assert len(_ORACLE_WALKS) == 7
+    assert walks == _ORACLE_WALKS
 
 
 def test_recurrence_check_counts_each_size_once(monkeypatch):
@@ -265,6 +295,7 @@ def test_checks_keep_nothing_between_runs(monkeypatch):
         _counting(monkeypatch, two_race, "_alternating_row"),
         _counting(monkeypatch, two_race, "_stirling_row"),
         _counting(monkeypatch, lattice_oracle, "count_compatible_subsets"),
+        _counting_walks(monkeypatch),
     ]
     per_run = []
     for _ in range(2):
@@ -273,7 +304,8 @@ def test_checks_keep_nothing_between_runs(monkeypatch):
         for calls in work:
             calls.clear()
     assert per_run[0] == per_run[1]
-    alternating, stirling, counts = per_run[1]
+    alternating, stirling, counts, walks = per_run[1]
     assert _FORMS_ROWS.keys() <= alternating.keys()
     assert _FORMS_ROWS.keys() <= stirling.keys()
     assert _RECURRENCE_COUNTS.keys() <= counts.keys()
+    assert _ORACLE_WALKS.keys() <= walks.keys()

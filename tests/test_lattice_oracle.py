@@ -5,7 +5,10 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racerank import lattice_oracle
 from racerank.combinatorics import stirling_diagonal
@@ -124,6 +127,62 @@ def test_brute_force_composition_one_race_past_the_order_table(r):
     # exactly r - 1 of the leftover values 1..9 without r lie below r
     probs = brute_force_composition(9, (r,)).probs
     assert probs == tuple(Fraction(int(m == r)) for m in range(1, 10))
+
+
+@st.composite
+def enumerations(draw):
+    """(fixed, races) of a small score-mode fleet at n_r in {1, 2, 3}, as
+    ``brute_force_score`` deals it, or of a composition-mode one at
+    n_r <= 3, as ``brute_force_composition`` deals it; n_b = 8 at n_r = 2
+    deals one value before the 7-wide order table."""
+    n_r = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n_b = draw(st.integers(1, {1: 9, 2: 8, 3: 4}[n_r]))
+        values = range(1, n_b + 1)
+        return values, [values] * (n_r - 1)
+    n_b = draw(st.integers(1, {1: 9, 2: 6, 3: 4}[n_r]))
+    ranks = draw(st.lists(st.integers(1, n_b), min_size=n_r, max_size=n_r))
+    return [0] * (n_b - 1), [[v for v in range(1, n_b + 1) if v != r] for r in ranks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumerations(), st.data())
+def test_rank_law_over_thresholds_equals_one_call_per_threshold(case, data):
+    fixed, races = case
+    top = len(fixed) * (len(races) + 1) + 2
+    thresholds = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8, unique=True))
+    # the threshold axis shares each comparison's BATCH_CELLS with the heads
+    cells = data.draw(st.sampled_from([1, 700, lattice_oracle.BATCH_CELLS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice_oracle, "BATCH_CELLS", cells)
+        rows, need = lattice_oracle._rank_law(fixed, races, thresholds)
+    alone = [lattice_oracle._rank_law(fixed, races, [t]) for t in thresholds]
+    assert rows == [row for (row,), _ in alone]
+    assert {need} == {n for _, n in alone}
+    assert all(sum(row) == need for row in rows)
+
+
+@pytest.mark.parametrize("cells", [700, lattice_oracle.BATCH_CELLS])
+@pytest.mark.parametrize("n_b, n_r", [(4, 3), (5, 2), (6, 2), (7, 2)])
+def test_threshold_axis_counts_in_batch_cells(monkeypatch, cells, n_b, n_r):
+    # every score of the fleet in one walk, and no comparison of the order
+    # table wider than BATCH_CELLS, or than one row of the table
+    values = range(1, n_b + 1)
+    scores = list(range(n_r, n_r * n_b + 2))
+    expected = lattice_oracle._rank_law(values, [values] * (n_r - 1), scores)
+    sizes = []
+    real = lattice_oracle._orders
+
+    class Recording(np.ndarray):
+        def __lt__(self, other):
+            out = np.asarray(self) < other
+            sizes.append(out.size)
+            return out
+
+    monkeypatch.setattr(lattice_oracle, "_orders", lambda k: real(k).view(Recording))
+    monkeypatch.setattr(lattice_oracle, "BATCH_CELLS", cells)
+    assert lattice_oracle._rank_law(values, [values] * (n_r - 1), scores) == expected
+    assert sizes and max(sizes) <= max(cells, real(n_b).size)
 
 
 @pytest.mark.parametrize("k", range(lattice_oracle.ORDER_TABLE_WIDTH + 1))

@@ -499,6 +499,13 @@ def test_curve_sweep_checks_every_score_before_simulating(monkeypatch):
         curve_sweep(3, 2, [4, 100], 2_000_000, 1)
 
 
+def test_grid_and_sweep_accept_numpy_integers():
+    assert middle_band_grid(21, 4, np.int64(7)) == middle_band_grid(21, 4, 7)
+    (row,) = curve_sweep(3, 2, [np.int64(4)], 100, 1)
+    assert row == curve_sweep(3, 2, [4], 100, 1)[0]
+    assert type(row.n_t) is int
+
+
 def test_curve_sweep_deterministic_and_sane():
     grid = middle_band_grid(21, 4, points=7)
     rows1 = curve_sweep(21, 4, grid, trials=3000, seed=SEED)

@@ -10,6 +10,7 @@ from racerank import (
     brute_force_two_race,
     coefficient_to_distribution,
     count_compatible_subsets,
+    curve_sweep,
     empirical_rank_moments,
     eulerian_from_stirling,
     eulerian_gf,
@@ -155,6 +156,12 @@ NOT_AN_INTEGER = {
     "coefficient_to_distribution n_b": lambda: coefficient_to_distribution(
         second_gf_expand(4), 2.0
     ),
+    # int(4.9) ran the sweep and labelled its row n_t = 4
+    "curve_sweep n_t": lambda: curve_sweep(3, 2, [4.9], 100, 1),
+    # 1.0 returned [44], the middle score of 21 x 4
+    "middle_band_grid points": lambda: middle_band_grid(21, 4, 1.0),
+    # 2.5 passed both checks and then failed inside np.linspace
+    "middle_band_grid fractional points": lambda: middle_band_grid(21, 4, 2.5),
 }
 
 

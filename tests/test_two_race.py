@@ -268,8 +268,9 @@ def test_reflection_involution():
 
 def _assert_one_representation(n_b, k):
     """At every score of n_b, each route's law and the law rebuilt from its
-    Fractions or from counts scaled by k are one value: equal, equally
-    hashed, with identical reduced int counts and total."""
+    Fractions, from counts scaled by k, or from its counts as numpy int64 or
+    as whole Fractions are one value: equal, equally hashed, with identical
+    reduced int counts and total."""
     for n_t in range(2, 2 * n_b + 2):
         d = full_distribution(n_b, n_t)
         assert gcd(d.total, *d.counts) == 1
@@ -279,6 +280,8 @@ def _assert_one_representation(n_b, k):
             brute_force_score(n_b, 2, n_t),
             RankDistribution(n_b, n_t, d.probs),
             RankDistribution(n_b, n_t, [k * c for c in d.counts], k * d.total),
+            RankDistribution(n_b, n_t, np.array(d.counts, dtype=np.int64), d.total),
+            RankDistribution(n_b, n_t, [Fraction(k * c, 1) for c in d.counts], k * d.total),
         ):
             assert law == d and hash(law) == hash(d)
             assert (law.counts, law.total) == (d.counts, d.total)
@@ -372,6 +375,10 @@ def test_rank_distribution_validation():
     d = RankDistribution(1, 2, np.array([2**62, 2**62]), 2**63)
     assert (d.counts, d.total) == ((1, 1), 2)
     assert all(type(c) is int for c in d.counts)
+    # a bool row and total take the scaling path and are stored as Python ints
+    d = RankDistribution(1, 2, (True, False), True)
+    assert (d.counts, d.total) == ((1, 0), 1)
+    assert all(type(c) is int for c in (*d.counts, d.total))
     d = full_distribution(3, 4)
     assert d.p(2) == Fraction(2, 3)
     with pytest.raises(ValueError):
