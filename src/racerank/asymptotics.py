@@ -11,6 +11,7 @@ between ranks within a race.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,8 @@ class AsymptoticParams:
     n_r: int
 
     def __post_init__(self) -> None:
+        for name in ("n_b", "n_r"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_b < 1 or self.n_r < 1:
             raise ValueError("n_b and n_r must be >= 1")
 
@@ -68,6 +71,7 @@ def rank_moments_theory(n_b: int) -> RankMoments:
     """mean (1+n_b)/2, variance (1+n_b)(n_b-1)/12, pair covariance
     -(1+n_b)/12.  The covariance row sum vanishes because the ranks in a
     race always total n_b (1+n_b) / 2 exactly."""
+    n_b = operator.index(n_b)
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     return RankMoments(

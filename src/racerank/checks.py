@@ -8,13 +8,12 @@ counts against special numbers, series coefficients against exact rows.
 work once per call: the two closed forms are compared as whole integer rows
 n_b! * P(m), one row of each per (n_b, n_t); the enumeration walks each
 fleet's n_b! orders once and tallies every score from that one walk; and
-the partition recurrence counts each staircase size once, from a cache that
-lives only for that call.
+the two lattice checks read whole rows of rook numbers, so each walks each
+staircase once per call.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 from . import combinatorics, lattice_oracle, series, two_race
@@ -37,11 +36,10 @@ def _eulerian_reference_ok(n_max: int) -> bool:
 
 
 def _row_properties_ok(n_max: int) -> bool:
-    for n in range(1, n_max + 1):
-        row = combinatorics.eulerian_triangle(n)[-1]
-        if sum(row) != combinatorics.factorial(n) or row != row[::-1]:
-            return False
-    return True
+    return all(
+        sum(row) == combinatorics.factorial(n) and row == row[::-1]
+        for n, row in enumerate(combinatorics.eulerian_triangle(n_max), 1)
+    )
 
 
 def _stirling_diagonal_ok(n_max: int) -> bool:
@@ -95,36 +93,33 @@ def _excedance_ok(n_max: int) -> bool:
     # the excedance statistic #{i : a(i) <= n - i} is the number of boats a
     # middle-score (n + 1) competitor loses to, so m - 1 carries its histogram;
     # the Eulerian row starts with 1, so the law's reduced counts are that row
-    for n in range(1, n_max + 1):
-        dist = lattice_oracle.brute_force_two_race(n, n + 1)
-        if list(dist.counts) != combinatorics.eulerian_triangle(n)[-1] + [0]:
-            return False
-    return True
+    return all(
+        list(lattice_oracle.brute_force_two_race(n, n + 1).counts) == row + [0]
+        for n, row in enumerate(combinatorics.eulerian_triangle(n_max), 1)
+    )
 
 
 def _lattice_counts_ok(n_t_max: int) -> bool:
-    for n_t in range(2, n_t_max + 1):
-        for i in range(n_t - 1):
-            if lattice_oracle.count_compatible_subsets(n_t, i) != combinatorics.stirling_diagonal(n_t, i + 1):
-                return False
-    return True
+    return all(
+        lattice_oracle.count_compatible_subsets(n_t)
+        == [combinatorics.stirling_diagonal(n_t, i + 1) for i in range(n_t - 1)]
+        for n_t in range(2, n_t_max + 1)
+    )
 
 
 def _lattice_recurrence_ok(n_t_max: int) -> bool:
-    # each (staircase, size) is counted once per call, though both sides read it
-    count = functools.cache(lattice_oracle.count_compatible_subsets)
-    for n_t in range(2, n_t_max + 1):
-        for i in range(n_t - 1):
-            rhs = sum(
-                count(n_t - kp, i - kp) * combinatorics.binomial(n_t - 1, kp)
-                for kp in range(i + 1)
-                if n_t - kp >= 2
-            )
-            if count(n_t + 1, i) != rhs:
-                return False
-        if count(n_t + 1, n_t - 1) != 1:
-            return False
-    return True
+    # row n_t + 1 from the rows below it, ending in its one full placement;
+    # each staircase is walked once per call, though both sides read its row
+    rows = {n_t: lattice_oracle.count_compatible_subsets(n_t) for n_t in range(2, n_t_max + 2)}
+    return all(
+        rows[n_t + 1]
+        == [
+            sum(rows[n_t - kp][i - kp] * combinatorics.binomial(n_t - 1, kp) for kp in range(i + 1))
+            for i in range(n_t - 1)
+        ]
+        + [1]
+        for n_t in range(2, n_t_max + 1)
+    )
 
 
 def _series_rows_ok(order: int) -> bool:
@@ -141,9 +136,8 @@ def _series_rows_ok(order: int) -> bool:
 def _middle_identity_ok(n_b_max: int) -> bool:
     # n_b! P(m) = E(n_b, m - 1), and the row starts with 1, so it is the reduced counts
     return all(
-        list(two_race.full_distribution(n_b, n_b + 1).counts)
-        == combinatorics.eulerian_triangle(n_b)[-1] + [0]
-        for n_b in range(1, n_b_max + 1)
+        list(two_race.full_distribution(n_b, n_b + 1).counts) == row + [0]
+        for n_b, row in enumerate(combinatorics.eulerian_triangle(n_b_max), 1)
     )
 
 

@@ -9,6 +9,7 @@ caches grow on demand and never beyond the deepest row requested.
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "factorial",
@@ -83,6 +84,7 @@ def _check_row(n: int) -> None:
 
 
 def _eulerian_row(n: int) -> list[int]:
+    n = operator.index(n)
     _check_row(n)
     while len(_eulerian_rows) < n:
         prev = _eulerian_rows[-1]
@@ -97,6 +99,7 @@ def _eulerian_row(n: int) -> list[int]:
 
 
 def _stirling_row(n: int) -> list[int]:
+    n = operator.index(n)
     _check_row(n)
     while len(_stirling_rows) <= n:
         prev = _stirling_rows[-1]
@@ -118,6 +121,7 @@ def eulerian(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"eulerian: n must be >= 1, got {n}")
+    k = operator.index(k)
     if k < 0 or k >= n:
         return 0
     return _eulerian_row(n)[k]
@@ -139,6 +143,7 @@ def stirling2(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"stirling2: n must be >= 0, got {n}")
+    k = operator.index(k)
     if k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]

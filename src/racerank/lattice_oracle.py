@@ -68,40 +68,37 @@ ORDER_TABLE_WIDTH = 7
 BATCH_CELLS = 2**16
 
 
-def count_compatible_subsets(n_t: int, size: int) -> int:
-    """Number of ``size``-element sets of points x, y >= 1 under the staircase
-    x + y < n_t that share no row and no column (partial non-attacking rook
-    placements).  The empty placement counts once by convention.
+def count_compatible_subsets(n_t: int) -> list[int]:
+    """The rook numbers of the staircase x + y < n_t over x, y >= 1: entry i
+    counts the placements of i non-attacking rooks, i = 0..n_t - 2, the most
+    it holds (the empty placement counts once).
 
     n_t alone defines the staircase: row x holds the columns 1..n_t - 1 - x.
-    Counts by backtracking over the rows, shortest first, straight from that
-    rule; no closed form is consulted, keeping this an independent check of
-    ``stirling_diagonal``.  The walk visits at most prod(l + 1) over the row
-    lengths l = 1..n_t - 2, i.e. (n_t - 1)! partial placements, and a bound
-    above ``DEFAULT_BUDGET`` is refused before any row is built.
+    One backtracking walk over the rows, shortest first, straight from that
+    rule, tallies every placement by its size; no closed form is consulted,
+    keeping this an independent check of ``stirling_diagonal``.  It visits at
+    most (n_t - 1)! placements, prod(l + 1) over the row lengths l, and a
+    bound above ``DEFAULT_BUDGET`` is refused before the walk starts.
     """
-    n_t, size = operator.index(n_t), operator.index(size)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    n_t = operator.index(n_t)
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")
     _check_enumeration(n_t - 1, 1)
-    rows = [range(1, n_t - x) for x in range(n_t - 2, 0, -1)]
+    counts = [0] * (n_t - 1)
 
-    def place(row_idx: int, left: int, used: set[int]) -> int:
-        if left == 0:
-            return 1
-        if len(rows) - row_idx < left:
-            return 0
-        total = place(row_idx + 1, left, used)
-        for y in rows[row_idx]:
+    def place(x: int, used: set[int]) -> None:
+        if x == 0:
+            counts[len(used)] += 1
+            return
+        place(x - 1, used)
+        for y in range(1, n_t - x):
             if y not in used:
                 used.add(y)
-                total += place(row_idx + 1, left - 1, used)
+                place(x - 1, used)
                 used.remove(y)
-        return total
 
-    return place(0, size, set())
+    place(n_t - 2, set())
+    return counts
 
 
 def brute_force_two_race(n_b: int, n_t: int) -> RankDistribution:

@@ -47,14 +47,6 @@ __all__ = [
 SERIES_ORDER_BUDGET = 60
 
 
-def _check_order(order: int) -> None:
-    if order > SERIES_ORDER_BUDGET:
-        raise ValueError(
-            f"order = {order} exceeds the series budget {SERIES_ORDER_BUDGET} "
-            "(series.SERIES_ORDER_BUDGET)"
-        )
-
-
 class ExactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where none is possible."""
 
@@ -90,8 +82,15 @@ def _div_one_minus_y(r: list[int]) -> list[int]:
 
 def _eulerian_rows(order: int) -> list[list[int]]:
     """Rows q_0..q_order of n! [x^n] g, by the recurrence of the module
-    docstring; the budget is checked before the first row."""
-    _check_order(order)
+    docstring; the order is checked before the first row."""
+    order = operator.index(order)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if order > SERIES_ORDER_BUDGET:
+        raise ValueError(
+            f"order = {order} exceeds the series budget {SERIES_ORDER_BUDGET} "
+            "(series.SERIES_ORDER_BUDGET)"
+        )
     rows: list[list[int]] = []
     for n in range(order + 1):
         r = [1] + [0] * n

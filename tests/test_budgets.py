@@ -77,7 +77,7 @@ OVERSIZED = {
     "eulerian_gf": (lambda: racerank.eulerian_gf(_ORDER), _SERIES),
     "second_gf_expand": (lambda: racerank.second_gf_expand(_ORDER), _SERIES),
     "count_compatible_subsets": (
-        lambda: racerank.count_compatible_subsets(1500, 1),
+        lambda: racerank.count_compatible_subsets(1500),
         _builders(lattice_oracle, "set"),
     ),
     "brute_force_two_race": (lambda: racerank.brute_force_two_race(300000, 3), _ENUMERATION),

@@ -8,9 +8,9 @@ corrupts one route and pins the exact list of checks that
 ``checks.run("quick")`` then reports failed.  Every entry is the
 target of at least one row; a new entry without one fails
 ``test_every_check_has_a_corruption_row``.  The last four tests pin the
-work of the three checks that could repeat it: each row pair, each fleet's
-enumeration and each lattice count is built once per call, and again in
-the next run.
+work of the checks that could repeat it: each row pair, each fleet's
+enumeration and each staircase is built or walked once per call, and again
+in the next run.
 """
 
 import functools
@@ -82,15 +82,17 @@ def _triangle_row_changed(n, change):
 
 
 @functools.cache
-def _self_consistent_counts(n_t, size):
-    # count(2, 0) = 2 carried through the partition recurrence
-    if size == n_t - 2:
-        return 2 if n_t == 2 else 1
-    return sum(
-        _self_consistent_counts(n_t - kp - 1, size - kp) * combinatorics.binomial(n_t - 2, kp)
-        for kp in range(size + 1)
-        if n_t - kp >= 3
-    )
+def _self_consistent_counts(n_t):
+    # the row [2] of staircase 2 carried through the partition recurrence
+    if n_t == 2:
+        return [2]
+    return [
+        sum(
+            _self_consistent_counts(n_t - kp - 1)[size - kp] * combinatorics.binomial(n_t - 2, kp)
+            for kp in range(size + 1)
+        )
+        for size in range(n_t - 2)
+    ] + [1]
 
 
 _TRIANGLE = [(combinatorics, "eulerian_triangle")]
@@ -185,17 +187,17 @@ ROWS = {
         ["lattice subset counts vs diagonal Stirling"],
     ),
     # staircase 7 lies beyond the subset-count check's quick scope (score <= 6):
-    # a recurrence row, then the full placement
+    # a recurrence entry (2 rooks), then the full placement (5 rooks)
     "count_row": (
         "lattice partition recurrence",
         _COUNTS,
-        _plus_one_at((7, 2)),
+        _entry_plus_one_at((7,), 3),
         ["lattice partition recurrence"],
     ),
     "count_full_placement": (
         "lattice partition recurrence",
         _COUNTS,
-        _plus_one_at((7, 5)),
+        _entry_plus_one_at((7,), 6),
         ["lattice partition recurrence"],
     ),
     # coefficient_to_distribution is read only by the second-series loop
@@ -233,11 +235,13 @@ def test_corruption_fails_exactly_the_pinned_checks(monkeypatch, row):
 
 # the work of one call at the full bound: each (n_b, n_t) row of each form,
 # one two-race enumeration of each fleet n_b <= 7 over its scores
-# 2..2 n_b + 1, and each size up to the full placement (n - 1 rooks) of every
-# staircase n + 1 <= 9, which the recurrence's right-hand sums reach down to 2
+# 2..2 n_b + 1, one walk of each staircase 2..8 that the subset-count check
+# compares, and one of each staircase 2..9, whose row n_t + 1 the recurrence
+# check reads against the rows below it
 _FORMS_ROWS = Counter({(n_b, n_t): 1 for n_b in range(1, 9) for n_t in range(2, n_b + 2)})
 _ORACLE_WALKS = Counter({(n_b, 1, tuple(range(2, 2 * n_b + 2))): 1 for n_b in range(1, 8)})
-_RECURRENCE_COUNTS = Counter({(n + 1, i): 1 for n in range(1, 9) for i in range(n)})
+_COUNT_WALKS = Counter({(n_t,): 1 for n_t in range(2, 9)})
+_RECURRENCE_WALKS = Counter({(n_t,): 1 for n_t in range(2, 10)})
 
 
 def _counting(monkeypatch, module, name):
@@ -284,10 +288,13 @@ def test_oracle_check_enumerates_each_fleet_once(monkeypatch):
     assert walks == _ORACLE_WALKS
 
 
-def test_recurrence_check_counts_each_size_once(monkeypatch):
-    calls = _counting(monkeypatch, lattice_oracle, "count_compatible_subsets")
+def test_lattice_checks_walk_each_staircase_once(monkeypatch):
+    walks = _counting(monkeypatch, lattice_oracle, "count_compatible_subsets")
+    assert checks._lattice_counts_ok(8)
+    assert walks == _COUNT_WALKS
+    walks.clear()
     assert checks._lattice_recurrence_ok(8)
-    assert calls == _RECURRENCE_COUNTS
+    assert walks == _RECURRENCE_WALKS
 
 
 def test_checks_keep_nothing_between_runs(monkeypatch):
@@ -304,8 +311,9 @@ def test_checks_keep_nothing_between_runs(monkeypatch):
         for calls in work:
             calls.clear()
     assert per_run[0] == per_run[1]
-    alternating, stirling, counts, walks = per_run[1]
+    alternating, stirling, staircases, walks = per_run[1]
     assert _FORMS_ROWS.keys() <= alternating.keys()
     assert _FORMS_ROWS.keys() <= stirling.keys()
-    assert _RECURRENCE_COUNTS.keys() <= counts.keys()
+    # the two lattice checks are the only readers of the staircases
+    assert staircases == _COUNT_WALKS + _RECURRENCE_WALKS
     assert _ORACLE_WALKS.keys() <= walks.keys()

@@ -22,15 +22,15 @@ from racerank.two_race import full_distribution
 
 
 def test_count_compatible_subsets_worked_example():
-    assert [count_compatible_subsets(5, i) for i in range(5)] == [1, 6, 7, 1, 0]
+    assert count_compatible_subsets(5) == [1, 6, 7, 1]
 
 
 def test_count_compatible_subsets_by_direct_subset_filter():
     # independent in-test recount: filter all subsets explicitly
     for n_t in range(2, 7):
         pts = [(x, y) for x in range(1, n_t) for y in range(1, n_t) if x + y < n_t]
-        for size in range(n_t):
-            direct = sum(
+        direct = [
+            sum(
                 1
                 for sub in itertools.combinations(pts, size)
                 if all(
@@ -38,21 +38,25 @@ def test_count_compatible_subsets_by_direct_subset_filter():
                     for p, q in itertools.combinations(sub, 2)
                 )
             )
-            assert count_compatible_subsets(n_t, size) == direct
+            for size in range(n_t)
+        ]
+        # no n_t - 1 points of the staircase share no row and no column
+        assert direct[-1] == 0
+        assert count_compatible_subsets(n_t) == direct[:-1]
 
 
 def test_count_compatible_subsets_matches_diagonal_stirling():
     # up to n_t = 12, the last score the budget admits
     for n_t in range(2, 13):
-        for i in range(n_t - 1):
-            assert count_compatible_subsets(n_t, i) == stirling_diagonal(n_t, i + 1)
+        row = [stirling_diagonal(n_t, i + 1) for i in range(n_t - 1)]
+        assert count_compatible_subsets(n_t) == row
 
 
 def test_count_compatible_subsets_budget_edge():
     assert math.factorial(11) <= lattice_oracle.DEFAULT_BUDGET < math.factorial(12)
-    assert count_compatible_subsets(12, 1) == math.comb(11, 2) == 55
+    assert count_compatible_subsets(12)[1] == math.comb(11, 2) == 55
     with pytest.raises(ValueError, match=r"^enumeration needs 12! configurations"):
-        count_compatible_subsets(13, 1)
+        count_compatible_subsets(13)
 
 
 def test_brute_force_two_race_examples():
@@ -244,7 +248,7 @@ def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
 
 # each enumeration with its configuration count and the label that names it
 ENUMERATIONS = [
-    (lambda: count_compatible_subsets(5, 1), 24, "4!"),
+    (lambda: count_compatible_subsets(5), 24, "4!"),
     (lambda: brute_force_two_race(3, 4), 6, "3!"),
     (lambda: brute_force_score(3, 3, 6), 36, "(3!)^2"),
     (lambda: brute_force_composition(4, (1, 2)), 36, "(3!)^2"),

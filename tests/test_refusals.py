@@ -3,6 +3,7 @@
 import pytest
 
 from racerank import (
+    AsymptoticParams,
     SimConfig,
     binomial,
     brute_force_composition,
@@ -12,19 +13,22 @@ from racerank import (
     count_compatible_subsets,
     curve_sweep,
     empirical_rank_moments,
+    eulerian,
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
     factorial,
     full_distribution,
+    mean_final_rank,
     middle_band_grid,
     rank_moments_theory,
     second_gf_expand,
     stirling2,
     stirling_binomial_sum,
     stirling_triangle,
+    variance_final_rank,
 )
-from racerank import checks
+from racerank import checks, combinatorics
 
 REFUSALS = {
     "rank_moments_theory": (lambda: rank_moments_theory(0), "n_b must be >= 1, got 0"),
@@ -49,15 +53,12 @@ REFUSALS = {
     "stirling_binomial_sum": (
         lambda: stirling_binomial_sum(2, 3), "stirling_binomial_sum: k must be in [0, 2], got 3"
     ),
-    "count_compatible_subsets": (
-        lambda: count_compatible_subsets(4, -1), "size must be >= 0, got -1"
-    ),
     "count_compatible_subsets n_t": (
-        lambda: count_compatible_subsets(1, 0), "n_t must be >= 2, got 1"
+        lambda: count_compatible_subsets(1), "n_t must be >= 2, got 1"
     ),
     # one recursion level per staircase row: 1498 rows raised RecursionError
     "count_compatible_subsets budget": (
-        lambda: count_compatible_subsets(1500, 1),
+        lambda: count_compatible_subsets(1500),
         "enumeration needs 1499! configurations, budget is 100000000 "
         "(lattice_oracle.DEFAULT_BUDGET)",
     ),
@@ -114,6 +115,8 @@ REFUSALS = {
         "the series' rows hold rank 1 at y^0, got shifted=False",
     ),
     "checks.run": (lambda: checks.run("slow"), "level must be 'quick' or 'full', got 'slow'"),
+    # returned a series of no rows, which every read refused as truncated at x^-1
+    "eulerian_gf order": (lambda: eulerian_gf(-1), "order must be >= 0, got -1"),
 }
 
 
@@ -149,10 +152,7 @@ NOT_AN_INTEGER = {
     "empirical_rank_moments n_b": lambda: empirical_rank_moments(3.0, 1000, 1),
     "empirical_rank_moments trials": lambda: empirical_rank_moments(3, 1000.0, 1),
     "empirical_rank_moments stream": lambda: empirical_rank_moments(3, 1000, 1, stream=2.0),
-    # size 1.5 failed with an IndexError inside the walk, and 2.0 counted 2 rooks
-    "count_compatible_subsets size": lambda: count_compatible_subsets(5, 1.5),
-    "count_compatible_subsets whole size": lambda: count_compatible_subsets(6, 2.0),
-    "count_compatible_subsets n_t": lambda: count_compatible_subsets(6.0, 2),
+    "count_compatible_subsets n_t": lambda: count_compatible_subsets(6.0),
     "coefficient_to_distribution n_b": lambda: coefficient_to_distribution(
         second_gf_expand(4), 2.0
     ),
@@ -162,10 +162,32 @@ NOT_AN_INTEGER = {
     "middle_band_grid points": lambda: middle_band_grid(21, 4, 1.0),
     # 2.5 passed both checks and then failed inside np.linspace
     "middle_band_grid fractional points": lambda: middle_band_grid(21, 4, 2.5),
+    # AsymptoticParams was built, and the routes reading it failed inside Fraction
+    "AsymptoticParams n_b": lambda: AsymptoticParams(2.5, 3),
+    "mean_final_rank n_b": lambda: mean_final_rank(10.5, 2, 11),
+    "variance_final_rank n_r": lambda: variance_final_rank(200, 30.0, 3015),
+    "middle_band_grid n_b": lambda: middle_band_grid(10.5, 2),
+    "rank_moments_theory n_b": lambda: rank_moments_theory(2.5),
+    # failed indexing a triangle row after the rows up to it were cached
+    "eulerian k": lambda: eulerian(5, 2.0),
+    "stirling2 k": lambda: stirling2(5, 2.0),
+    "eulerian_triangle n_max": lambda: eulerian_triangle(2.5),
+    "stirling_triangle n_max": lambda: stirling_triangle(3.5),
 }
 
 
 @pytest.mark.parametrize("case", NOT_AN_INTEGER)
 def test_non_integer_refusal(case):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        NOT_AN_INTEGER[case]()
+
+
+@pytest.mark.parametrize(
+    "case", ["eulerian k", "stirling2 k", "eulerian_triangle n_max", "stirling_triangle n_max"]
+)
+def test_non_integer_refusal_reads_no_triangle_row(monkeypatch, case):
+    # the cached rows are neither read nor grown before the refusal
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", None)
+    monkeypatch.setattr(combinatorics, "_stirling_rows", None)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         NOT_AN_INTEGER[case]()

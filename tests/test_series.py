@@ -83,8 +83,10 @@ def test_second_gf_printed_rows():
     h = second_gf_expand(8)
     for n, row in SECOND_GF_ROWS.items():
         assert h.rows[n] == row
-    with pytest.raises(ValueError):
-        second_gf_expand(1)
+    # its own bound comes before the order check every builder shares
+    for order in (1, -1):
+        with pytest.raises(ValueError, match=f"^order must be >= 2, got {order}$"):
+            second_gf_expand(order)
 
 
 def test_coefficient_to_distribution_examples():
