@@ -84,15 +84,19 @@ def rank_moments_theory(n_b: int) -> RankMoments:
 def centered_score(n_t: int, n_b: int, n_r: int) -> float:
     """Score measured from the middle: n_t - n_r (1 + n_b) / 2.  The score
     must lie in the attainable range [n_r, n_r * n_b]."""
-    params = AsymptoticParams(n_b, n_r)
+    return _centered(AsymptoticParams(n_b, n_r), n_t)
+
+
+def _centered(params: AsymptoticParams, n_t: int) -> float:
+    n_b, n_r = params.n_b, params.n_r
     if not n_r <= n_t <= n_r * n_b:
         raise ValueError(f"score must be in [{n_r}, {n_r * n_b}], got {n_t}")
     return float(n_t - params.middle_score)
 
 
 def _scaled_score(n_b: int, n_r: int, n_t: int) -> float:
-    lam = float(AsymptoticParams(n_b, n_r).lam)
-    return centered_score(n_t, n_b, n_r) / math.sqrt(lam)
+    params = AsymptoticParams(n_b, n_r)
+    return _centered(params, n_t) / math.sqrt(float(params.lam))
 
 
 def mean_final_rank(n_b: int, n_r: int, n_t: int) -> float:

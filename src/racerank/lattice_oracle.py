@@ -26,11 +26,10 @@ choice of its values by ``itertools.permutations``.  Over the sorted values
 left to the table, boat j's value is below its limit exactly when its
 position is below ``searchsorted(values, limit)``, so one comparison with
 the table counts the beaten boats of every order, for a batch of heads at
-once, and ``bincount`` tallies them into exact int64 counts.  The
-thresholds are one more batch axis of the limits: one walk tallies the law
-at every threshold it is given, and ``BATCH_CELLS`` bounds each comparison
-with that axis counted in it.  A law is handed over as those counts over
-the number of configurations visited.
+once, and ``bincount`` tallies them into exact int64 counts.  One walk
+of the heads serves every threshold it is given: each batch is compared
+once per threshold, and ``BATCH_CELLS`` bounds each comparison.  A law is
+handed over as those counts over the number of configurations visited.
 
 Every enumeration, the rook walk included, reads ``DEFAULT_BUDGET`` when it
 is called and is refused before any permutation or placement is generated.
@@ -63,8 +62,9 @@ DEFAULT_BUDGET = 10**8
 # Widest last race whose orders are tabulated: the 7! orders of 7 int8
 # positions hold 35 KB (8! orders of 8 would add ~1.2 MB to peak memory).
 ORDER_TABLE_WIDTH = 7
-# Cells one comparison of the order table with a batch of heads may fill;
-# the 7-wide table (35280 cells) is compared with one head at a time.
+# Cells one comparison of the order table with a batch of heads, at one
+# threshold, may fill; the 7-wide table (35280 cells) is compared with one
+# head at a time.
 BATCH_CELLS = 2**16
 
 
@@ -188,21 +188,20 @@ def _rank_law(
     enumeration rule: boat j scores fixed[j] plus its value in each of
     ``races``, which all hold len(fixed) values.
 
-    The configurations are walked once for every threshold, which is one
-    more batch axis of the limits.  Head races are walked by
-    ``itertools.product`` and their partial scores read in batches.  The last
+    Head races are walked once, by ``itertools.product``, and their partial
+    scores read in batches, each scored at every threshold in turn.  The last
     race deals its first width - ``ORDER_TABLE_WIDTH`` boats, if any, each
     ordered choice of its values by ``itertools.permutations`` and the values
     left, sorted, by the columns of ``_orders``: with below[j] the number of
     those values under boat j's limit, ``table < below`` marks the beaten
-    boats of every order of every (threshold, head) row of the batch."""
+    boats of every order of every head of the batch."""
     _check_enumeration(len(races[0]) if races else 0, len(races))
     if not races or not fixed:
         # one configuration: no race is dealt, or it deals no values
         beaten = [sum(part < threshold for part in fixed) for threshold in thresholds]
         return [[int(k == b) for k in range(len(fixed) + 1)] for b in beaten], 1
     *heads, last = races
-    n, t = len(fixed), len(thresholds)
+    n = len(fixed)
     need = math.prod(math.factorial(len(race)) for race in races)
     last = sorted(last)
     cut = max(n - ORDER_TABLE_WIDTH, 0)
@@ -217,25 +216,18 @@ def _rank_law(
         for head in itertools.product(*map(itertools.permutations, heads))
         for parts in zip(fixed, *head)
     )
-    # each comparison fills at most BATCH_CELLS cells, `rows` (threshold,
-    # head) rows of table.size cells; a block reads the heads that fill about
-    # `rows` rows over all thresholds, and at least one head
-    rows = max(BATCH_CELLS // table.size, 1)
-    batch = n * max(rows // t, 1)
-    thresholds = np.array(thresholds, dtype=np.int64)[:, None, None]
+    # a block reads the heads whose comparison fills at most BATCH_CELLS
+    # cells, and at least one head
+    batch = n * max(BATCH_CELLS // table.size, 1)
     # exact: every count is at most need <= DEFAULT_BUDGET, far below 2**63
-    counts = np.zeros(t * (n + 1), dtype=np.int64)
+    counts = np.zeros((len(thresholds), n + 1), dtype=np.int64)
     while (block := np.fromiter(itertools.islice(partials, batch), np.int64)).size:
         block = block.reshape(-1, n)
-        # row i * len(block) + h holds head h's limits at threshold i
-        limits = (thresholds - block).reshape(-1, n)
-        offsets = np.repeat(np.arange(0, t * (n + 1), n + 1), len(block))
-        for start in range(0, len(limits), rows):
-            part, offset = limits[start : start + rows], offsets[start : start + rows]
+        for row, threshold in zip(counts, thresholds):
+            limits = threshold - block
             for dealt, rest in splits:
-                own = (dealt < part[:, :cut]).sum(axis=1, dtype=np.int8)
-                below = np.searchsorted(rest, part[:, cut:]).astype(np.int8)
+                own = (dealt < limits[:, :cut]).sum(axis=1, dtype=np.int8)
+                below = np.searchsorted(rest, limits[:, cut:]).astype(np.int8)
                 beaten = (table < below[:, :, None]).sum(axis=1, dtype=np.int8)
-                tally = beaten + (own + offset)[:, None]
-                counts += np.bincount(tally.ravel(), minlength=counts.size)
-    return counts.reshape(t, n + 1).tolist(), need
+                row += np.bincount((beaten + own[:, None]).ravel(), minlength=n + 1)
+    return counts.tolist(), need

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from racerank import asymptotics
 from racerank.asymptotics import (
     AsymptoticParams,
     centered_score,
@@ -94,6 +95,21 @@ def test_variance_damping_and_peak():
         v = variance_final_rank(200, 30, n_t)
         assert v < 200 * phi * (1 - phi)  # strictly damped
         assert v <= peak  # maximal at the middle score
+
+
+@pytest.mark.parametrize("route", [mean_final_rank, variance_final_rank])
+def test_rank_route_builds_params_once(monkeypatch, route):
+    expected = route(200, 30, 2900)
+    built = []
+
+    class Counted(AsymptoticParams):
+        def __post_init__(self):
+            built.append((self.n_b, self.n_r))
+            super().__post_init__()
+
+    monkeypatch.setattr(asymptotics, "AsymptoticParams", Counted)
+    assert route(200, 30, 2900) == expected
+    assert built == [(200, 30)]
 
 
 def test_rank_moments_theory_small_cases():

@@ -155,7 +155,7 @@ def test_rank_law_over_thresholds_equals_one_call_per_threshold(case, data):
     fixed, races = case
     top = len(fixed) * (len(races) + 1) + 2
     thresholds = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8, unique=True))
-    # the threshold axis shares each comparison's BATCH_CELLS with the heads
+    # each comparison's BATCH_CELLS bounds a batch of heads at one threshold
     cells = data.draw(st.sampled_from([1, 700, lattice_oracle.BATCH_CELLS]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice_oracle, "BATCH_CELLS", cells)
@@ -168,7 +168,7 @@ def test_rank_law_over_thresholds_equals_one_call_per_threshold(case, data):
 
 @pytest.mark.parametrize("cells", [700, lattice_oracle.BATCH_CELLS])
 @pytest.mark.parametrize("n_b, n_r", [(4, 3), (5, 2), (6, 2), (7, 2)])
-def test_threshold_axis_counts_in_batch_cells(monkeypatch, cells, n_b, n_r):
+def test_comparisons_stay_within_batch_cells(monkeypatch, cells, n_b, n_r):
     # every score of the fleet in one walk, and no comparison of the order
     # table wider than BATCH_CELLS, or than one row of the table
     values = range(1, n_b + 1)
@@ -187,6 +187,30 @@ def test_threshold_axis_counts_in_batch_cells(monkeypatch, cells, n_b, n_r):
     monkeypatch.setattr(lattice_oracle, "BATCH_CELLS", cells)
     assert lattice_oracle._rank_law(values, [values] * (n_r - 1), scores) == expected
     assert sizes and max(sizes) <= max(cells, real(n_b).size)
+
+
+@pytest.mark.parametrize("n_b", [4, 5])
+def test_rank_law_walks_the_heads_once_for_all_thresholds(monkeypatch, n_b):
+    # score mode at n_r = 3 has one head race: its n_b! orders are walked
+    # once, for every score of the fleet as for one score
+    heads = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        def product(self, *races):
+            for head in itertools.product(*races):
+                heads.append(head)
+                yield head
+
+    monkeypatch.setattr(lattice_oracle, "itertools", Counting())
+    scores = list(range(3, 3 * n_b + 2))
+    laws = lattice_oracle._score_laws(n_b, 3, scores)
+    assert len(heads) == math.factorial(n_b)
+    heads.clear()
+    assert lattice_oracle._score_laws(n_b, 3, scores[:1]) == laws[:1]
+    assert len(heads) == math.factorial(n_b)
 
 
 @pytest.mark.parametrize("k", range(lattice_oracle.ORDER_TABLE_WIDTH + 1))
