@@ -164,7 +164,7 @@ def stirling_diagonal(score: int, i: int) -> int:
 
     Evaluated from the explicit alternating sum
 
-        (1 / (score-1-i)!) * sum_{j=1}^{score-1}
+        (1 / (score-1-i)!) * sum_{j=1}^{score-i}
             j^(score-2) * (-1)^(score-i-j) * C(score-1-i, j-1)
 
     which is independent of the recurrence behind :func:`stirling2`, so the
@@ -178,11 +178,8 @@ def stirling_diagonal(score: int, i: int) -> int:
     if not 1 <= i <= score - 1:
         raise ValueError(f"stirling_diagonal: i must be in [1, {score - 1}], got {i}")
     acc = 0
-    for j in range(1, score):
-        c = binomial(score - 1 - i, j - 1)
-        if c == 0:
-            continue
-        term = j ** (score - 2) * c
+    for j in range(1, score - i + 1):
+        term = j ** (score - 2) * binomial(score - 1 - i, j - 1)
         acc += -term if (score - i - j) % 2 else term
     quotient, remainder = divmod(acc, factorial(score - 1 - i))
     if remainder:

@@ -7,16 +7,17 @@
 * :func:`second_gf_expand` -- (y - 1) * integral(g) + g - x, generating the
   rank distributions for the score one below the middle (n_t = n_b).
 
-The route divides the two exponential series and never reads `combinatorics`.
-In the integer rows q_n = n! [x^n] g, with numerator row 1 - y^n and
-denominator row y^n - y, the division reads
+The route expands 1 + g = (y - 1) / (y - e^{(y-1)x}) and never reads
+`combinatorics`.  Its integer rows A_n = n! [x^n] (1 + g) start at A_0 = 1;
+for n >= 1, x^n of (1 + g)(y - e^{(y-1)x}) = y - 1 reads (y - 1) A_n =
+sum_{k<n} C(n, k) A_k (y - 1)^(n-k), where every term carries y - 1, so
 
-    (1 - y) q_n = 1 - y^n - sum_{k<n} C(n, k) q_k (y^(n-k) - y).
+    A_n = sum_{k<n} C(n, k) A_k (y - 1)^(n-1-k),
 
-Dividing by 1 - y is a running sum; the quotients are genuine polynomials, so
-a remainder raises :class:`ExactDivisionError`.  n! [x^n] integral(g) is
-q_(n-1), so both series come from one set of rows, and a
-:class:`SeriesX` holds those integer rows as built.
+summed by Horner's rule in y - 1 from products and sums alone: nothing is
+left to divide.  g's rows are A_n with row 0 emptied, and n! [x^n]
+integral(g) is g's row n - 1, so both series come from one set of rows,
+which a :class:`SeriesX` holds as built.
 :func:`coefficient_to_distribution` hands one row over to a
 :class:`~racerank.two_race.RankDistribution` as counts over n!.
 Only the builders check ``SERIES_ORDER_BUDGET``: a :class:`SeriesX` holds the
@@ -27,13 +28,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, factorial
 
 from .two_race import RankDistribution
 
 __all__ = [
-    "ExactDivisionError",
     "SeriesX",
     "eulerian_gf",
     "second_gf_expand",
@@ -45,10 +44,6 @@ __all__ = [
 # 60 ~15 ms, so the bound guards the size of the integer rows (row n sums to
 # n!), not the time.
 SERIES_ORDER_BUDGET = 60
-
-
-class ExactDivisionError(ArithmeticError):
-    """Polynomial division left a remainder where none is possible."""
 
 
 @dataclass(frozen=True)
@@ -71,17 +66,8 @@ class SeriesX:
         return len(self.rows) - 1
 
 
-def _div_one_minus_y(r: list[int]) -> list[int]:
-    """Exact quotient of the integer polynomial r (r[k] multiplies y**k) by
-    1 - y; raises ExactDivisionError on a nonzero remainder."""
-    q = list(accumulate(r))
-    if q and q.pop():
-        raise ExactDivisionError(f"nonzero remainder dividing {r} by 1 - y")
-    return q
-
-
 def _eulerian_rows(order: int) -> list[list[int]]:
-    """Rows q_0..q_order of n! [x^n] g, by the recurrence of the module
+    """Rows A_0..A_order of n! [x^n] (1 + g), by the recurrence of the module
     docstring; the order is checked before the first row."""
     order = operator.index(order)
     if order < 0:
@@ -91,37 +77,34 @@ def _eulerian_rows(order: int) -> list[list[int]]:
             f"order = {order} exceeds the series budget {SERIES_ORDER_BUDGET} "
             "(series.SERIES_ORDER_BUDGET)"
         )
-    rows: list[list[int]] = []
-    for n in range(order + 1):
-        r = [1] + [0] * n
-        r[n] -= 1
-        for k, q in enumerate(rows):
+    rows = [[1]]
+    for n in range(1, order + 1):
+        acc: list[int] = []
+        for k, a in enumerate(rows):  # acc <- acc * (y - 1) + C(n, k) A_k
             c = comb(n, k)
-            for i, a in enumerate(q):
-                r[i + n - k] -= c * a
-                r[i + 1] += c * a
-        rows.append(_div_one_minus_y(r))
+            acc = [lo - hi + c * v for lo, hi, v in zip([0] + acc, acc + [0], a + [0])]
+        rows.append(acc)
     return rows
 
 
 def eulerian_gf(order: int) -> SeriesX:
-    """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x); row n is the order-n
-    Eulerian polynomial in y."""
-    return SeriesX(_eulerian_rows(order), 1, 0)
+    """g(x, y) = (e^x - e^{xy}) / (e^{xy} - y e^x): row 0 is empty and row n >= 1
+    is A_n, the order-n Eulerian polynomial in y."""
+    return SeriesX([[]] + _eulerian_rows(order)[1:], 1, 0)
 
 
 def second_gf_expand(order: int) -> SeriesX:
-    """(y - 1) * integral(g) + g - x: the x^n, y^m coefficient is
-    P(final rank m) when the score equals the fleet size n (one below the
-    middle).  Row n is q_n + (y - 1) q_(n-1) - [n = 1]; needs order >= 2."""
+    """(y - 1) * integral(g) + g - x: the x^n, y^m coefficient is P(final
+    rank m) when the score equals the fleet size n (one below the middle).
+    Row n >= 2 is A_n + (y - 1) A_(n-1), and row 1 is [0], as g's x term
+    cancels the - x; row n has n entries.  Needs order >= 2."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     q = _eulerian_rows(order)
-    rows = [[]] + [
+    rows = [[], [0]] + [
         [a + b - c for a, b, c in zip(q[n], [0] + q[n - 1], q[n - 1] + [0])]
-        for n in range(1, order + 1)
+        for n in range(2, order + 1)
     ]
-    rows[1][0] -= 1
     return SeriesX(rows, 0, 1)
 
 

@@ -42,7 +42,7 @@ _COMBINATORICS = _builders(
     combinatorics, "math", "binomial", "factorial", "_eulerian_rows", "_stirling_rows"
 )
 _TWO_RACE = _builders(two_race, "factorial", "stirling2")
-_SERIES = _builders(series, "comb", "factorial", "_div_one_minus_y")
+_SERIES = _builders(series, "comb", "factorial")
 _ENUMERATION = _builders(lattice_oracle, "itertools", "math", "np")
 _MONTECARLO = _builders(montecarlo, "np")
 
@@ -106,7 +106,6 @@ NO_SIZE = {
     "mean_final_rank": "a few float operations",
     "variance_final_rank": "a few float operations",
     "normal_cdf": "one erf",
-    "ExactDivisionError": "an exception",
     "CurvePoint": "a record of given numbers",
     "RankMoments": "a record of given numbers",
     "RankMomentsEstimate": "a record of given numbers",

@@ -196,7 +196,7 @@ def test_dist_forms_refuse_bad_input_alike(capsys, monkeypatch, form, n_b, n_t, 
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built for an invalid input")
 
-    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
+    monkeypatch.setattr(series, "comb", unreachable)
     code, out, err = run_cli(capsys, "dist", str(n_b), str(n_t), "--form", form)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -411,7 +411,7 @@ def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built past the budget check")
 
-    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
+    monkeypatch.setattr(series, "comb", unreachable)
     n_b = series.SERIES_ORDER_BUDGET + 1
     code, out, err = run_cli(capsys, "dist", str(n_b), str(n_b + offset), "--form", "series")
     assert code == 2 and out == ""

@@ -11,7 +11,6 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(racerank.__path__))
 PUBLIC_NAMES = [
     "AsymptoticParams",
     "CurvePoint",
-    "ExactDivisionError",
     "RankDistribution",
     "RankMoments",
     "RankMomentsEstimate",

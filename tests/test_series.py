@@ -10,7 +10,6 @@ from racerank import lattice_oracle, series, two_race
 from racerank.combinatorics import eulerian, factorial
 from racerank.series import (
     SERIES_ORDER_BUDGET,
-    ExactDivisionError,
     coefficient_to_distribution,
     eulerian_gf,
     second_gf_expand,
@@ -18,14 +17,7 @@ from racerank.series import (
 from racerank.two_race import full_distribution
 
 
-def test_polyy_division():
-    # (1 - y^2) / (1 - y) = 1 + y and (1 - y^3) / (1 - y) = 1 + y + y^2
-    assert series._div_one_minus_y([1, 0, -1]) == [1, 1]
-    assert series._div_one_minus_y([1, 0, 0, -1]) == [1, 1, 1]
-    assert series._div_one_minus_y([0]) == []
-
-
-def test_series_order_mismatch_rejected():
+def test_series_of_other_orders_differ():
     assert eulerian_gf(4) != eulerian_gf(5)
 
 
@@ -37,14 +29,7 @@ def test_eulerian_gf_printed_rows():
         assert g.rows[n] == row
 
 
-def test_series_div_exact_detects_nonpolynomial_quotient():
-    # 1 / (1 - y) and y / (1 - y) are not polynomials: must fail loudly
-    for r in ([1], [0, 1], [1, 2, -2]):
-        with pytest.raises(ExactDivisionError):
-            series._div_one_minus_y(r)
-
-
-def test_series_div_round_trip():
+def test_g_times_denominator_is_numerator():
     # g times e^{xy} - y e^x gives back e^x - e^{xy} (mod x^9); in n! [x^n]:
     # sum_k C(n, k) q_k (y^(n-k) - y) = 1 - y^n with q_k = k! [x^k] g
     g = eulerian_gf(8)
@@ -140,7 +125,7 @@ def test_order_budget_trips_before_any_series(monkeypatch, gf):
     def unreachable(*args, **kwargs):
         raise AssertionError("a series was built past the budget check")
 
-    monkeypatch.setattr(series, "_div_one_minus_y", unreachable)
+    monkeypatch.setattr(series, "comb", unreachable)
     order = series.SERIES_ORDER_BUDGET + 1
     message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
     with pytest.raises(ValueError, match=message):
