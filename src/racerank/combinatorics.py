@@ -65,12 +65,13 @@ def binomial(n: int, k: int) -> int:
 # built, because cached rows stay until exit and their size grows faster than
 # n^3.  Measured with tracemalloc (Python 3.11.7), both triangles to row 500
 # hold ~63 MB (Eulerian ~38 MB, Stirling ~25 MB); two_race reads only the
-# Stirling rows, ~18 MB to row 450, the deepest it reaches under
-# two_race.EXACT_N_B_BUDGET.
+# Stirling triangle, one row S(n_t - 1, .) per Stirling-form row: ~18 MB to
+# row 450, the deepest it reaches under two_race.EXACT_N_B_BUDGET.
 TRIANGLE_ROW_BUDGET = 500
 
-# Rows cached incrementally; Eulerian row n holds E(n, k) for k = 0..n-1,
-# Stirling row n holds S(n, k) for k = 0..n.
+# Rows cached incrementally, row n at index n in both triangles: Eulerian row
+# n holds E(n, k) for k = 0..n-1 (row 0 is E(0, 0) = 1), Stirling row n holds
+# S(n, k) for k = 0..n.  Cached rows are shared, so no reader mutates one.
 _eulerian_rows: list[list[int]] = [[1]]
 _stirling_rows: list[list[int]] = [[1]]
 
@@ -83,33 +84,26 @@ def _check_row(n: int) -> None:
         )
 
 
-def _eulerian_row(n: int) -> list[int]:
+def _grown(rows: list[list[int]], n: int, weights) -> list[int]:
+    """Row n of a cached triangle T(m, k) = a_k T(m-1, k) + b_k T(m-1, k-1),
+    each new row grown from row m - 1 zero-padded at either end; ``weights(m)``
+    gives row m's sequences a, b: a_k = k + 1, b_k = m - k for k < m
+    (Eulerian), a_k = k, b_k = 1 for k <= m (Stirling)."""
     n = operator.index(n)
     _check_row(n)
-    while len(_eulerian_rows) < n:
-        prev = _eulerian_rows[-1]
-        order = len(prev) + 1
-        row = [
-            (k + 1) * (prev[k] if k < len(prev) else 0)
-            + (order - k) * (prev[k - 1] if k >= 1 else 0)
-            for k in range(order)
-        ]
-        _eulerian_rows.append(row)
-    return _eulerian_rows[n - 1]
+    while len(rows) <= n:
+        prev = rows[-1]
+        a, b = weights(len(rows))
+        rows.append([p * x + q * y for p, q, x, y in zip(a, b, prev + [0], [0] + prev)])
+    return rows[n]
+
+
+def _eulerian_row(n: int) -> list[int]:
+    return _grown(_eulerian_rows, n, lambda m: (range(1, m + 1), range(m, 0, -1)))
 
 
 def _stirling_row(n: int) -> list[int]:
-    n = operator.index(n)
-    _check_row(n)
-    while len(_stirling_rows) <= n:
-        prev = _stirling_rows[-1]
-        order = len(_stirling_rows)
-        row = [
-            k * (prev[k] if k < len(prev) else 0) + (prev[k - 1] if k >= 1 else 0)
-            for k in range(order + 1)
-        ]
-        _stirling_rows.append(row)
-    return _stirling_rows[n]
+    return _grown(_stirling_rows, n, lambda m: (range(m + 1), [1] * (m + 1)))
 
 
 def eulerian(n: int, k: int) -> int:
@@ -117,7 +111,7 @@ def eulerian(n: int, k: int) -> int:
     (equivalently, k excedances).  0 outside 0 <= k < n; requires n >= 1.
 
     Computed by the two-term recurrence
-    E(n, k) = (k + 1) E(n-1, k) + (n - k) E(n-1, k-1), E(1, 0) = 1.
+    E(n, k) = (k + 1) E(n-1, k) + (n - k) E(n-1, k-1), E(0, 0) = 1.
     """
     if n < 1:
         raise ValueError(f"eulerian: n must be >= 1, got {n}")
@@ -132,7 +126,7 @@ def eulerian_triangle(n_max: int) -> list[list[int]]:
     if n_max < 1:
         raise ValueError(f"eulerian_triangle: n_max must be >= 1, got {n_max}")
     _eulerian_row(n_max)
-    return [list(row) for row in _eulerian_rows[:n_max]]
+    return [list(row) for row in _eulerian_rows[1 : n_max + 1]]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -154,7 +148,7 @@ def stirling_triangle(n_max: int) -> list[list[int]]:
     if n_max < 1:
         raise ValueError(f"stirling_triangle: n_max must be >= 1, got {n_max}")
     _stirling_row(n_max)
-    return [list(_stirling_rows[n][1:]) for n in range(1, n_max + 1)]
+    return [row[1:] for row in _stirling_rows[1 : n_max + 1]]
 
 
 def stirling_diagonal(score: int, i: int) -> int:
@@ -199,10 +193,10 @@ def eulerian_from_stirling(n: int, k: int) -> int:
         raise ValueError(f"eulerian_from_stirling: n must be >= 1, got {n}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"eulerian_from_stirling: k must be in [0, {n - 1}], got {k}")
-    _check_row(n)  # the sum reads row n; refuse before any binomial is taken
+    row = _stirling_row(n)  # refused past the budget before any binomial is taken
     acc = 0
     for j in range(1, k + 2):
-        term = binomial(n - j, n - k - 1) * factorial(j) * stirling2(n, j)
+        term = binomial(n - j, n - k - 1) * factorial(j) * row[j]
         acc += -term if (k - j + 1) % 2 else term
     return acc
 

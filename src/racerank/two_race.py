@@ -31,7 +31,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .combinatorics import factorial, stirling2
+from .combinatorics import _stirling_row as _stirling_numbers
+from .combinatorics import factorial
 
 __all__ = [
     "RankDistribution",
@@ -111,9 +112,9 @@ class RankDistribution:
 # (Python 3.11.7) at n_b = 450: n_t = n_b + 1, the slowest row, takes
 # ~0.04-0.06 s (alternating) and ~0.02-0.03 s (Stirling), n_t = 2 ~0.2-0.3 ms
 # and ~0.02 ms; n_b = 500, n_t = 501 takes ~0.05-0.08 s and ~0.03-0.04 s.
-# So the cached triangle, not the rows, sets the bound: the stirling2 rows
-# to 450, the only triangle rows read here, hold ~18 MB by tracemalloc
-# (built once in ~0.03 s; see combinatorics.TRIANGLE_ROW_BUDGET).
+# So the cached triangle, not the rows, sets the bound: the Stirling rows to
+# 450, one read per Stirling-form row, hold ~18 MB by tracemalloc (built once
+# in ~0.03 s; see combinatorics.TRIANGLE_ROW_BUDGET).
 EXACT_N_B_BUDGET = 450
 
 
@@ -160,17 +161,18 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
 def _stirling_row(n_b: int, n_t: int) -> list[int]:
     """n_b! * P(m) for m = 1..n_b+1 from the diagonal-Stirling form,
     2 <= n_t <= n_b+1.  The weights w_i = (-1)^i D(n_t, i) (1+n_b-i)! are
-    computed once per row, D(n_t, i) = S(n_t-1, n_t-i) read from the cached
-    Stirling triangle and (1+n_b-i)! from one running product.  Entry m is
+    computed once per row, D(n_t, i) = S(n_t-1, n_t-i) walked along one
+    cached Stirling row and (1+n_b-i)! from one running product.  Entry m is
     (-1)^m sum_i w_i C(i-1, m-1), and that sum is the y^(m-1) coefficient of
     sum_i w_i (1+y)^(i-1), which Horner's rule builds in O(n_t^2) big-integer
     additions with no binomial.  Entries with m >= n_t are empty sums, the
     zeros past m = n_t - 1."""
     _check_budget(n_b)
+    s = _stirling_numbers(n_t - 1)  # S(n_t-1, k) for k = 0..n_t-1
     q = [0]
     f = factorial(2 + n_b - n_t)  # (1+n_b-i)! at i = n_t - 1
     for i in range(n_t - 1, 0, -1):
-        w = stirling2(n_t - 1, n_t - i) * (-f if i % 2 else f)
+        w = s[n_t - i] * (-f if i % 2 else f)
         q = [q[0] + w, *map(add, q[1:], q), q[-1]]  # q (1 + y) + w
         f *= 2 + n_b - i
     return [-c if m % 2 else c for m, c in enumerate(q, start=1)] + [0] * (n_b + 1 - n_t)
@@ -203,8 +205,8 @@ def stirling_form_distribution(n_b: int, n_t: int) -> RankDistribution:
 
         P(m) = (1/n_b!) sum_{i=m}^{n_t-1} (-1)^(i+m) D(n_t, i) (1+n_b-i)! C(i-1, m-1)
 
-    with D(n_t, i) = S(n_t - 1, n_t - i) read from the cached
-    :func:`~racerank.combinatorics.stirling2` triangle."""
+    with D(n_t, i) = S(n_t - 1, n_t - i), one row S(n_t - 1, .) read from the
+    cached :func:`~racerank.combinatorics.stirling2` triangle."""
     return _assemble(n_b, n_t, _stirling_row)
 
 

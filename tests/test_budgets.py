@@ -41,7 +41,7 @@ def _is_live(module, name):
 _COMBINATORICS = _builders(
     combinatorics, "math", "binomial", "factorial", "_eulerian_rows", "_stirling_rows"
 )
-_TWO_RACE = _builders(two_race, "factorial", "stirling2")
+_TWO_RACE = _builders(two_race, "factorial", "_stirling_numbers")
 _SERIES = _builders(series, "comb", "factorial")
 _ENUMERATION = _builders(lattice_oracle, "itertools", "math", "np")
 _MONTECARLO = _builders(montecarlo, "np")

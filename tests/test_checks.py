@@ -52,13 +52,13 @@ def _reversed_at(n_b, n_t):
 
 def _entry_plus_one_at(at, m):
     """The real integer row, plus one at entry m where the arguments equal
-    ``at``."""
+    ``at``; a copy is corrupted, so a cached row stays as it was."""
 
     def corrupt(real):
         def wrong(*args):
             row = real(*args)
             if args == at:
-                row[m - 1] += 1
+                row = [*row[: m - 1], row[m - 1] + 1, *row[m:]]
             return row
 
         return wrong
@@ -144,13 +144,13 @@ ROWS = {
         _plus_one_at((6, 2)),
         ["binomial-weighted Stirling sum"],
     ),
-    # a wrong triangle entry reaching the Stirling rows through the public
-    # stirling_form_distribution; the alternating sum and the enumeration
-    # still agree
+    # a wrong triangle entry, S(4, 2) as entry 3 of Stirling row 4, reaching
+    # the Stirling rows through the public stirling_form_distribution; the
+    # alternating sum and the enumeration still agree
     "stirling_weight": (
         "alternating-sum form vs Stirling form",
-        [(two_race, "stirling2")],
-        _plus_one_at((4, 2)),
+        [(two_race, "_stirling_numbers")],
+        _entry_plus_one_at((4,), 3),
         ["alternating-sum form vs Stirling form"],
     ),
     # the alternating side of the same check: n_b = 6 lies beyond the oracle

@@ -385,7 +385,7 @@ def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
         raise AssertionError("a term was computed past the budget check")
 
     monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "stirling2", unreachable)
+    monkeypatch.setattr(two_race, "_stirling_numbers", unreachable)
     n_b = two_race.EXACT_N_B_BUDGET + 1
     code, out, err = run_cli(capsys, "dist", str(n_b), "10", "--form", form)
     assert code == 2 and out == ""

@@ -123,6 +123,41 @@ def test_fraction_arithmetic_is_canonical():
 
 
 
+def _read_every_cached_row(n_max):
+    # every reader of the two caches, over rows 1..n_max and a whole fleet
+    # of n_max boats, whose Stirling-form rows read Stirling rows 1..n_max;
+    # a caller's scribbles on a returned triangle must not reach the cache
+    for n in range(1, n_max + 1):
+        for row in eulerian_triangle(n) + stirling_triangle(n):
+            row[0] += 1
+        for k in range(n + 1):
+            eulerian(n, k)
+            stirling2(n, k)
+            stirling_binomial_sum(n, k)
+        for k in range(n):
+            eulerian_from_stirling(n, k)
+    for n_t in range(2, 2 * n_max + 2):
+        two_race.stirling_form_distribution(n_max, n_t)
+
+
+@pytest.mark.parametrize("depths", [(9, 4), (4, 9)])
+def test_cached_rows_are_order_independent_and_never_mutated(monkeypatch, depths):
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", [[1]])
+    monkeypatch.setattr(combinatorics, "_stirling_rows", [[1]])
+    for n in depths:
+        eulerian(n, 0)
+        stirling2(n, 0)
+    _read_every_cached_row(max(depths))
+    grown = combinatorics._eulerian_rows, combinatorics._stirling_rows
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", [[1]])
+    monkeypatch.setattr(combinatorics, "_stirling_rows", [[1]])
+    eulerian(max(depths), 0)
+    stirling2(max(depths), 0)
+    assert grown == (combinatorics._eulerian_rows, combinatorics._stirling_rows)
+    assert grown[0][:5] == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
+    assert grown[1][4] == [0, 1, 7, 6, 1]
+
+
 class _NoNewRows(list):
     def append(self, row):
         raise AssertionError("a triangle row was built")

@@ -145,7 +145,7 @@ def test_second_gf_rows_equal_full_distribution_to_budget():
 
 
 _RESULT_TYPE_ONLY = [("two_race", "RankDistribution")]
-_TRIANGLES_ONLY = [("combinatorics", name) for name in ("factorial", "stirling2")]
+_TRIANGLES_ONLY = [("combinatorics", name) for name in ("_stirling_row", "factorial")]
 
 
 @pytest.mark.parametrize(

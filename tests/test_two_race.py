@@ -38,7 +38,7 @@ def brute_distribution(n_b, n_t):
     return tuple(Fraction(counts[m], total) for m in range(1, n_b + 2))
 
 
-def test_p_exact_examples():
+def test_alternating_form_examples():
     # P(m) of the alternating-sum form, read from its law
     assert full_distribution(3, 3).p(1) == Fraction(2, 3)  # == brute force over S_3
     assert full_distribution(3, 4).p(2) == Fraction(2, 3)  # Eulerian row {1,4,1} / 3!
@@ -46,13 +46,13 @@ def test_p_exact_examples():
         assert full_distribution(n_b, 2).p(1) == 1
 
 
-def test_p_exact_matches_brute_force():
+def test_alternating_form_matches_brute_force():
     for n_b in range(1, 7):
         for n_t in range(2, n_b + 2):
             assert full_distribution(n_b, n_t).probs == brute_distribution(n_b, n_t)
 
 
-def test_p_exact_rejects_out_of_range():
+def test_alternating_form_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"^score n_t must be in \[2, 7\], got 1$"):
         full_distribution(3, 1)
     with pytest.raises(ValueError, match=r"^rank m must be in \[1, 4\], got 5$"):
@@ -74,7 +74,7 @@ def test_upper_half_reflection():
         full_distribution(3, 8)
 
 
-def test_p_middle_rows():
+def test_middle_score_rows():
     # at n_t = n_b + 1 the law is the Eulerian row over n_b!
     assert full_distribution(4, 5).probs == tuple(Fraction(c, 24) for c in (1, 11, 11, 1, 0))
     assert full_distribution(1, 2).probs == (1, 0)
@@ -95,7 +95,7 @@ def test_middle_score_alternating_sum_specialization():
             assert (1 + n_b) * total == Fraction(eulerian(n_b, m - 1), factorial(n_b))
 
 
-def test_p_stirling_form_examples():
+def test_stirling_form_examples():
     # P(m) of the diagonal-Stirling form, read from its law
     assert stirling_form_distribution(3, 3).p(1) == Fraction(2, 3)  # (6 - 2) / 6
     assert stirling_form_distribution(3, 4).p(2) == Fraction(2, 3)
@@ -167,7 +167,7 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
         raise AssertionError("a term was computed past the budget check")
 
     monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "stirling2", unreachable)
+    monkeypatch.setattr(two_race, "_stirling_numbers", unreachable)
     n_b = EXACT_N_B_BUDGET + 1
     calls = [
         lambda: full_distribution(n_b, 2),
