@@ -37,7 +37,7 @@ from . import (
     two_race,
 )
 
-__all__ = ["main", "CLIError"]
+__all__ = ["main"]
 
 CURVE_COLUMNS = [
     "n_t",
@@ -48,10 +48,6 @@ CURVE_COLUMNS = [
     "var_mc",
     "stderr",
 ]
-
-
-class CLIError(Exception):
-    """User-facing command error (bad arguments, unsupported combination)."""
 
 
 def _emit(args: argparse.Namespace, parameters: dict, results: dict, provenance: str,
@@ -100,7 +96,7 @@ def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     # keyed by the score_offset each series records, so its rows label n_t
     gf = {1: series.eulerian_gf, 0: series.second_gf_expand}.get(n_t - n_b)
     if gf is None:
-        raise CLIError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
+        raise ValueError("--form=series supports n_t = n_b or n_t = n_b + 1 only")
     # the x^n_b coefficient is exact at any order >= n_b
     return series.coefficient_to_distribution(gf(max(n_b, 2)), n_b)
 
@@ -188,7 +184,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             tracked = tuple(int(tok) for tok in args.tracked_ranks.split(","))
         except ValueError as exc:
-            raise CLIError(f"bad --tracked-ranks: {exc}") from None
+            raise ValueError(f"bad --tracked-ranks: {exc}") from None
     config = montecarlo.SimConfig(
         n_b=args.n_b,
         n_r=args.n_r,
@@ -313,7 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the interpreter's flush at exit stays quiet, and stop.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CLIError, ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -55,6 +55,7 @@ def binomial(n: int, k: int) -> int:
     index range without boundary special cases.  Past those zeros, n above
     ``FACTORIAL_BUDGET`` is refused before the coefficient is computed.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0 or k > n:
         return 0
     _check_n(n)
@@ -113,9 +114,9 @@ def eulerian(n: int, k: int) -> int:
     Computed by the two-term recurrence
     E(n, k) = (k + 1) E(n-1, k) + (n - k) E(n-1, k-1), E(0, 0) = 1.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError(f"eulerian: n must be >= 1, got {n}")
-    k = operator.index(k)
     if k < 0 or k >= n:
         return 0
     return _eulerian_row(n)[k]
@@ -135,9 +136,9 @@ def stirling2(n: int, k: int) -> int:
 
     Computed by S(n, k) = k S(n-1, k) + S(n-1, k-1).
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0:
         raise ValueError(f"stirling2: n must be >= 0, got {n}")
-    k = operator.index(k)
     if k < 0 or k > n:
         return 0
     return _stirling_row(n)[k]

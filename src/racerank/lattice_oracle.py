@@ -150,11 +150,11 @@ def _score_laws(n_b: int, n_r: int, scores: Sequence[int]) -> list[RankDistribut
     return [RankDistribution(n_b, n_t, row, need) for n_t, row in zip(scores, rows)]
 
 
-def _check_enumeration(size: int, races: int) -> None:
-    """Refuse ``races`` races of ``size`` values each when their (size!)^races
-    orders exceed ``DEFAULT_BUDGET``.  Every factor is at least 2, so the
-    product passes the budget within a few dozen factors and the number it
-    bounds is never built."""
+def _check_enumeration(size: int, races: int) -> int:
+    """The (size!)^races orders of ``races`` races of ``size`` values each,
+    refused when they exceed ``DEFAULT_BUDGET``.  Every factor is at least 2,
+    so the product passes the budget within a few dozen factors and a count
+    above it is never built."""
     need = 1
     for _ in range(races if size > 1 else 0):
         for k in range(2, size + 1):
@@ -165,6 +165,7 @@ def _check_enumeration(size: int, races: int) -> None:
                     f"enumeration needs {label} configurations, budget is "
                     f"{DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)"
                 )
+    return need
 
 
 @functools.cache
@@ -195,14 +196,13 @@ def _rank_law(
     left, sorted, by the columns of ``_orders``: with below[j] the number of
     those values under boat j's limit, ``table < below`` marks the beaten
     boats of every order of every head of the batch."""
-    _check_enumeration(len(races[0]) if races else 0, len(races))
+    need = _check_enumeration(len(races[0]) if races else 0, len(races))
     if not races or not fixed:
         # one configuration: no race is dealt, or it deals no values
         beaten = [sum(part < threshold for part in fixed) for threshold in thresholds]
-        return [[int(k == b) for k in range(len(fixed) + 1)] for b in beaten], 1
+        return [[int(k == b) for k in range(len(fixed) + 1)] for b in beaten], need
     *heads, last = races
     n = len(fixed)
-    need = math.prod(math.factorial(len(race)) for race in races)
     last = sorted(last)
     cut = max(n - ORDER_TABLE_WIDTH, 0)
     table = _orders(n - cut)

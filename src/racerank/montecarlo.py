@@ -127,6 +127,14 @@ def _check_key_words(seed: int, stream: int) -> tuple[int, int]:
     return key_words
 
 
+def _check_trial_words(label: str, words: int) -> None:
+    if words > TRIAL_WORD_BUDGET:
+        raise ValueError(
+            f"one trial needs {label} = {words} words, "
+            f"budget is {TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)"
+        )
+
+
 def _chunk_trials(per_trial: int) -> int:
     """Trials per chunk: as many as fit in _CHUNK_DOUBLES words, at least 1."""
     return max(1, _CHUNK_DOUBLES // max(per_trial, 1))
@@ -277,11 +285,7 @@ class SimConfig:
         seed, stream = _check_key_words(self.seed, self.stream)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", stream)
-        if self.n_b * self.n_r > TRIAL_WORD_BUDGET:
-            raise ValueError(
-                f"one trial needs n_b*n_r = {self.n_b * self.n_r} words, "
-                f"budget is {TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)"
-            )
+        _check_trial_words("n_b*n_r", self.n_b * self.n_r)
         if self.tracked_ranks is None:
             if self.n_t is None:
                 raise ValueError("n_t is required unless tracked_ranks is given")
@@ -399,11 +403,7 @@ def empirical_rank_moments(
         raise ValueError("need n_b >= 2 for a pair covariance")
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    if n_b > TRIAL_WORD_BUDGET:
-        raise ValueError(
-            f"one trial needs n_b = {n_b} words, "
-            f"budget is {TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)"
-        )
+    _check_trial_words("n_b", n_b)
     if trials > MOMENTS_TRIAL_BUDGET:
         raise ValueError(
             f"trials = {trials} exceeds the moments budget {MOMENTS_TRIAL_BUDGET} "

@@ -1,4 +1,7 @@
-"""Every argument check the other tests never reach refuses with its message."""
+"""Every argument check the other tests never reach refuses with its message.
+
+Budget refusals are not listed here: ``tests/test_budgets.py`` pins each
+oversized path's message in its one table."""
 
 import pytest
 
@@ -17,7 +20,6 @@ from racerank import (
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
-    factorial,
     full_distribution,
     mean_final_rank,
     middle_band_grid,
@@ -35,14 +37,6 @@ REFUSALS = {
     "eulerian_triangle": (
         lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
     ),
-    "factorial budget": (
-        lambda: factorial(10**6),
-        "n = 1000000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
-    ),
-    "binomial budget": (
-        lambda: binomial(300000, 150000),
-        "n = 300000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
-    ),
     "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
     "stirling_triangle": (
         lambda: stirling_triangle(0), "stirling_triangle: n_max must be >= 1, got 0"
@@ -55,28 +49,6 @@ REFUSALS = {
     ),
     "count_compatible_subsets n_t": (
         lambda: count_compatible_subsets(1), "n_t must be >= 2, got 1"
-    ),
-    # one recursion level per staircase row: 1498 rows raised RecursionError
-    "count_compatible_subsets budget": (
-        lambda: count_compatible_subsets(1500),
-        "enumeration needs 1499! configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    # 300000! was multiplied out (1.15 s) and then failed to print
-    "brute_force_two_race budget": (
-        lambda: brute_force_two_race(300000, 3),
-        "enumeration needs 300000! configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    "brute_force_score budget": (
-        lambda: brute_force_score(6, 5, 12),
-        "enumeration needs (6!)^4 configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    "brute_force_composition budget": (
-        lambda: brute_force_composition(1000, (1, 2, 3)),
-        "enumeration needs (999!)^3 configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
     ),
     "brute_force_composition n_b": (
         lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
@@ -92,10 +64,6 @@ REFUSALS = {
     "SimConfig n_t NaN": (
         lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=float("nan")),
         "n_t must not be NaN",
-    ),
-    "middle_band_grid budget": (
-        lambda: middle_band_grid(200, 30, points=10**8),
-        "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
     ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
@@ -168,6 +136,11 @@ NOT_AN_INTEGER = {
     "variance_final_rank n_r": lambda: variance_final_rank(200, 30.0, 3015),
     "middle_band_grid n_b": lambda: middle_band_grid(10.5, 2),
     "rank_moments_theory n_b": lambda: rank_moments_theory(2.5),
+    # each returned 0 by the zero convention
+    "binomial n": lambda: binomial(5.5, 7),
+    "binomial k": lambda: binomial(5, 7.0),
+    "eulerian n": lambda: eulerian(2.5, 5),
+    "stirling2 n": lambda: stirling2(2.5, 5),
     # failed indexing a triangle row after the rows up to it were cached
     "eulerian k": lambda: eulerian(5, 2.0),
     "stirling2 k": lambda: stirling2(5, 2.0),
@@ -183,7 +156,7 @@ def test_non_integer_refusal(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["eulerian k", "stirling2 k", "eulerian_triangle n_max", "stirling_triangle n_max"]
+    "case", [case for case in NOT_AN_INTEGER if case.startswith(("eulerian", "stirling"))]
 )
 def test_non_integer_refusal_reads_no_triangle_row(monkeypatch, case):
     # the cached rows are neither read nor grown before the refusal
