@@ -1,4 +1,4 @@
-"""One budget table over ``racerank.__all__``, the one proof of every budget.
+"""One budget table over ``racerank.__all__``, the proof of every budget path.
 
 Every public name either has oversized calls or an entry saying why no
 argument of it sizes the work.  A name lists one (call, message) pair per

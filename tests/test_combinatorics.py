@@ -158,6 +158,11 @@ def test_cached_rows_are_order_independent_and_never_mutated(monkeypatch, depths
     assert grown[1][4] == [0, 1, 7, 6, 1]
 
 
+class _NoNewRows(list):
+    def append(self, row):
+        raise AssertionError("a triangle row was built")
+
+
 TRIANGLE_ENTRY_POINTS = {
     "eulerian": lambda n: eulerian(n, 0),
     "eulerian_triangle": eulerian_triangle,
@@ -167,6 +172,19 @@ TRIANGLE_ENTRY_POINTS = {
     "stirling_binomial_sum": lambda n: stirling_binomial_sum(n, 0),
     "stirling_diagonal": lambda n: stirling_diagonal(n + 1, 1),  # reads row score - 1
 }
+
+
+@pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)
+def test_triangle_budget_trips_before_any_row(monkeypatch, entry):
+    monkeypatch.setattr(combinatorics, "_eulerian_rows", _NoNewRows([[1]]))
+    monkeypatch.setattr(combinatorics, "_stirling_rows", _NoNewRows([[1]]))
+    budget = combinatorics.TRIANGLE_ROW_BUDGET
+    message = (
+        f"row n = {budget + 1} exceeds the triangle budget {budget} "
+        r"\(combinatorics.TRIANGLE_ROW_BUDGET\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        TRIANGLE_ENTRY_POINTS[entry](budget + 1)
 
 
 @pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)

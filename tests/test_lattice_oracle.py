@@ -225,6 +225,12 @@ def test_order_table_holds_every_order_once(k):
     assert set(orders) == set(itertools.permutations(range(k)))
 
 
+def test_brute_force_score_budget(monkeypatch):
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**6)
+    with pytest.raises(ValueError, match="budget"):
+        brute_force_score(6, 5, 12)
+
+
 @pytest.mark.parametrize(
     "n_b, n_r, n_t, message",
     [
@@ -238,6 +244,30 @@ def test_order_table_holds_every_order_once(k):
 def test_brute_force_score_rejects_unreachable_scores(n_b, n_r, n_t, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         brute_force_score(n_b, n_r, n_t)
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (brute_force_two_race, (9, 5)),
+        (brute_force_score, (6, 2, 7)),
+        (brute_force_score, (4, 3, 7)),
+        (brute_force_composition, (5, (1, 2, 3))),
+    ],
+)
+def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
+    def refuse(*_):
+        raise AssertionError("a permutation was generated over budget")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} was used over budget")
+
+    monkeypatch.setattr(lattice_oracle.itertools, "permutations", refuse)
+    monkeypatch.setattr(lattice_oracle, "np", NoNumpy())
+    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10)
+    with pytest.raises(ValueError, match="budget"):
+        oracle(*args)
 
 
 # each enumeration with its configuration count and the label that names it

@@ -216,6 +216,25 @@ def test_simconfig_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_b": mc.TRIAL_WORD_BUDGET + 1, "n_r": 1, "n_t": 4},
+        {"n_b": 3000, "n_r": mc.TRIAL_WORD_BUDGET // 3000 + 1, "n_t": 4},
+        {"n_b": mc.TRIAL_WORD_BUDGET // 2 + 1, "n_r": 2, "tracked_ranks": (1, 1)},
+    ],
+)
+def test_trial_budget_trips_before_allocating(monkeypatch, kwargs):
+    def unreachable(*args, **kw):
+        raise AssertionError("Philox reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    need = kwargs["n_b"] * kwargs["n_r"]
+    message = f"n_b\\*n_r = {need} words, budget is {mc.TRIAL_WORD_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        simulate(SimConfig(trials=10**9, seed=1, **kwargs))
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda: simulate(SimConfig(n_b=3, n_r=2, trials=10, seed=-1, n_t=4)),
@@ -408,6 +427,33 @@ def test_empirical_rank_moments_validation():
         empirical_rank_moments(1, 10_000, seed=1)
     with pytest.raises(ValueError):
         empirical_rank_moments(3, 999, seed=1)
+
+
+def test_moments_budget_trips_before_allocating(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("allocation reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    monkeypatch.setattr(mc.np, "empty", unreachable)
+    n_b = mc.TRIAL_WORD_BUDGET + 1
+    message = f"n_b = {n_b} words, budget is {mc.TRIAL_WORD_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        empirical_rank_moments(n_b, 10**9, seed=1)
+
+
+def test_moments_trial_budget_trips_before_allocating(monkeypatch):
+    def unreachable(*args, **kw):
+        raise AssertionError("allocation reached past the budget check")
+
+    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    monkeypatch.setattr(mc.np, "empty", unreachable)
+    trials = mc.MOMENTS_TRIAL_BUDGET + 1
+    message = (
+        f"trials = {trials} exceeds the moments budget {mc.MOMENTS_TRIAL_BUDGET} "
+        "\\(montecarlo.MOMENTS_TRIAL_BUDGET\\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        empirical_rank_moments(3, trials, seed=1)
 
 
 def test_moments_trial_budget_admits_its_cap(monkeypatch):

@@ -1,7 +1,7 @@
 """Every argument check the other tests never reach refuses with its message.
 
-Budget refusals are not listed here: ``tests/test_budgets.py`` pins each
-oversized path's message in its one table."""
+The ``… budget`` rows repeat calls of the table in ``tests/test_budgets.py``,
+which also blocks the builders and covers every path to each budget."""
 
 import pytest
 
@@ -20,6 +20,7 @@ from racerank import (
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
+    factorial,
     full_distribution,
     mean_final_rank,
     middle_band_grid,
@@ -37,6 +38,14 @@ REFUSALS = {
     "eulerian_triangle": (
         lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
     ),
+    "factorial budget": (
+        lambda: factorial(10**6),
+        "n = 1000000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
+    ),
+    "binomial budget": (
+        lambda: binomial(300000, 150000),
+        "n = 300000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
+    ),
     "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
     "stirling_triangle": (
         lambda: stirling_triangle(0), "stirling_triangle: n_max must be >= 1, got 0"
@@ -49,6 +58,28 @@ REFUSALS = {
     ),
     "count_compatible_subsets n_t": (
         lambda: count_compatible_subsets(1), "n_t must be >= 2, got 1"
+    ),
+    # one recursion level per staircase row: 1498 rows raised RecursionError
+    "count_compatible_subsets budget": (
+        lambda: count_compatible_subsets(1500),
+        "enumeration needs 1499! configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    # 300000! was multiplied out (1.15 s) and then failed to print
+    "brute_force_two_race budget": (
+        lambda: brute_force_two_race(300000, 3),
+        "enumeration needs 300000! configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    "brute_force_score budget": (
+        lambda: brute_force_score(6, 5, 12),
+        "enumeration needs (6!)^4 configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
+    ),
+    "brute_force_composition budget": (
+        lambda: brute_force_composition(1000, (1, 2, 3)),
+        "enumeration needs (999!)^3 configurations, budget is 100000000 "
+        "(lattice_oracle.DEFAULT_BUDGET)",
     ),
     "brute_force_composition n_b": (
         lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
@@ -64,6 +95,10 @@ REFUSALS = {
     "SimConfig n_t NaN": (
         lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=float("nan")),
         "n_t must not be NaN",
+    ),
+    "middle_band_grid budget": (
+        lambda: middle_band_grid(200, 30, points=10**8),
+        "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
     ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"

@@ -120,6 +120,18 @@ def test_coefficient_to_distribution_beyond_truncation():
         coefficient_to_distribution(eulerian_gf(4), 5)
 
 
+@pytest.mark.parametrize("gf", [eulerian_gf, second_gf_expand])
+def test_order_budget_trips_before_any_series(monkeypatch, gf):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a series was built past the budget check")
+
+    monkeypatch.setattr(series, "comb", unreachable)
+    order = series.SERIES_ORDER_BUDGET + 1
+    message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
+    with pytest.raises(ValueError, match=message):
+        gf(order)
+
+
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():
     g = eulerian_gf(SERIES_ORDER_BUDGET)
     for n in range(1, SERIES_ORDER_BUDGET + 1):

@@ -162,6 +162,24 @@ def test_rows_vanish_past_the_band():
                 assert all(p == 0 for p in brute_force_two_race(n_b, n_t).probs[n_t - 1 :])
 
 
+def test_exact_budget_trips_before_any_term(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a term was computed past the budget check")
+
+    monkeypatch.setattr(two_race, "factorial", unreachable)
+    monkeypatch.setattr(two_race, "_stirling_numbers", unreachable)
+    n_b = EXACT_N_B_BUDGET + 1
+    calls = [
+        lambda: full_distribution(n_b, 2),
+        lambda: full_distribution(n_b, 2 * n_b + 1),  # upper half, via reflection
+        lambda: stirling_form_distribution(n_b, n_b + 1),
+        lambda: stirling_form_distribution(n_b, 2 * n_b),  # upper half, via reflection
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"two_race\.EXACT_N_B_BUDGET"):
+            call()
+
+
 def test_exact_budget_admits_its_bound():
     assert EXACT_N_B_BUDGET >= 400
     assert full_distribution(EXACT_N_B_BUDGET, 2).probs[0] == 1
