@@ -22,20 +22,13 @@ import argparse
 import csv
 import json
 import os
-import secrets
 import sys
 from dataclasses import astuple
 from typing import Callable, Sequence
 
-from . import (
-    asymptotics,
-    checks,
-    combinatorics,
-    lattice_oracle,
-    montecarlo,
-    series,
-    two_race,
-)
+# checks, lattice_oracle and montecarlo import numpy: the commands that need
+# them import them when run, so the exact commands never load numpy
+from . import asymptotics, combinatorics, series, two_race
 
 __all__ = ["main"]
 
@@ -65,7 +58,7 @@ def _emit(args: argparse.Namespace, parameters: dict, results: dict, provenance:
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    seed = secrets.randbits(64)
+    seed = int.from_bytes(os.urandom(8), "big")  # what secrets.randbits(64) draws
     print(f"seed: {seed}", file=sys.stderr)
     return seed
 
@@ -101,6 +94,12 @@ def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     return series.coefficient_to_distribution(gf(max(n_b, 2)), n_b)
 
 
+def _brute_force_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
+    from . import lattice_oracle
+
+    return lattice_oracle.brute_force_two_race(args.n_b, args.n_t)
+
+
 # --form -> (route, provenance); routes look up their function when called.
 # "two_race.p_stirling_form" names the Stirling form of P(m), not a function;
 # it is printed output, so the label stays byte for byte.
@@ -108,8 +107,7 @@ _FORMS = {
     "exact": (lambda a: two_race.full_distribution(a.n_b, a.n_t), "two_race"),
     "stirling": (lambda a: two_race.stirling_form_distribution(a.n_b, a.n_t),
                  "two_race.p_stirling_form"),
-    "bruteforce": (lambda a: lattice_oracle.brute_force_two_race(a.n_b, a.n_t),
-                   "lattice_oracle"),
+    "bruteforce": (_brute_force_distribution, "lattice_oracle"),
     "series": (_series_distribution, "series"),
 }
 
@@ -131,6 +129,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     seed = _resolve_seed(args)
     grid = montecarlo.middle_band_grid(args.n_b, args.n_r, points=args.points)
     rows = montecarlo.curve_sweep(args.n_b, args.n_r, grid, args.trials, seed)
@@ -178,6 +178,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     seed = _resolve_seed(args)
     tracked = None
     if args.tracked_ranks:
@@ -227,6 +229,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     outcomes = checks.run(args.level)
     failed = [o for o in outcomes if not o["ok"]]
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import secrets
 import shlex
 import subprocess
 import sys
@@ -306,6 +308,21 @@ def test_curve_logs_generated_seed(capsys):
     assert code == 0
     assert err.startswith("seed: ")
     int(err.split()[1])  # parses as an integer
+
+
+def test_generated_seed_is_eight_urandom_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(1, n + 1)))
+    seed = 0x0102030405060708
+    args = ("simulate", "3", "2", "--n-t", "4", "--trials", "10")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == f"seed: {seed}\n"
+    assert out == run_cli(capsys, *args, "--seed", str(seed))[1]
+    code, out, err = run_cli(capsys, *args, "--json")
+    assert code == 0 and err == f"seed: {seed}\n"
+    assert json.loads(out)["parameters"]["seed"] == seed
+    # the integer secrets.randbits(64) makes of the same eight bytes
+    monkeypatch.setattr(random, "_urandom", os.urandom)
+    assert secrets.randbits(64) == seed
 
 
 def test_curve_json(capsys):

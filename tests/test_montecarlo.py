@@ -343,6 +343,26 @@ def test_simulate_matches_exact_two_race():
         assert abs(p_hat - float(p)) <= 4 * max(se, 1e-12)
 
 
+@pytest.mark.parametrize("trials, seed, counts, se", [
+    (1, SEED, (0, 1, 0, 0), 0.0),  # one trial estimates no spread
+    (2, SEED + 1, (0, 1, 1, 0), 0.5),  # Bessel variance 1/2, SE sqrt(1/2 / 2)
+])
+def test_std_error_mean_at_one_and_two_trials(trials, seed, counts, se):
+    res = simulate(SimConfig(n_b=3, n_r=2, trials=trials, seed=seed, n_t=4))
+    assert res.counts == counts
+    assert res.std_error_mean == se
+
+
+def test_std_error_variance_from_the_fourth_central_moment():
+    res = simulate(SimConfig(n_b=5, n_r=3, trials=1000, seed=SEED, n_t=9))
+    # the mean and central moments of m, exactly, from the counts
+    mean = Fraction(sum(m * c for m, c in enumerate(res.counts, 1)), 1000)
+    var, m4 = (sum((m - mean) ** k * c for m, c in enumerate(res.counts, 1)) / 1000
+               for k in (2, 4))
+    assert (res.mean, res.variance) == pytest.approx((mean, var), rel=1e-12)
+    assert res.std_error_variance == pytest.approx(math.sqrt((m4 - var * var) / 1000), rel=1e-12)
+
+
 def test_simulate_lowest_score_always_first():
     res = simulate(SimConfig(n_b=6, n_r=2, trials=2000, seed=SEED, n_t=2))
     assert res.empirical_probs[0] == 1.0
@@ -471,6 +491,7 @@ def test_middle_band_grid():
     assert grid == sorted(grid)
     assert 3015 in grid  # odd point count centers the middle score
     assert all(30 <= v <= 6000 for v in grid)
+    assert middle_band_grid(200, 30) == grid  # 21 points by default
     assert middle_band_grid(200, 30, points=1) == [3015]
     assert middle_band_grid(21, 4, points=1) == [44]
     for points in (0, -1):
