@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -32,18 +32,23 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
+# AsymptoticParams, RankMoments, two_race.RankDistribution and series.SeriesX
+# are namedtuples: importing dataclasses costs ~8 ms (inspect, ast) that the
+# exact routes never use.  A validating class checks in __new__ and routes
+# _make (so _replace) through it.  montecarlo keeps dataclasses: it loads
+# numpy (~100 ms), and callers astuple its RankMomentsEstimate.
+class AsymptoticParams(namedtuple("AsymptoticParams", "n_b n_r")):
     """Fleet/race geometry and the derived normal-limit constants."""
 
-    n_b: int
-    n_r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("n_b", "n_r"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.n_b < 1 or self.n_r < 1:
+    def __new__(cls, n_b: int, n_r: int) -> AsymptoticParams:
+        n_b, n_r = operator.index(n_b), operator.index(n_r)
+        if n_b < 1 or n_r < 1:
             raise ValueError("n_b and n_r must be >= 1")
+        return super().__new__(cls, n_b, n_r)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def middle_score(self) -> Fraction:
@@ -56,15 +61,12 @@ class AsymptoticParams:
         return Fraction(self.n_r * self.n_b * (1 + self.n_b), 12)
 
 
-@dataclass(frozen=True)
-class RankMoments:
+class RankMoments(namedtuple("RankMoments", "mean var_diag cov_offdiag")):
     """Exact moments of the ranks handed out in one race (uniform random
     permutation of 1..n_b): per-boat mean and variance, and the covariance
     between two distinct boats' ranks."""
 
-    mean: Fraction
-    var_diag: Fraction
-    cov_offdiag: Fraction
+    __slots__ = ()
 
 
 def rank_moments_theory(n_b: int) -> RankMoments:

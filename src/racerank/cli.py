@@ -19,11 +19,8 @@ emitted number can be reproduced.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from dataclasses import astuple
 from typing import Callable, Sequence
 
 # checks, lattice_oracle and montecarlo import numpy: the commands that need
@@ -48,6 +45,7 @@ def _emit(args: argparse.Namespace, parameters: dict, results: dict, provenance:
     """Print ``human()``'s text or, under ``--json``, the record naming the
     command, its parameters, its results and the module that produced them."""
     if args.json:
+        import json
         record = {"command": args.command, "parameters": parameters,
                   "results": results, "provenance": provenance}
         print(json.dumps(record, indent=2))
@@ -56,11 +54,14 @@ def _emit(args: argparse.Namespace, parameters: dict, results: dict, provenance:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = int.from_bytes(os.urandom(8), "big")  # what secrets.randbits(64) draws
-    print(f"seed: {seed}", file=sys.stderr)
-    return seed
+    # a generated seed is what secrets.randbits(64) draws; _log_seed names it
+    return args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
+
+
+def _log_seed(args: argparse.Namespace, seed: int) -> None:
+    """Name a generated seed on stderr once the run's arguments are accepted."""
+    if args.seed is None:
+        print(f"seed: {seed}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------- triangles
@@ -129,10 +130,16 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    import csv
+    from dataclasses import astuple
+
     from . import montecarlo
 
     seed = _resolve_seed(args)
     grid = montecarlo.middle_band_grid(args.n_b, args.n_r, points=args.points)
+    # the first point's config refuses what curve_sweep would, before the log
+    montecarlo.SimConfig(n_b=args.n_b, n_r=args.n_r, trials=args.trials, seed=seed, n_t=grid[0])
+    _log_seed(args, seed)
     rows = montecarlo.curve_sweep(args.n_b, args.n_r, grid, args.trials, seed)
     # CURVE_COLUMNS name CurvePoint's fields in order; stderr_var is not shown
     table = [dict(zip(CURVE_COLUMNS, astuple(p))) for p in rows]
@@ -187,15 +194,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             tracked = tuple(int(tok) for tok in args.tracked_ranks.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --tracked-ranks: {exc}") from None
-    config = montecarlo.SimConfig(
-        n_b=args.n_b,
-        n_r=args.n_r,
-        trials=args.trials,
-        seed=seed,
-        n_t=args.n_t,
-        drop_worst=args.drop_worst,
-        tracked_ranks=tracked,
-    )
+    config = montecarlo.SimConfig(n_b=args.n_b, n_r=args.n_r, trials=args.trials, seed=seed,
+                                  n_t=args.n_t, drop_worst=args.drop_worst, tracked_ranks=tracked)
+    _log_seed(args, seed)
     result = montecarlo.simulate(config)
     results = {
         "counts": list(result.counts),

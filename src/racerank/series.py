@@ -27,7 +27,7 @@ rows it is given and pads nothing.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 from .two_race import RankDistribution
@@ -46,8 +46,7 @@ __all__ = [
 SERIES_ORDER_BUDGET = 60
 
 
-@dataclass(frozen=True)
-class SeriesX:
+class SeriesX(namedtuple("SeriesX", "rows score_offset rank_one_power")):
     """Series in x truncated after x**order, held as its integer rows:
     ``rows[n][k]`` is n! times the coefficient of x**n y**k, and entries
     past the end of a row are 0.
@@ -57,9 +56,7 @@ class SeriesX:
     below it), and ``rank_one_power`` the power of y that holds rank 1 (0
     for g, read one y power low, 1 for the series one below)."""
 
-    rows: list[list[int]]
-    score_offset: int
-    rank_one_power: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:

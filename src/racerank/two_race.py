@@ -26,7 +26,7 @@ Horner's rule), and no binomial coefficient.  Rows are refused above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -41,8 +41,7 @@ __all__ = [
     "distribution_moments",
 ]
 
-@dataclass(frozen=True)
-class RankDistribution:
+class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
     """Exact distribution of a final rank; P(rank = m) = counts[m - 1] / total.
 
     Virtual-competitor distributions run over m = 1..n_b + 1, tracked-boat
@@ -52,21 +51,18 @@ class RankDistribution:
     entries) is read once and scaled by the lcm of its denominators to
     Python ints.  The counts are then checked and reduced with ``total`` by
     their gcd, so each law has one representation and equal laws compare
-    and hash equal.
+    and hash equal.  It is the tuple (n_b, n_t, counts, total), and
+    ``_replace`` and ``_make`` check their fields as the constructor does.
     """
 
-    n_b: int
-    n_t: int
-    counts: tuple[int, ...]
-    total: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        total = self.total
+    def __new__(cls, n_b: int, n_t: int, counts, total: int = 1) -> RankDistribution:
         if not isinstance(total, int):
             raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
         if total < 1:
             raise ValueError(f"RankDistribution: total must be positive, got {total}")
-        counts = tuple(self.counts)
+        counts = tuple(counts)
         if {type(total), *map(type, counts)} != {int}:
             try:
                 scale = lcm(*(c.denominator for c in counts))
@@ -82,17 +78,18 @@ class RankDistribution:
             raise ValueError("RankDistribution: negative probability")
         if sum(counts) != total:
             raise ValueError("RankDistribution: probabilities must sum to exactly 1")
-        if len(counts) not in (self.n_b, self.n_b + 1):
+        if len(counts) not in (n_b, n_b + 1):
             raise ValueError(
-                f"RankDistribution: need {self.n_b} or {self.n_b + 1} ranks "
-                f"for n_b = {self.n_b}, got {len(counts)}"
+                f"RankDistribution: need {n_b} or {n_b + 1} ranks "
+                f"for n_b = {n_b}, got {len(counts)}"
             )
         g = gcd(total, *counts)
         if g > 1:
             counts = tuple(c // g for c in counts)
             total //= g
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
+        return super().__new__(cls, n_b, n_t, counts, total)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def probs(self) -> tuple[Fraction, ...]:

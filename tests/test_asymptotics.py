@@ -103,9 +103,9 @@ def test_rank_route_builds_params_once(monkeypatch, route):
     built = []
 
     class Counted(AsymptoticParams):
-        def __post_init__(self):
-            built.append((self.n_b, self.n_r))
-            super().__post_init__()
+        def __new__(cls, n_b, n_r):
+            built.append((n_b, n_r))
+            return super().__new__(cls, n_b, n_r)
 
     monkeypatch.setattr(asymptotics, "AsymptoticParams", Counted)
     assert route(200, 30, 2900) == expected

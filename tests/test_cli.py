@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -323,6 +324,37 @@ def test_generated_seed_is_eight_urandom_bytes(capsys, monkeypatch):
     # the integer secrets.randbits(64) makes of the same eight bytes
     monkeypatch.setattr(random, "_urandom", os.urandom)
     assert secrets.randbits(64) == seed
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "3", "2"), "n_t is required unless tracked_ranks is given"),
+        (("simulate", "3", "2", "--n-t", "4", "--trials", "0"), "trials must be >= 1"),
+        (("simulate", "3", "2", "--tracked-ranks", "2,x"),
+         "bad --tracked-ranks: invalid literal for int() with base 10: 'x'"),
+        (("curve", "3", "2", "--points", "0"), "points must be >= 1, got 0"),
+        (("curve", "3", "2", "--trials", "0"), "trials must be >= 1"),
+        (("curve", "5000", "1000"),
+         "one trial needs n_b*n_r = 5000000 words, budget is 4194304 (montecarlo.TRIAL_WORD_BUDGET)"),
+    ],
+)
+def test_refused_run_logs_no_seed(capsys, argv, message):
+    # a generated seed is named only for a run whose arguments are accepted
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate 3 2 --n-t 4 --trials 10", "curve 21 4 --points 3 --trials 20"]
+)
+def test_generated_seed_is_logged_before_any_output(capsys, monkeypatch, command):
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(range(1, n + 1)))
+    seed = 0x0102030405060708
+    merged = io.StringIO()
+    with contextlib.redirect_stdout(merged), contextlib.redirect_stderr(merged):
+        assert main(shlex.split(command)) == 0
+    out = run_cli(capsys, *shlex.split(command), "--seed", str(seed))[1]
+    assert merged.getvalue() == f"seed: {seed}\n{out}"
 
 
 def test_curve_json(capsys):

@@ -26,6 +26,13 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
+def test_factorial_budget_admits_its_bound():
+    budget = combinatorics.FACTORIAL_BUDGET
+    assert factorial(budget).bit_length() == 1516705  # 10**5!, ~0.16 s
+    assert binomial(budget, 1) == budget
+    assert binomial(budget, budget - 1) == budget
+
+
 @pytest.mark.parametrize(
     "n, k, expected",
     [(4, 2, 6), (2, 3, 0), (4, 1, 4), (0, 0, 1), (-1, 0, 0), (5, -2, 0)],
@@ -81,10 +88,9 @@ def test_stirling_diagonal_worked_list():
 
 
 def test_stirling_diagonal_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        stirling_diagonal(5, 0)
-    with pytest.raises(ValueError):
-        stirling_diagonal(5, 5)
+    for i in (0, 5):  # i = score is refused by the bound, not by a later factorial
+        with pytest.raises(ValueError, match=rf"^stirling_diagonal: i must be in \[1, 4\], got {i}$"):
+            stirling_diagonal(5, i)
     with pytest.raises(ValueError):
         stirling_diagonal(1, 1)
 
@@ -97,10 +103,9 @@ def test_eulerian_from_stirling_values():
 
 
 def test_eulerian_from_stirling_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        eulerian_from_stirling(4, 4)
-    with pytest.raises(ValueError):
-        eulerian_from_stirling(4, -1)
+    for k in (4, -1):
+        with pytest.raises(ValueError, match=rf"^eulerian_from_stirling: k must be in \[0, 3\], got {k}$"):
+            eulerian_from_stirling(4, k)
 
 
 def test_stirling_binomial_sum_values():

@@ -66,7 +66,8 @@ def test_all_names_resolve(module_name):
 # The exact routes are pure Python: importing the package or the CLI, and
 # running the exact commands, must leave numpy unloaded, and reading a name of
 # a numpy-backed module must load it.  Checked in fresh interpreters, because
-# this one has numpy loaded already.
+# this one has numpy loaded already.  Nor do they load STARTUP_FREE: only
+# montecarlo's dataclasses, `--json` and `curve`'s CSV use those.
 EXACT_COMMANDS = [
     ["dist", "8", "9", "--form", "exact"],
     ["dist", "8", "9", "--form", "stirling"],
@@ -76,16 +77,24 @@ EXACT_COMMANDS = [
     ["approx", "200", "30", "3015"],
 ]
 
+STARTUP_FREE = {"dataclasses", "inspect", "json", "csv"}
+
 NUMPY_FREE = f"""\
 import contextlib, io, sys
+before = set(sys.modules)
+loaded = lambda: sorted({STARTUP_FREE!r} & (set(sys.modules) - before))
 import racerank
 from racerank import cli
 import racerank.cli
 assert "numpy" not in sys.modules, "import"
+assert loaded() == [], ("import", loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in {EXACT_COMMANDS!r}:
         assert cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, argv
+        assert loaded() == [], (argv, loaded())
+    assert cli.main(["eulerian", "5", "--json"]) == 0
+assert "json" in sys.modules, "--json"
 """
 
 # `import *` reads `__all__` before any name, so the second script's numpy

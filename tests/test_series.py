@@ -21,6 +21,11 @@ def test_series_of_other_orders_differ():
     assert eulerian_gf(4) != eulerian_gf(5)
 
 
+def test_eulerian_gf_admits_order_zero():
+    g = eulerian_gf(0)
+    assert (g.rows, g.order) == ([[]], 0)
+
+
 def test_eulerian_gf_printed_rows():
     g = eulerian_gf(8)
     assert g.order == 8

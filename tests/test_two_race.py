@@ -202,9 +202,9 @@ def test_upper_half_builds_one_distribution(monkeypatch, route):
     built = []
 
     class Counted(RankDistribution):
-        def __post_init__(self):
-            built.append(self.n_t)
-            super().__post_init__()
+        def __new__(cls, n_b, n_t, counts, total=1):
+            built.append(n_t)
+            return super().__new__(cls, n_b, n_t, counts, total)
 
     monkeypatch.setattr(two_race, "RankDistribution", Counted)
     d = route(5, 8)
