@@ -14,7 +14,7 @@ staircase once per call.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from . import combinatorics, lattice_oracle, series, two_race
 

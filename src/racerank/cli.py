@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 # checks, lattice_oracle and montecarlo import numpy: the commands that need
 # them import them when run, so the exact commands never load numpy

@@ -43,7 +43,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,8 +101,9 @@ _NETWORKS = {
 # Maximum raw words one trial may need (n_b * n_r).  A chunk holds at least
 # one trial, so this bounds a run's memory whatever its trial count.
 TRIAL_WORD_BUDGET = 1 << 22
-# Maximum trials of empirical_rank_moments, which keeps two float64 ranks
-# per trial: 2**24 trials hold 256 MiB.
+# Maximum trials of empirical_rank_moments, which holds one chunk and one
+# batch of two float64 ranks a trial: 2**24 trials fill a 5.4 MB batch, and
+# take ~0.8 s (traced peak ~14 MiB) on a 2-vCPU Xeon with numpy 2.4.
 MOMENTS_TRIAL_BUDGET = 1 << 24
 # Bound once: a numpy stand-in put in place of this module's ``np`` (the
 # benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
@@ -163,6 +164,7 @@ def _order_chunks(
         if blocks * 4 != per_trial:
             words = np.ascontiguousarray(words[:, :per_trial])
         yield offset, _order_words(words.reshape(n, n_r, width))
+        del words  # before the next chunk is drawn
 
 
 def _order_words(words: np.ndarray) -> np.ndarray:
@@ -366,6 +368,7 @@ def simulate(config: SimConfig) -> SimResult:
     counts = np.zeros(width + 1, dtype=np.int64)
     for _, orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
         counts += _tally(score(orders) < threshold)
+        del orders
     return _result_from_counts(config, counts)
 
 
@@ -373,8 +376,8 @@ def simulate(config: SimConfig) -> SimResult:
 class RankMomentsEstimate:
     """Sampled one-race rank moments with batch-means standard errors: the
     trials are cut into 50 equal batches (a remainder of fewer than 50
-    trials is left out), the statistic is computed per batch, and the
-    quoted value / SE are the mean / SE of the 50 batch values."""
+    trials is neither drawn nor used), the statistic is computed per batch,
+    and the quoted value / SE are the mean / SE of the 50 batch values."""
 
     n_b: int
     trials: int
@@ -410,20 +413,26 @@ def empirical_rank_moments(
             "(montecarlo.MOMENTS_TRIAL_BUDGET)"
         )
     seed, stream = _check_key_words(seed, stream)
-    # one race's rank sums are its ranks; boats 1 and 2 are rows 0 and 1
-    score = _rank_sums(trials, 1, n_b)
-    x01 = np.empty((2, trials))
-    for start, orders in _order_chunks(seed, stream, trials, 1, n_b):
-        x01[:, start : start + len(orders)] = score(orders)[:, :2].T
+    # one race's rank sums are its ranks; boats 1 and 2 are rows 0 and 1 of
+    # the one batch held.  Only the 50 whole batches' trials are drawn.
     size = trials // _BATCHES
-    used = _BATCHES * size
-    x0 = x01[0, :used].reshape(_BATCHES, size)
-    x1 = x01[1, :used].reshape(_BATCHES, size)
-    b_mean = x0.mean(axis=1)
-    b_var = x0.var(axis=1, ddof=1)
-    d0 = x0 - b_mean[:, None]
-    d1 = x1 - x1.mean(axis=1, keepdims=True)
-    b_cov = (d0 * d1).sum(axis=1) / (size - 1)
+    score = _rank_sums(_BATCHES * size, 1, n_b)
+    batch = np.empty((2, size))
+    stats = np.empty((3, _BATCHES))  # per batch: boat 1's mean and variance, the covariance
+    filled = done = 0
+    for _, orders in _order_chunks(seed, stream, _BATCHES * size, 1, n_b):
+        pair = score(orders)[:, :2].T
+        del orders
+        while pair.shape[1]:
+            take = min(size - filled, pair.shape[1])
+            batch[:, filled : filled + take] = pair[:, :take]
+            pair, filled = pair[:, take:], filled + take
+            if filled == size:  # mean and var(ddof=1)'s own reductions, row by row
+                mean = batch.mean(axis=1, keepdims=True)
+                batch -= mean
+                stats[:, done] = mean[0, 0], *(batch * batch[0]).sum(axis=1) / (size - 1)
+                filled, done = 0, done + 1
+        del pair
 
     def _se(values: np.ndarray) -> float:
         return float(values.std(ddof=1) / math.sqrt(_BATCHES))
@@ -431,12 +440,12 @@ def empirical_rank_moments(
     return RankMomentsEstimate(
         n_b=n_b,
         trials=trials,
-        mean=float(b_mean.mean()),
-        var_diag=float(b_var.mean()),
-        cov_offdiag=float(b_cov.mean()),
-        se_mean=_se(b_mean),
-        se_var=_se(b_var),
-        se_cov=_se(b_cov),
+        mean=float(stats[0].mean()),
+        var_diag=float(stats[1].mean()),
+        cov_offdiag=float(stats[2].mean()),
+        se_mean=_se(stats[0]),
+        se_var=_se(stats[1]),
+        se_cov=_se(stats[2]),
     )
 
 

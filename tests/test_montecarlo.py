@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -297,6 +298,7 @@ def _chunk_case_results():
     return (
         [simulate(cfg) for cfg in CHUNK_CASES],
         empirical_rank_moments(4, 1000, seed=SEED),
+        empirical_rank_moments(4, 1049, seed=SEED),  # 49 trials left out, none drawn
     )
 
 
@@ -325,7 +327,40 @@ def test_one_philox_generator_per_run(monkeypatch, config):
     monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 16)  # dozens of chunks per run
     assert simulate(config) == reference[0][CHUNK_CASES.index(config)]
     assert empirical_rank_moments(4, 1000, seed=SEED) == reference[1]
-    assert counters == [0, 0]
+    assert empirical_rank_moments(4, 1049, seed=SEED) == reference[2]
+    assert counters == [0, 0, 0]
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+CHUNK_BYTES = 8 * mc._CHUNK_DOUBLES  # one chunk's raw words
+
+
+def test_moments_hold_one_batch_and_one_chunk():
+    # the (2, size) batch and its product with boat 1's row, plus at most six
+    # chunk-sized arrays: the rank tile, the raw and the unpadded words (4/3
+    # and 1 chunk at n_b = 3), the scores, and the trial offsets and network
+    # temporary (1/3 chunk each); the whole (2, trials) array is 64 MiB
+    trials = 1 << 22
+    batch_bytes = 2 * 8 * (trials // 50)
+    peak = _traced_peak(lambda: empirical_rank_moments(3, trials, seed=SEED))
+    assert peak <= 2 * batch_bytes + 6 * CHUNK_BYTES
+
+
+def test_simulate_holds_one_chunk_at_a_time():
+    # 4 chunks of 2**14 trials at n_b = 4, n_r = 2: the rank tile and one
+    # chunk's words are a chunk each; the scores (1/2 chunk), the trial
+    # offsets and every sort and tally temporary (1/4 chunk or less, one at a
+    # time) fit in the third.  A second chunk's words would not.
+    config = SimConfig(n_b=4, n_r=2, trials=4 * mc._CHUNK_DOUBLES // 8, seed=SEED, n_t=5)
+    assert _traced_peak(lambda: simulate(config)) <= 3 * CHUNK_BYTES
 
 
 def test_simulate_counts_sum_to_trials():

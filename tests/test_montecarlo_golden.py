@@ -162,6 +162,14 @@ def test_rank_moments_values(n_b, expected):
     assert astuple(empirical_rank_moments(n_b, 10_000, seed=SEED)) == expected
 
 
+def test_rank_moments_leave_out_the_remainder():
+    # 1049 trials: 50 batches of 20, the last 49 trials left out
+    assert astuple(empirical_rank_moments(4, 1049, seed=SEED)) == (
+        4, 1049, 2.5180000000000002, 1.264, -0.4633684210526316,
+        0.037491767803895626, 0.03127434909837353, 0.033467502418464266,
+    )
+
+
 def test_curve_csv_digest():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

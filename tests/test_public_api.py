@@ -122,3 +122,22 @@ def test_numpy_loads_only_on_a_lazy_read(read):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# `typing` is one stdlib module the exact commands never need; `-S` keeps the
+# site hooks, which may import it themselves, out of the check.
+TYPING_FREE = """\
+import contextlib, io, sys
+import racerank, racerank.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert racerank.cli.main(["dist", "8", "9"]) == 0
+assert "typing" not in sys.modules
+"""
+
+
+def test_exact_command_loads_no_typing():
+    src = str(Path(racerank.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", TYPING_FREE],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
