@@ -22,12 +22,25 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Sequence
-
-# checks, lattice_oracle and montecarlo import numpy: the commands that need
-# them import them when run, so the exact commands never load numpy
-from . import asymptotics, combinatorics, series, two_race
+from importlib import import_module
 
 __all__ = ["main"]
+
+# No library module loads with cli: a command reads each module it uses as
+# _cli.<module> when it runs, and the first read imports it (see __getattr__),
+# so each command loads only its own modules and the exact ones never numpy.
+_LIBRARY = frozenset({"asymptotics", "checks", "combinatorics", "lattice_oracle",
+                      "montecarlo", "series", "two_race"})
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import the library module ``name`` on its first read as ``cli.<name>``
+    and keep it as a global, so a value set there later is what commands call."""
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = import_module(f".{name}", __package__)
+    return module
 
 CURVE_COLUMNS = [
     "n_t",
@@ -69,8 +82,8 @@ def _log_seed(args: argparse.Namespace, seed: int) -> None:
 
 # looked up when called, like _FORMS, so a patched combinatorics is seen
 _TRIANGLES = {
-    "eulerian": lambda n: combinatorics.eulerian_triangle(n),
-    "stirling": lambda n: combinatorics.stirling_triangle(n),
+    "eulerian": lambda n: _cli.combinatorics.eulerian_triangle(n),
+    "stirling": lambda n: _cli.combinatorics.stirling_triangle(n),
 }
 
 
@@ -86,7 +99,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     n_b, n_t = args.n_b, args.n_t
-    two_race._check_score(n_b, n_t)  # before any series is built
+    _cli.two_race._check_score(n_b, n_t)  # before any series is built
+    series = _cli.series
     # keyed by the score_offset each series records, so its rows label n_t
     gf = {1: series.eulerian_gf, 0: series.second_gf_expand}.get(n_t - n_b)
     if gf is None:
@@ -95,20 +109,15 @@ def _series_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
     return series.coefficient_to_distribution(gf(max(n_b, 2)), n_b)
 
 
-def _brute_force_distribution(args: argparse.Namespace) -> two_race.RankDistribution:
-    from . import lattice_oracle
-
-    return lattice_oracle.brute_force_two_race(args.n_b, args.n_t)
-
-
 # --form -> (route, provenance); routes look up their function when called.
 # "two_race.p_stirling_form" names the Stirling form of P(m), not a function;
 # it is printed output, so the label stays byte for byte.
 _FORMS = {
-    "exact": (lambda a: two_race.full_distribution(a.n_b, a.n_t), "two_race"),
-    "stirling": (lambda a: two_race.stirling_form_distribution(a.n_b, a.n_t),
+    "exact": (lambda a: _cli.two_race.full_distribution(a.n_b, a.n_t), "two_race"),
+    "stirling": (lambda a: _cli.two_race.stirling_form_distribution(a.n_b, a.n_t),
                  "two_race.p_stirling_form"),
-    "bruteforce": (_brute_force_distribution, "lattice_oracle"),
+    "bruteforce": (lambda a: _cli.lattice_oracle.brute_force_two_race(a.n_b, a.n_t),
+                   "lattice_oracle"),
     "series": (_series_distribution, "series"),
 }
 
@@ -133,8 +142,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     import csv
     from dataclasses import astuple
 
-    from . import montecarlo
-
+    montecarlo = _cli.montecarlo
     seed = _resolve_seed(args)
     grid = montecarlo.middle_band_grid(args.n_b, args.n_r, points=args.points)
     # the first point's config refuses what curve_sweep would, before the log
@@ -160,6 +168,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    asymptotics = _cli.asymptotics
     params = asymptotics.AsymptoticParams(args.n_b, args.n_r)
     centered = asymptotics.centered_score(args.n_t, args.n_b, args.n_r)
     mean = asymptotics.mean_final_rank(args.n_b, args.n_r, args.n_t)
@@ -185,8 +194,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import montecarlo
-
+    montecarlo = _cli.montecarlo
     seed = _resolve_seed(args)
     tracked = None
     if args.tracked_ranks:
@@ -230,9 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import checks
-
-    outcomes = checks.run(args.level)
+    outcomes = _cli.checks.run(args.level)
     failed = [o for o in outcomes if not o["ok"]]
 
     def human() -> None:

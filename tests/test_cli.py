@@ -117,6 +117,26 @@ def test_triangle_is_looked_up_when_called(capsys, monkeypatch):
     assert out.splitlines() == ["7", "7 7", "7 7 7"]
 
 
+# bench/tracing.py sets a traced view of combinatorics as cli.combinatorics:
+# the attribute must resolve before any command runs, and the triangle
+# commands must call whatever value sits there.
+def test_triangles_call_what_sits_at_cli_combinatorics(capsys, monkeypatch):
+    from racerank import cli
+
+    assert cli.combinatorics is combinatorics
+    assert not hasattr(cli, "numpy")
+
+    class StandIn:
+        @staticmethod
+        def eulerian_triangle(n_max):
+            return [[7] * n for n in range(1, n_max + 1)]
+
+    monkeypatch.setattr(cli, "combinatorics", StandIn)
+    code, out, _ = run_cli(capsys, "eulerian", "3")
+    assert code == 0
+    assert out.splitlines() == ["7", "7 7", "7 7 7"]
+
+
 def test_stirling_rows(capsys):
     code, out, _ = run_cli(capsys, "stirling", "4")
     assert code == 0

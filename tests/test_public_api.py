@@ -63,6 +63,15 @@ def test_all_names_resolve(module_name):
     assert missing == []
 
 
+def run_fresh(script, *options):
+    """Run ``script`` in a fresh interpreter that imports racerank from this tree."""
+    src = str(Path(racerank.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *options, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # The exact routes are pure Python: importing the package or the CLI, and
 # running the exact commands, must leave numpy unloaded, and reading a name of
 # a numpy-backed module must load it.  Checked in fresh interpreters, because
@@ -117,11 +126,55 @@ assert sorted(racerank.__all__) == {PUBLIC_NAMES!r}
 
 @pytest.mark.parametrize("read", list(LAZY_READS))
 def test_numpy_loads_only_on_a_lazy_read(read):
-    src = str(Path(racerank.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", LAZY_READS[read]],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(LAZY_READS[read])
+
+
+# No library module loads with the package or the CLI: each exact command
+# loads only the modules it reads, and nothing before it loads `fractions`.
+COMMAND_MODULES = [
+    (["eulerian", "5"], ["combinatorics"]),
+    (["stirling", "5"], ["combinatorics"]),
+    (["dist", "8", "9", "--form", "exact"], ["combinatorics", "two_race"]),
+    (["dist", "8", "9", "--form", "stirling"], ["combinatorics", "two_race"]),
+    (["dist", "8", "9", "--form", "series"], ["combinatorics", "series", "two_race"]),
+    (["approx", "200", "30", "3015"], ["asymptotics"]),
+]
+
+FOOTPRINT = """\
+import contextlib, io, sys
+before = set(sys.modules)
+library = lambda: sorted(m[9:] for m in set(sys.modules) - before if m.startswith("racerank."))
+import racerank
+import racerank.cli
+assert library() == ["cli"], library()
+assert "fractions" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert racerank.cli.main({argv!r}) == 0
+assert library() == sorted(["cli"] + {modules!r}), library()
+"""
+
+
+@pytest.mark.parametrize(("argv", "modules"), COMMAND_MODULES, ids=" ".join)
+def test_exact_command_loads_only_its_modules(argv, modules):
+    run_fresh(FOOTPRINT.format(argv=argv, modules=modules))
+
+
+# `racerank.<name>` looks for a name in the pure-Python modules before the
+# numpy-backed ones, so every exact name resolves to its own module's object
+# with numpy unloaded.
+PURE_NAMES = """\
+import importlib, sys
+import racerank
+for m in ("combinatorics", "two_race", "series", "asymptotics"):
+    module = importlib.import_module(f"racerank.{m}")
+    for name in module.__all__:
+        assert getattr(racerank, name) is getattr(module, name), (m, name)
+assert "numpy" not in sys.modules
+"""
+
+
+def test_exact_names_resolve_without_numpy():
+    run_fresh(PURE_NAMES)
 
 
 # `typing` is one stdlib module the exact commands never need; `-S` keeps the
@@ -136,8 +189,4 @@ assert "typing" not in sys.modules
 
 
 def test_exact_command_loads_no_typing():
-    src = str(Path(racerank.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-S", "-c", TYPING_FREE],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(TYPING_FREE, "-S")
