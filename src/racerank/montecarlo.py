@@ -143,17 +143,16 @@ def _chunk_trials(per_trial: int) -> int:
 
 def _order_chunks(
     seed: int, stream: int, trials: int, n_r: int, width: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Row orders of a ``trials``-trial run, one chunk at a time as
-    ``(offset, orders)``: int64 of shape (n, n_r, width) whose
-    entry [t, r] lists race r's columns by ascending uniform, under the
-    module docstring's ranking rule.  Trial t reads its own counter blocks
-    [t * B, (t + 1) * B) (4 raw words per block, padding discarded when
-    n_r * width is not a multiple of 4).  One Philox generator, keyed
-    ``seed + (stream << 64)``, reads the chunks in order: every chunk takes
-    whole blocks, so its counter runs on exactly where a fresh generator
-    for the next trial would start, and any split of a run returns
-    identical rows."""
+) -> Iterator[np.ndarray]:
+    """Row orders of a ``trials``-trial run, one chunk at a time: int64 of
+    shape (n, n_r, width) whose entry [t, r] lists race r's columns by
+    ascending uniform, under the module docstring's ranking rule.  Trial t
+    reads its own counter blocks [t * B, (t + 1) * B) (4 raw words per
+    block, padding discarded when n_r * width is not a multiple of 4).  One
+    Philox generator, keyed ``seed + (stream << 64)``, reads the chunks in
+    order: every chunk takes whole blocks, so its counter runs on exactly
+    where a fresh generator for the next trial would start, and any split
+    of a run returns identical rows."""
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
     bitgen = np.random.Philox(key=seed | (stream << 64), counter=0)
@@ -163,7 +162,7 @@ def _order_chunks(
         words = bitgen.random_raw(n * blocks * 4).reshape(n, blocks * 4)
         if blocks * 4 != per_trial:
             words = np.ascontiguousarray(words[:, :per_trial])
-        yield offset, _order_words(words.reshape(n, n_r, width))
+        yield _order_words(words.reshape(n, n_r, width))
         del words  # before the next chunk is drawn
 
 
@@ -366,7 +365,7 @@ def simulate(config: SimConfig) -> SimResult:
         threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
         score = _leftover_sums(tracked, n_b, config.trials, config.drop_worst)
     counts = np.zeros(width + 1, dtype=np.int64)
-    for _, orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
+    for orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
         counts += _tally(score(orders) < threshold)
         del orders
     return _result_from_counts(config, counts)
@@ -420,7 +419,7 @@ def empirical_rank_moments(
     batch = np.empty((2, size))
     stats = np.empty((3, _BATCHES))  # per batch: boat 1's mean and variance, the covariance
     filled = done = 0
-    for _, orders in _order_chunks(seed, stream, _BATCHES * size, 1, n_b):
+    for orders in _order_chunks(seed, stream, _BATCHES * size, 1, n_b):
         pair = score(orders)[:, :2].T
         del orders
         while pair.shape[1]:

@@ -129,7 +129,7 @@ def coefficient_to_distribution(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
             "below the lowest score 2"
         )
-    if n_t is not None and n_t != score:
+    if n_t is not None and operator.index(n_t) != score:
         raise ValueError(
             f"the series' rows stand for n_t = n_b + {s.score_offset} = {score}, "
             f"got n_t = {n_t}"

@@ -18,10 +18,10 @@ lower-half score can beat at most n_t - 2 boats (k beaten boats hold
 distinct ranks in each race, so their scores sum to at least k(k+1) and at
 most k(n_t - 1)), so P(m) = 0 for m >= n_t and each row computes only its
 band m < n_t: zeros past m = n_t - 1, O(n_b n_t) big-integer additions for
-the alternating row (one list of n_t - 1 entries differenced n_b + 1
-times), O(n_t^2) for the Stirling row (a polynomial in (1 + y) expanded by
-Horner's rule), and no binomial coefficient.  Rows are refused above
-``EXACT_N_B_BUDGET`` boats before any term is computed.
+the alternating row (one list of n_t - 1 entries differenced n_b + 1 times),
+O(n_t^2) for the Stirling row (a polynomial in (1 + y) expanded by Horner's
+rule), and no binomial coefficient.  ``_assemble`` reads and checks every
+argument once and refuses n_b above ``EXACT_N_B_BUDGET`` before any term.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, index, sub
 
 from .combinatorics import _stirling_row as _stirling_numbers
 from .combinatorics import factorial
@@ -58,6 +58,7 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
     __slots__ = ()
 
     def __new__(cls, n_b: int, n_t: int, counts, total: int = 1) -> RankDistribution:
+        n_b, n_t = index(n_b), index(n_t)
         if not isinstance(total, int):
             raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
         if total < 1:
@@ -115,19 +116,14 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
 EXACT_N_B_BUDGET = 450
 
 
-def _check_score(n_b: int, n_t: int) -> None:
+def _check_score(n_b: int, n_t: int) -> tuple[int, int]:
+    """Read n_b, n_t as ints and check the score; :func:`_assemble` checks every argument once."""
+    n_b, n_t = index(n_b), index(n_t)
     if n_b < 1:
         raise ValueError(f"n_b must be >= 1, got {n_b}")
     if not 2 <= n_t <= 2 * n_b + 1:
         raise ValueError(f"score n_t must be in [2, {2 * n_b + 1}], got {n_t}")
-
-
-def _check_budget(n_b: int) -> None:
-    if n_b > EXACT_N_B_BUDGET:
-        raise ValueError(
-            f"n_b = {n_b} exceeds the exact-row budget {EXACT_N_B_BUDGET} "
-            "(two_race.EXACT_N_B_BUDGET)"
-        )
+    return n_b, n_t
 
 
 def _alternating_row(n_b: int, n_t: int) -> list[int]:
@@ -143,7 +139,6 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
     binomial.  The ratios (e+j)!/j! come from one running product, each step
     exact.
     """
-    _check_budget(n_b)
     e = n_b - n_t + 1
     b = []
     ratio = factorial(e)
@@ -164,7 +159,6 @@ def _stirling_row(n_b: int, n_t: int) -> list[int]:
     sum_i w_i (1+y)^(i-1), which Horner's rule builds in O(n_t^2) big-integer
     additions with no binomial.  Entries with m >= n_t are empty sums, the
     zeros past m = n_t - 1."""
-    _check_budget(n_b)
     s = _stirling_numbers(n_t - 1)  # S(n_t-1, k) for k = 0..n_t-1
     q = [0]
     f = factorial(2 + n_b - n_t)  # (1+n_b-i)! at i = n_t - 1
@@ -176,7 +170,12 @@ def _stirling_row(n_b: int, n_t: int) -> list[int]:
 
 
 def _assemble(n_b: int, n_t: int, low_row) -> RankDistribution:
-    _check_score(n_b, n_t)
+    n_b, n_t = _check_score(n_b, n_t)
+    if n_b > EXACT_N_B_BUDGET:
+        raise ValueError(
+            f"n_b = {n_b} exceeds the exact-row budget {EXACT_N_B_BUDGET} "
+            "(two_race.EXACT_N_B_BUDGET)"
+        )
     row = low_row(n_b, min(n_t, 2 * n_b + 3 - n_t))
     if n_t > n_b + 1:
         row.reverse()

@@ -25,6 +25,10 @@ slow.
 ``racerank.two_race.distribution_moments``: one ``Fraction`` term per rank,
 where the library sums integer counts and divides once.
 
+``pooled_chi2`` is Pearson's goodness-of-fit test of sampled rank counts
+against an exact law, its survival function from ``mpmath`` (scipy is not a
+dependency).
+
 ``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
 paper's printed tables, as the integer rows n! [x^n] that a
 ``racerank.series.SeriesX`` holds.
@@ -33,9 +37,10 @@ paper's printed tables, as the integer rows n! [x^n] that a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from operator import mul
 
+import mpmath
 import numpy as np
 
 from racerank.combinatorics import binomial, factorial, stirling2, stirling_diagonal
@@ -157,3 +162,29 @@ def moments_by_fraction_sums(probs) -> tuple[Fraction, Fraction]:
     mean = sum((p * m for m, p in enumerate(probs, start=1)), Fraction(0))
     second = sum((p * m * m for m, p in enumerate(probs, start=1)), Fraction(0))
     return mean, second - mean * mean
+
+
+def pooled_chi2(counts, probs, floor: float = 5) -> tuple[float, int, float]:
+    """(chi^2, df, p) of Pearson's test of rank ``counts`` against the law
+    ``probs`` (P(m) for m = 1, 2, ...).  Adjacent ranks are pooled left to
+    right until each pool expects at least ``floor`` trials, and a last pool
+    that expects fewer joins the one before; df is the number of pools less
+    one.  A count at a rank of probability 0 makes chi^2 infinite, so no
+    pool hides an impossible rank."""
+    trials = sum(counts)
+    pools = []  # [observed, expected] per pool
+    for c, p in zip(counts, probs, strict=True):
+        if not pools or pools[-1][1] >= floor:
+            pools.append([0, 0.0])
+        pools[-1][0] += c
+        pools[-1][1] += float(trials * p)
+    if len(pools) > 1 and pools[-1][1] < floor:
+        observed, expected = pools.pop()
+        pools[-1][0] += observed
+        pools[-1][1] += expected
+    if any(c and not p for c, p in zip(counts, probs)):
+        chi2 = inf
+    else:
+        chi2 = sum((o - e) ** 2 / e for o, e in pools)
+    df = len(pools) - 1
+    return chi2, df, float(mpmath.gammainc(df / 2, chi2 / 2, mpmath.inf, regularized=True))

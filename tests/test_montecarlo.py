@@ -22,7 +22,7 @@ from racerank.montecarlo import (
 )
 from racerank.two_race import full_distribution
 
-from _reference import inverse_orders, rank_rows, trial_uniforms
+from _reference import inverse_orders, pooled_chi2, rank_rows, trial_uniforms
 
 SEED = 20260809
 
@@ -31,7 +31,7 @@ def _trial_orders(stream, first, n_trials, n_r, width):
     """Row orders of trials [first, first + n_trials): rows [first:] of a
     run of first + n_trials trials."""
     chunks = mc._order_chunks(SEED, stream, first + n_trials, n_r, width)
-    return np.concatenate([orders for _, orders in chunks])[first:]
+    return np.concatenate(list(chunks))[first:]
 
 
 def test_trial_uniforms_blocking_invariance():
@@ -190,7 +190,7 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
     trials = step + extra
     score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
     lengths = []
-    for _, orders in mc._order_chunks(SEED, 3, trials, n_r, width):
+    for orders in mc._order_chunks(SEED, 3, trials, n_r, width):
         expected = _broadcast_leftover_sums(tracked, n_b, orders, drop_worst)
         assert (score(orders) == expected).all()
         lengths.append(len(orders))
@@ -376,6 +376,20 @@ def test_simulate_matches_exact_two_race():
     for p_hat, p in zip(res.empirical_probs, exact.probs):
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert abs(p_hat - float(p)) <= 4 * max(se, 1e-12)
+
+
+# n_b = 4 ranks with the sorting networks, n_b = 8 and 200 with ndarray.sort;
+# scores below, at and above the middle n_b + 1
+_LAW_CASES = [(4, 3), (4, 5), (4, 7), (8, 5), (8, 9), (8, 13), (200, 150), (200, 201), (200, 300)]
+
+
+@pytest.mark.parametrize("n_b, n_t", _LAW_CASES)
+def test_simulate_law_matches_exact_two_race_law(n_b, n_t):
+    # 10^5 trials, ranks pooled to expect >= 5, family alpha 10^-3 Bonferroni-split
+    res = simulate(SimConfig(n_b, 2, 10**5, SEED, n_t))
+    chi2, df, p = pooled_chi2(res.counts, full_distribution(n_b, n_t).probs)
+    assert df >= 1
+    assert p > 1e-3 / len(_LAW_CASES), f"chi2 = {chi2:.1f} on {df} df"
 
 
 @pytest.mark.parametrize("trials, seed, counts, se", [

@@ -7,6 +7,7 @@ import pytest
 
 from racerank import (
     AsymptoticParams,
+    RankDistribution,
     SimConfig,
     binomial,
     brute_force_composition,
@@ -28,10 +29,11 @@ from racerank import (
     second_gf_expand,
     stirling2,
     stirling_binomial_sum,
+    stirling_form_distribution,
     stirling_triangle,
     variance_final_rank,
 )
-from racerank import checks, combinatorics
+from racerank import checks, combinatorics, two_race
 
 REFUSALS = {
     "rank_moments_theory": (lambda: rank_moments_theory(0), "n_b must be >= 1, got 0"),
@@ -134,6 +136,12 @@ def test_refusal_message(case):
 # a size, score or rank that is not an integer is refused, not truncated
 NOT_AN_INTEGER = {
     "full_distribution n_t": lambda: full_distribution(3, 4.0),
+    "full_distribution n_b": lambda: full_distribution(3.0, 4),
+    # grew the cached Stirling triangle to row 30 before failing in it
+    "stirling_form_distribution n_b": lambda: stirling_form_distribution(30.0, 31),
+    "stirling_form_distribution n_t": lambda: stirling_form_distribution(3, 4.0),
+    # accepted, with n_b=3.0 in its repr
+    "RankDistribution n_b": lambda: RankDistribution(3.0, 4, [1, 4, 1, 0], 6),
     # np.fromiter truncated the limits 3.5, ... and returned the n_t = 4 law
     "brute_force_score n_t": lambda: brute_force_score(3, 2, 4.5),
     "brute_force_two_race n_t": lambda: brute_force_two_race(3, 4.5),
@@ -158,6 +166,10 @@ NOT_AN_INTEGER = {
     "count_compatible_subsets n_t": lambda: count_compatible_subsets(6.0),
     "coefficient_to_distribution n_b": lambda: coefficient_to_distribution(
         second_gf_expand(4), 2.0
+    ),
+    # 4.0 == 4 passed the label check
+    "coefficient_to_distribution n_t": lambda: coefficient_to_distribution(
+        eulerian_gf(5), 3, n_t=4.0
     ),
     # int(4.9) ran the sweep and labelled its row n_t = 4
     "curve_sweep n_t": lambda: curve_sweep(3, 2, [4.9], 100, 1),
@@ -191,11 +203,19 @@ def test_non_integer_refusal(case):
 
 
 @pytest.mark.parametrize(
-    "case", [case for case in NOT_AN_INTEGER if case.startswith(("eulerian", "stirling"))]
+    "case",
+    [
+        case
+        for case in NOT_AN_INTEGER
+        if case.startswith(("eulerian", "stirling", "full_distribution", "RankDistribution"))
+    ],
 )
 def test_non_integer_refusal_reads_no_triangle_row(monkeypatch, case):
-    # the cached rows are neither read nor grown before the refusal
+    # the cached rows are neither read nor grown, and no two-race term is
+    # computed, before the refusal
     monkeypatch.setattr(combinatorics, "_eulerian_rows", None)
     monkeypatch.setattr(combinatorics, "_stirling_rows", None)
+    monkeypatch.setattr(two_race, "factorial", None)
+    monkeypatch.setattr(two_race, "_stirling_numbers", None)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         NOT_AN_INTEGER[case]()
