@@ -77,12 +77,17 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Raw words generated per chunk: 2**17 words (1 MiB), so that one chunk's
-# Philox words, in-place key sort, rank weights and race sums stay in
-# a core's 2 MiB L2 instead of streaming through L3.  Measured on a 2-vCPU
-# Xeon (numpy 2.4): 2**16 and 2**17 tie, 2**18 is ~7 % slower on short rows,
-# and the former 2**22-word (34 MB) chunks ran 200 x 30 trials ~30 % slower.
-_CHUNK_DOUBLES = 1 << 17
+# Bytes one chunk may hold: half a core's 2 MiB L2, so that its Philox
+# words, in-place key sort, tile and scores stay in L2 rather than stream
+# through L3.  _chunk_trials charges a trial 8 bytes for each of its drawn
+# words, its unpadded copy (padded rows only), its share of the run's
+# chunk-length rank or race-offset tile and its scores; the orders overwrite
+# the words, and the trial offsets and tally temporaries are fractions of a
+# chunk.  Counting the drawn words alone (2**17 of them) let a chunk hold
+# 2-4 MiB.  On a 2-vCPU Xeon (numpy 2.4) this keeps 200 x 30 rows at 10
+# trials a chunk, where a flat 2**15-word chunk ran their sweep ~5 % slower;
+# the former 2**22-word (34 MB) chunks ran them ~30 % slower.
+_CHUNK_BYTES = 1 << 20
 _COLUMN_BITS = 11  # low word bits that (word >> 11) * 2**-53 discards
 _COLUMN_MASK = np.uint64((1 << _COLUMN_BITS) - 1)
 # Optimal compare-exchange networks: after comparators (i, j) in order, with
@@ -103,7 +108,7 @@ _NETWORKS = {
 TRIAL_WORD_BUDGET = 1 << 22
 # Maximum trials of empirical_rank_moments, which holds one chunk and one
 # batch of two float64 ranks a trial: 2**24 trials fill a 5.4 MB batch, and
-# take ~0.8 s (traced peak ~14 MiB) on a 2-vCPU Xeon with numpy 2.4.
+# take ~0.85 s (traced peak ~11 MiB) on a 2-vCPU Xeon with numpy 2.4.
 MOMENTS_TRIAL_BUDGET = 1 << 24
 # Bound once: a numpy stand-in put in place of this module's ``np`` (the
 # benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
@@ -136,9 +141,13 @@ def _check_trial_words(label: str, words: int) -> None:
         )
 
 
-def _chunk_trials(per_trial: int) -> int:
-    """Trials per chunk: as many as fit in _CHUNK_DOUBLES words, at least 1."""
-    return max(1, _CHUNK_DOUBLES // max(per_trial, 1))
+def _chunk_trials(n_r: int, width: int) -> int:
+    """Trials per chunk of n_r rows of ``width`` columns: as many as
+    _CHUNK_BYTES holds, by the charge stated there, and at least 1."""
+    words = n_r * width
+    drawn = -(-words // 4) * 4
+    per_trial = 8 * (drawn + (words if drawn != words else 0) + words + width)
+    return max(1, _CHUNK_BYTES // max(per_trial, 8))
 
 
 def _order_chunks(
@@ -156,7 +165,7 @@ def _order_chunks(
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
     bitgen = np.random.Philox(key=seed | (stream << 64), counter=0)
-    step = _chunk_trials(per_trial)
+    step = _chunk_trials(n_r, width)
     for offset in range(0, trials, step):
         n = min(step, trials - offset)
         words = bitgen.random_raw(n * blocks * 4).reshape(n, blocks * 4)
@@ -203,7 +212,7 @@ def _rank_sums(
     score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
     2**53.  Overwrites the orders."""
     per_trial = n_r * width
-    chunk_trials = min(trials, _chunk_trials(per_trial))
+    chunk_trials = min(trials, _chunk_trials(n_r, width))
     rank_tile = np.tile(np.arange(1, width + 1, dtype=np.float64), chunk_trials * n_r)
     trial_offsets = width * np.arange(chunk_trials)[:, None, None]
 
@@ -238,7 +247,7 @@ def _leftover_sums(
     leftover = np.array(
         [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int32
     ).ravel()
-    chunk_trials = min(trials, _chunk_trials(n_r * width))
+    chunk_trials = min(trials, _chunk_trials(n_r, width))
     race_tile = np.empty((chunk_trials, n_r, width), dtype=np.int64)
     race_tile[...] = width * np.arange(n_r)[:, None]
 
@@ -246,8 +255,11 @@ def _leftover_sums(
         orders += race_tile[: len(orders)]  # race r's column j is leftover[r * width + j]
         vals = leftover.take(orders)
         scores = np.einsum("trw->tw", vals)
-        if drop_worst:
-            scores -= vals.max(axis=1)
+        if drop_worst:  # one long pass per race, not a max over n_r values per boat
+            worst = vals[:, 0]
+            for r in range(1, n_r):
+                np.maximum(worst, vals[:, r], out=worst)
+            scores -= worst
         return scores
 
     return score

@@ -45,7 +45,8 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
     """Exact distribution of a final rank; P(rank = m) = counts[m - 1] / total.
 
     Virtual-competitor distributions run over m = 1..n_b + 1, tracked-boat
-    ones (composition mode) over m = 1..n_b; n_t is the score it is for.
+    ones (composition mode) over m = 1..n_b; n_t >= 1 is the score it is
+    for, and n_b >= 1 the fleet.
     A row of Python ints over an int total, as every route builds it, is
     taken as given; any other row (``Fraction``, ``bool`` or numpy integer
     entries) is read once and scaled by the lcm of its denominators to
@@ -59,6 +60,10 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
 
     def __new__(cls, n_b: int, n_t: int, counts, total: int = 1) -> RankDistribution:
         n_b, n_t = index(n_b), index(n_t)
+        if n_b < 1:
+            raise ValueError(f"RankDistribution: n_b must be >= 1, got {n_b}")
+        if n_t < 1:
+            raise ValueError(f"RankDistribution: n_t must be >= 1, got {n_t}")
         if not isinstance(total, int):
             raise TypeError(f"RankDistribution: total must be an int, got {type(total).__name__}")
         if total < 1:

@@ -183,11 +183,12 @@ def _broadcast_leftover_sums(tracked, n_b, orders, drop_worst):
 )
 @pytest.mark.parametrize("extra", [-5000, 0, 777])
 def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, extra):
-    # runs shorter than one chunk, of exactly one chunk, and with a final
-    # partial chunk after a full one
+    # runs shorter than one chunk (by 5000 trials, or by half of a shorter
+    # chunk), of exactly one chunk, and with a final partial chunk after a
+    # full one
     n_r, width = len(tracked), n_b - 1
-    step = mc._chunk_trials(n_r * width)
-    trials = step + extra
+    step = mc._chunk_trials(n_r, width)
+    trials = max(step + extra, step // 2)
     score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
     lengths = []
     for orders in mc._order_chunks(SEED, 3, trials, n_r, width):
@@ -306,11 +307,12 @@ _reference_results = functools.cache(_chunk_case_results)  # at the default chun
 
 
 @settings(max_examples=25, deadline=None)
-@given(chunk_doubles=st.one_of(st.just(mc._CHUNK_DOUBLES), st.integers(1, 100)))
-def test_simulate_bit_identical_and_chunk_independent(chunk_doubles):
+# budgets below a trial's bytes (51 words at 5 x 3) give one-trial chunks
+@given(chunk_bytes=st.one_of(st.just(mc._CHUNK_BYTES), st.integers(1, 4096)))
+def test_simulate_bit_identical_and_chunk_independent(chunk_bytes):
     reference = _reference_results()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_CHUNK_DOUBLES", chunk_doubles)
+        patch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
         assert _chunk_case_results() == reference
 
 
@@ -324,7 +326,7 @@ def test_one_philox_generator_per_run(monkeypatch, config):
         return philox(*args, **kw)
 
     monkeypatch.setattr(mc.np.random, "Philox", counting)
-    monkeypatch.setattr(mc, "_CHUNK_DOUBLES", 16)  # dozens of chunks per run
+    monkeypatch.setattr(mc, "_CHUNK_BYTES", 2048)  # dozens of chunks per run
     assert simulate(config) == reference[0][CHUNK_CASES.index(config)]
     assert empirical_rank_moments(4, 1000, seed=SEED) == reference[1]
     assert empirical_rank_moments(4, 1049, seed=SEED) == reference[2]
@@ -340,27 +342,46 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-CHUNK_BYTES = 8 * mc._CHUNK_DOUBLES  # one chunk's raw words
-
-
 def test_moments_hold_one_batch_and_one_chunk():
-    # the (2, size) batch and its product with boat 1's row, plus at most six
-    # chunk-sized arrays: the rank tile, the raw and the unpadded words (4/3
-    # and 1 chunk at n_b = 3), the scores, and the trial offsets and network
-    # temporary (1/3 chunk each); the whole (2, trials) array is 64 MiB
+    # the (2, size) batch and its product with boat 1's row, plus one chunk
+    # within 1.5 budgets (its words, unpadded copy, rank tile and scores are
+    # one budget); the whole (2, trials) array is 64 MiB
     trials = 1 << 22
     batch_bytes = 2 * 8 * (trials // 50)
     peak = _traced_peak(lambda: empirical_rank_moments(3, trials, seed=SEED))
-    assert peak <= 2 * batch_bytes + 6 * CHUNK_BYTES
+    assert peak <= 2 * batch_bytes + 1.5 * mc._CHUNK_BYTES
 
 
 def test_simulate_holds_one_chunk_at_a_time():
-    # 4 chunks of 2**14 trials at n_b = 4, n_r = 2: the rank tile and one
-    # chunk's words are a chunk each; the scores (1/2 chunk), the trial
-    # offsets and every sort and tally temporary (1/4 chunk or less, one at a
-    # time) fit in the third.  A second chunk's words would not.
-    config = SimConfig(n_b=4, n_r=2, trials=4 * mc._CHUNK_DOUBLES // 8, seed=SEED, n_t=5)
-    assert _traced_peak(lambda: simulate(config)) <= 3 * CHUNK_BYTES
+    # 4 chunks at n_b = 4, n_r = 2 (the network path): one chunk's words and
+    # the rank tile are 2/5 of the budget each and its scores 1/5; the trial
+    # offsets and every sort and tally temporary (1/5 or less, one at a time)
+    # fit in the other half budget.  A second chunk's words would not.
+    config = SimConfig(n_b=4, n_r=2, trials=4 * mc._chunk_trials(2, 4), seed=SEED, n_t=5)
+    assert _traced_peak(lambda: simulate(config)) <= 1.5 * mc._CHUNK_BYTES
+
+
+# every other path through a chunk: the key sort, the argsort of rows over
+# 2048 wide (whose orders are a second copy of the words), padded drop-worst
+# with its running maximum, and tracked mode with and without drop-worst
+PEAK_PATHS = {
+    "sort": dict(n_b=8, n_r=3, n_t=12),
+    "argsort": dict(n_b=2100, n_r=2, n_t=2101),
+    "padded drop-worst": dict(n_b=5, n_r=3, n_t=7, drop_worst=True),
+    "tracked": dict(n_b=3, n_r=3, tracked_ranks=(1, 2, 3)),
+    "tracked drop-worst": dict(n_b=3, n_r=3, tracked_ranks=(1, 2, 3), drop_worst=True),
+}
+
+
+@pytest.mark.parametrize("path", PEAK_PATHS)
+def test_each_path_holds_one_chunk_budget(path):
+    # three full chunks and a partial one
+    kwargs = PEAK_PATHS[path]
+    width = kwargs["n_b"] - ("tracked_ranks" in kwargs)
+    config = SimConfig(
+        trials=3 * mc._chunk_trials(kwargs["n_r"], width) + 1, seed=SEED, **kwargs
+    )
+    assert _traced_peak(lambda: simulate(config)) <= 1.5 * mc._CHUNK_BYTES
 
 
 def test_simulate_counts_sum_to_trials():

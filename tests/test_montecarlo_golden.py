@@ -56,17 +56,17 @@ def test_tracked_padded_counts(tracked, counts):
 # Recorded with the broadcast column tag, race offsets and axis-sum tally,
 # before rows up to 5 wide tagged each column on its own, tracked mode took
 # its race offsets from a chunk-length tile and the tally became one matrix
-# product: width-2 and width-3 runs that span several 21 845-trial chunks.
+# product: width-2 and width-3 runs that span several chunks.
 @pytest.mark.parametrize(
     "config, counts",
     [
-        # 2 full chunks and a partial one of 6310 trials
+        # 8 full chunks and a partial one of 2344 trials
         (SimConfig(n_b=3, n_r=3, trials=50_000, seed=SEED, tracked_ranks=(1, 2, 3)),
          (12594, 37406, 0)),
         (SimConfig(n_b=3, n_r=3, trials=50_000, seed=SEED, tracked_ranks=(1, 2, 3),
                    drop_worst=True),
          (25206, 24794, 0)),
-        # 4 full chunks and a partial one of 12 620 trials
+        # 17 full chunks and a partial one of 3134 trials
         (SimConfig(n_b=3, n_r=2, trials=100_000, seed=SEED, n_t=4),
          (16675, 66723, 16602, 0)),
     ],

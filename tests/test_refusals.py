@@ -119,6 +119,14 @@ REFUSALS = {
         lambda: coefficient_to_distribution(eulerian_gf(5), 3, shifted=False),
         "the series' rows hold rank 1 at y^0, got shifted=False",
     ),
+    # a fleet of no boats and a score no fleet reaches were both accepted
+    "RankDistribution n_b": (
+        lambda: RankDistribution(0, 2, [1], 1), "RankDistribution: n_b must be >= 1, got 0"
+    ),
+    "RankDistribution n_t": (
+        lambda: RankDistribution(3, -5, [1, 4, 1, 0], 6),
+        "RankDistribution: n_t must be >= 1, got -5",
+    ),
     "checks.run": (lambda: checks.run("slow"), "level must be 'quick' or 'full', got 'slow'"),
     # returned a series of no rows, which every read refused as truncated at x^-1
     "eulerian_gf order": (lambda: eulerian_gf(-1), "order must be >= 0, got -1"),
