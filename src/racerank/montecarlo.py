@@ -79,14 +79,15 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # Bytes one chunk may hold: half a core's 2 MiB L2, so that its Philox
 # words, in-place key sort, tile and scores stay in L2 rather than stream
-# through L3.  _chunk_trials charges a trial 8 bytes for each of its drawn
-# words, its unpadded copy (padded rows only), its share of the run's
-# chunk-length rank or race-offset tile and its scores; the orders overwrite
-# the words, and the trial offsets and tally temporaries are fractions of a
-# chunk.  Counting the drawn words alone (2**17 of them) let a chunk hold
-# 2-4 MiB.  On a 2-vCPU Xeon (numpy 2.4) this keeps 200 x 30 rows at 10
-# trials a chunk, where a flat 2**15-word chunk ran their sweep ~5 % slower;
-# the former 2**22-word (34 MB) chunks ran them ~30 % slower.
+# through L3.  _trial_bytes charges a trial 8 bytes for each of its drawn
+# words, its unpadded copy (padded rows only), its argsort orders (rows over
+# 2048 wide only; narrower rows' orders overwrite the words), its share of
+# the run's chunk-length rank or race-offset tile and its scores; the trial
+# offsets and tally temporaries are fractions of a chunk.  Counting the
+# drawn words alone (2**17 of them) let a chunk hold 2-4 MiB.  On a 2-vCPU
+# Xeon (numpy 2.4) this keeps 200 x 30 rows at 10 trials a chunk, where a
+# flat 2**15-word chunk ran their sweep ~5 % slower; the former 2**22-word
+# (34 MB) chunks ran them ~30 % slower.
 _CHUNK_BYTES = 1 << 20
 _COLUMN_BITS = 11  # low word bits that (word >> 11) * 2**-53 discards
 _COLUMN_MASK = np.uint64((1 << _COLUMN_BITS) - 1)
@@ -110,6 +111,13 @@ TRIAL_WORD_BUDGET = 1 << 22
 # batch of two float64 ranks a trial: 2**24 trials fill a 5.4 MB batch, and
 # take ~0.85 s (traced peak ~11 MiB) on a 2-vCPU Xeon with numpy 2.4.
 MOMENTS_TRIAL_BUDGET = 1 << 24
+# Shortest chunk whose tracked drop-worst takes each boat's worst by n_r - 1
+# np.maximum passes over the race slices rather than by one max over the
+# race axis.  A pass costs a ufunc call, the max a short inner loop per trial
+# and race; on a 2-vCPU Xeon (numpy 2.4) at the chunk lengths _chunk_trials
+# gives, the passes take 0.14x the max's time at 3 x 3 (5957 trials) and
+# 4.2x at 30 races of 200 boats (7 trials); they tie at ~40-90 trials.
+_RACE_PASS_TRIALS = 64
 # Bound once: a numpy stand-in put in place of this module's ``np`` (the
 # benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
 _maximum_at = np.maximum.at
@@ -141,13 +149,19 @@ def _check_trial_words(label: str, words: int) -> None:
         )
 
 
-def _chunk_trials(n_r: int, width: int) -> int:
-    """Trials per chunk of n_r rows of ``width`` columns: as many as
-    _CHUNK_BYTES holds, by the charge stated there, and at least 1."""
+def _trial_bytes(n_r: int, width: int) -> int:
+    """Bytes one trial of n_r rows of ``width`` columns holds in a chunk, by
+    the charge stated at _CHUNK_BYTES."""
     words = n_r * width
     drawn = -(-words // 4) * 4
-    per_trial = 8 * (drawn + (words if drawn != words else 0) + words + width)
-    return max(1, _CHUNK_BYTES // max(per_trial, 8))
+    copies = (drawn != words) + (width > 1 << _COLUMN_BITS)  # unpadded words, argsort orders
+    return 8 * (drawn + copies * words + words + width)
+
+
+def _chunk_trials(n_r: int, width: int) -> int:
+    """Trials per chunk of n_r rows of ``width`` columns: as many as
+    _CHUNK_BYTES holds, and at least 1."""
+    return max(1, _CHUNK_BYTES // max(_trial_bytes(n_r, width), 8))
 
 
 def _order_chunks(
@@ -255,7 +269,9 @@ def _leftover_sums(
         orders += race_tile[: len(orders)]  # race r's column j is leftover[r * width + j]
         vals = leftover.take(orders)
         scores = np.einsum("trw->tw", vals)
-        if drop_worst:  # one long pass per race, not a max over n_r values per boat
+        if drop_worst and len(vals) < _RACE_PASS_TRIALS:
+            scores -= vals.max(axis=1)
+        elif drop_worst:  # one long pass per race, not a max over n_r values per boat
             worst = vals[:, 0]
             for r in range(1, n_r):
                 np.maximum(worst, vals[:, r], out=worst)

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import numpy.random  # loaded up front, so no traced peak counts its ~0.7 MiB import
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,25 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
     assert lengths == ([trials] if extra <= 0 else [step, extra])
 
 
+@pytest.mark.parametrize(
+    "tracked, n_b, tail, branches",
+    [((1, 2, 3), 3, 10, 2), ((1, 100, 200) * 10, 200, 6, 1)],
+)
+def test_tracked_drop_worst_passes_and_max_agree(tracked, n_b, tail, branches):
+    # 3 x 3: a full chunk by race passes and a 10-trial one by the max over
+    # the race axis; 30 races of 200 boats: 7-trial chunks, all by the max
+    n_r, width = len(tracked), n_b - 1
+    trials = 2 * mc._chunk_trials(n_r, width) + tail
+    score = mc._leftover_sums(tracked, n_b, trials, True)
+    lengths = []
+    for orders in mc._order_chunks(SEED, 3, trials, n_r, width):
+        expected = _broadcast_leftover_sums(tracked, n_b, orders, True)
+        assert (score(orders) == expected).all()
+        lengths.append(len(orders))
+    assert len({n < mc._RACE_PASS_TRIALS for n in lengths}) == branches
+    assert min(lengths) < mc._RACE_PASS_TRIALS
+
+
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(n_b=0, n_r=2, trials=10, seed=1, n_t=4)
@@ -342,23 +362,29 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def _chunk_bound(n_r, width):
+    # one chunk's charge plus half its unpadded words: the trial offsets and
+    # the sort and tally temporaries the charge leaves out fit in that half,
+    # while a second chunk's orders, held as the next chunk is drawn, would
+    # not (they are a whole chunk's unpadded words)
+    step = mc._chunk_trials(n_r, width)
+    return step * mc._trial_bytes(n_r, width) + 4 * step * n_r * width
+
+
 def test_moments_hold_one_batch_and_one_chunk():
-    # the (2, size) batch and its product with boat 1's row, plus one chunk
-    # within 1.5 budgets (its words, unpadded copy, rank tile and scores are
-    # one budget); the whole (2, trials) array is 64 MiB
+    # the (2, size) batch and its product with boat 1's row, plus one chunk;
+    # the whole (2, trials) array is 64 MiB
     trials = 1 << 22
     batch_bytes = 2 * 8 * (trials // 50)
     peak = _traced_peak(lambda: empirical_rank_moments(3, trials, seed=SEED))
-    assert peak <= 2 * batch_bytes + 1.5 * mc._CHUNK_BYTES
+    assert peak <= 2 * batch_bytes + _chunk_bound(1, 3)
 
 
 def test_simulate_holds_one_chunk_at_a_time():
-    # 4 chunks at n_b = 4, n_r = 2 (the network path): one chunk's words and
-    # the rank tile are 2/5 of the budget each and its scores 1/5; the trial
-    # offsets and every sort and tally temporary (1/5 or less, one at a time)
-    # fit in the other half budget.  A second chunk's words would not.
+    # 4 chunks at n_b = 4, n_r = 2 (the network path), whose comparators'
+    # `smaller` temporary is a quarter of the words
     config = SimConfig(n_b=4, n_r=2, trials=4 * mc._chunk_trials(2, 4), seed=SEED, n_t=5)
-    assert _traced_peak(lambda: simulate(config)) <= 1.5 * mc._CHUNK_BYTES
+    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(2, 4)
 
 
 # every other path through a chunk: the key sort, the argsort of rows over
@@ -377,11 +403,9 @@ PEAK_PATHS = {
 def test_each_path_holds_one_chunk_budget(path):
     # three full chunks and a partial one
     kwargs = PEAK_PATHS[path]
-    width = kwargs["n_b"] - ("tracked_ranks" in kwargs)
-    config = SimConfig(
-        trials=3 * mc._chunk_trials(kwargs["n_r"], width) + 1, seed=SEED, **kwargs
-    )
-    assert _traced_peak(lambda: simulate(config)) <= 1.5 * mc._CHUNK_BYTES
+    n_r, width = kwargs["n_r"], kwargs["n_b"] - ("tracked_ranks" in kwargs)
+    config = SimConfig(trials=3 * mc._chunk_trials(n_r, width) + 1, seed=SEED, **kwargs)
+    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(n_r, width)
 
 
 def test_simulate_counts_sum_to_trials():
