@@ -26,27 +26,32 @@ The rule is stated on the words, so it holds exactly:
   exactly like the doubles they scale to;
 * exact ties in those 53 bits, astronomically unlikely, break by column
   index, so the order is that of a stable sort;
-* every row up to 2048 wide is turned into the unique keys
-  ``(word & ~0x7FF) | column`` (the column fits in the 11 bits the double
-  discards).  Rows up to 5 wide get their tags one column view at a time
-  and sort them with a fixed compare-exchange network; wider rows get them
-  from one broadcast ``arange`` and sort them with ``ndarray.sort``.
-  Because the keys are unique, both give exactly the sorted order.  Rows
-  over 2048 wide take a stable argsort of ``word >> 11``.  All three sorts
-  give the same order.
+* every row whose tags fit the 11 bits the double discards is turned into
+  the unique keys ``(word & ~0x7FF) | tag``, where the tags strictly
+  increase along the row: the column index, or in tracked mode race r's
+  leftover rank values 1..n_b without the tracked boat's rank, ascending.
+  Among keys that tie in their 53 bits the tag order is the column order,
+  so sorting the keys gives exactly the stable order.  Rows up to 5 wide
+  sort with a fixed compare-exchange network, wider ones with
+  ``ndarray.sort``; column tags go in one column view at a time on the
+  network path and from one broadcast ``arange`` on the sort path, and
+  tracked tags from one contiguous tile.  Other rows (over 2048 wide, or
+  tracked rows of 2048 boats or more, whose largest tag n_b needs a 12th
+  bit) take a stable argsort of ``word >> 11``, and gather their tags along
+  it.  All three sorts give the same order.
 
-This is the only ranking path.  Virtual mode and the moments estimator
-score along that order with one weighted ``np.bincount``: each column index,
-offset by its trial, collects rank k + 1 from order position k, so every
-boat's ranks are summed over the races in one pass (with ``drop_worst``, a
-running ``maximum.at`` over the same indices and weights gives the rank
-dropped).  Tracked mode gathers the leftover rank values along the order,
-after adding each race's offset into the leftover table from a tile built
-once per run at chunk length.  Both modes tally a chunk with one matrix
-product of its below-threshold rows with ones and one ``np.bincount``.
-On short rows these are long contiguous passes, where a broadcast
-row-length operand or a sum along the row axis would run a numpy inner
-loop of 2 to 6 elements once per row.
+This is the only ranking path.  A sorted row's low bits are its tags in
+that order.  Virtual mode and the moments estimator read them as columns
+and score along the order with one weighted ``np.bincount``: each column
+index, offset by its trial, collects rank k + 1 from order position k, so
+every boat's ranks are summed over the races in one pass (with
+``drop_worst``, a running ``maximum.at`` over the same indices and weights
+gives the rank dropped).  Tracked mode reads them as the rank values its
+other boats score, and sums them over the races with one ``einsum``.  Both
+modes tally a chunk with one matrix product of its below-threshold rows
+with ones and one ``np.bincount``.  On short rows these are long contiguous
+passes, where a broadcast row-length operand or a sum along the row axis
+would run a numpy inner loop of 2 to 6 elements once per row.
 """
 
 from __future__ import annotations
@@ -80,10 +85,10 @@ _MASK64 = (1 << 64) - 1
 # Bytes one chunk may hold: half a core's 2 MiB L2, so that its Philox
 # words, in-place key sort, tile and scores stay in L2 rather than stream
 # through L3.  _trial_bytes charges a trial 8 bytes for each of its drawn
-# words, its unpadded copy (padded rows only), its argsort orders (rows over
-# 2048 wide only; narrower rows' orders overwrite the words), its share of
-# the run's chunk-length rank or race-offset tile and its scores; the trial
-# offsets and tally temporaries are fractions of a chunk.  Counting the
+# words, its unpadded copy (padded rows only), its argsort orders (argsort
+# rows only; keyed rows' orders overwrite the words), its share of the run's
+# chunk-length rank or tag tile and its scores; the trial and row offsets
+# and tally temporaries are fractions of a chunk.  Counting the
 # drawn words alone (2**17 of them) let a chunk hold 2-4 MiB.  On a 2-vCPU
 # Xeon (numpy 2.4) this keeps 200 x 30 rows at 10 trials a chunk, where a
 # flat 2**15-word chunk ran their sweep ~5 % slower; the former 2**22-word
@@ -149,62 +154,84 @@ def _check_trial_words(label: str, words: int) -> None:
         )
 
 
-def _trial_bytes(n_r: int, width: int) -> int:
+def _keyed(width: int, tagged: bool = False) -> bool:
+    """Whether rows of ``width`` columns sort as keys: their largest tag,
+    the column width - 1 or (``tagged``, tracked mode) the leftover rank
+    value n_b = width + 1, fits the column bits."""
+    return (width + 1 if tagged else width - 1) < 1 << _COLUMN_BITS
+
+
+def _trial_bytes(n_r: int, width: int, tagged: bool = False) -> int:
     """Bytes one trial of n_r rows of ``width`` columns holds in a chunk, by
     the charge stated at _CHUNK_BYTES."""
     words = n_r * width
     drawn = -(-words // 4) * 4
-    copies = (drawn != words) + (width > 1 << _COLUMN_BITS)  # unpadded words, argsort orders
+    copies = (drawn != words) + (not _keyed(width, tagged))  # unpadded words, argsort orders
     return 8 * (drawn + copies * words + words + width)
 
 
-def _chunk_trials(n_r: int, width: int) -> int:
+def _chunk_trials(n_r: int, width: int, tagged: bool = False) -> int:
     """Trials per chunk of n_r rows of ``width`` columns: as many as
     _CHUNK_BYTES holds, and at least 1."""
-    return max(1, _CHUNK_BYTES // max(_trial_bytes(n_r, width), 8))
+    return max(1, _CHUNK_BYTES // max(_trial_bytes(n_r, width, tagged), 8))
 
 
 def _order_chunks(
-    seed: int, stream: int, trials: int, n_r: int, width: int
+    seed: int, stream: int, trials: int, n_r: int, width: int, tags: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
-    """Row orders of a ``trials``-trial run, one chunk at a time: int64 of
-    shape (n, n_r, width) whose entry [t, r] lists race r's columns by
-    ascending uniform, under the module docstring's ranking rule.  Trial t
-    reads its own counter blocks [t * B, (t + 1) * B) (4 raw words per
-    block, padding discarded when n_r * width is not a multiple of 4).  One
-    Philox generator, keyed ``seed + (stream << 64)``, reads the chunks in
-    order: every chunk takes whole blocks, so its counter runs on exactly
-    where a fresh generator for the next trial would start, and any split
-    of a run returns identical rows."""
+    """Sorted rows of a ``trials``-trial run, one chunk at a time: int64 of
+    shape (n, n_r, width) whose entry [t, r] lists race r's tags by
+    ascending uniform, under the module docstring's ranking rule.  The tags
+    are the columns, so the rows are orders, unless ``tags`` gives a tile of
+    them (uint64, one trial per row of its first axis, at least a chunk
+    long), whose first n trials tag each n-trial chunk.  Trial t reads its
+    own counter blocks [t * B, (t + 1) * B) (4 raw words per block, padding
+    discarded when n_r * width is not a multiple of 4).  One Philox
+    generator, keyed ``seed + (stream << 64)``, reads the chunks in order:
+    every chunk takes whole blocks, so its counter runs on exactly where a
+    fresh generator for the next trial would start, and any split of a run
+    returns identical rows."""
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
     bitgen = np.random.Philox(key=seed | (stream << 64), counter=0)
-    step = _chunk_trials(n_r, width)
+    step = _chunk_trials(n_r, width, tags is not None)
     for offset in range(0, trials, step):
         n = min(step, trials - offset)
         words = bitgen.random_raw(n * blocks * 4).reshape(n, blocks * 4)
         if blocks * 4 != per_trial:
             words = np.ascontiguousarray(words[:, :per_trial])
-        yield _order_words(words.reshape(n, n_r, width))
+        yield _order_words(words.reshape(n, n_r, width), None if tags is None else tags[:n])
         del words  # before the next chunk is drawn
 
 
-def _order_words(words: np.ndarray) -> np.ndarray:
+def _order_words(words: np.ndarray, tags: np.ndarray | None = None) -> np.ndarray:
     """Order each last-axis row of raw uint64 words as a stable sort of the
-    doubles ``(word >> 11) * 2**-53`` would.  Overwrites ``words``; the
-    int64 result is a view of them for rows of up to 2048 columns."""
+    doubles ``(word >> 11) * 2**-53`` would, and return its tags in that
+    order: the column indices, or ``tags`` (uint64 of the words' shape,
+    strictly increasing along each row).  Overwrites ``words``; the int64
+    result is a view of them, except for untagged argsort rows, whose
+    orders are returned as argsort made them."""
     width = words.shape[-1]
-    if width > 1 << _COLUMN_BITS:
+    if not _keyed(width, tags is not None):
         words >>= np.uint64(_COLUMN_BITS)
-        return np.argsort(words, axis=-1, kind="stable")
+        orders = np.argsort(words, axis=-1, kind="stable")
+        if tags is None:
+            return orders
+        orders += width * np.arange(orders.size // width).reshape(orders.shape[:-1] + (1,))
+        tags.take(orders, out=words, mode="clip")  # clip: no buffered copy of out
+        return words.view(np.int64)
     words &= ~_COLUMN_MASK
     network = _NETWORKS.get(width)
-    if network is None:
+    if tags is not None:
+        words |= tags  # one contiguous pass
+    elif network is None:
         words |= np.arange(width, dtype=np.uint64)
-        words.sort(axis=-1)
     else:
         for j in range(1, width):  # one long pass per column view
             words[..., j] |= np.uint64(j)
+    if network is None:
+        words.sort(axis=-1)
+    else:
         smaller = np.empty(words.shape[:-1], dtype=words.dtype)
         for i, j in network:
             low, high = words[..., i], words[..., j]
@@ -246,39 +273,32 @@ def _rank_sums(
 
 def _leftover_sums(
     tracked: Sequence[int], n_b: int, trials: int, drop_worst: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Scorer for the order chunks of a ``trials``-trial run against a
-    tracked boat: race r's order gathers, for the n_b - 1 other boats, the
-    leftover rank values 1..n_b without ``tracked[r]``, and the gathered
-    values are summed over the races (less each boat's worst with
-    ``drop_worst``).  int32 of shape (n, n_b - 1), which einsum keeps: a
-    score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
-    2**31.  The race offsets r * width into the flat leftover table come
-    from one int64 tile, built once at chunk length, so a chunk adds them
-    in one contiguous pass instead of broadcasting an (n_r, 1) operand
-    row by row.  Overwrites the orders."""
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Tags and scorer for a ``trials``-trial run against a tracked boat.
+    Race r's tags are its leftover rank values 1..n_b without
+    ``tracked[r]``, ascending, in one uint64 tile built once at chunk length
+    for _order_chunks; each sorted row then holds the values its n_b - 1
+    other boats score.  The scorer sums them over the races (less each
+    boat's worst with ``drop_worst``): int64 of shape (n, n_b - 1), which
+    einsum keeps (a score is at most n_r * n_b <= TRIAL_WORD_BUDGET =
+    2**22).  Overwrites the sorted rows."""
     width, n_r = n_b - 1, len(tracked)
-    leftover = np.array(
-        [[v for v in range(1, n_b + 1) if v != r] for r in tracked], dtype=np.int32
-    ).ravel()
-    chunk_trials = min(trials, _chunk_trials(n_r, width))
-    race_tile = np.empty((chunk_trials, n_r, width), dtype=np.int64)
-    race_tile[...] = width * np.arange(n_r)[:, None]
+    chunk_trials = min(trials, _chunk_trials(n_r, width, True))
+    tags = np.empty((chunk_trials, n_r, width), dtype=np.uint64)
+    tags[...] = np.array([[v for v in range(1, n_b + 1) if v != r] for r in tracked], np.uint64)
 
-    def score(orders: np.ndarray) -> np.ndarray:
-        orders += race_tile[: len(orders)]  # race r's column j is leftover[r * width + j]
-        vals = leftover.take(orders)
-        scores = np.einsum("trw->tw", vals)
-        if drop_worst and len(vals) < _RACE_PASS_TRIALS:
-            scores -= vals.max(axis=1)
+    def score(values: np.ndarray) -> np.ndarray:
+        scores = np.einsum("trw->tw", values)
+        if drop_worst and len(values) < _RACE_PASS_TRIALS:
+            scores -= values.max(axis=1)
         elif drop_worst:  # one long pass per race, not a max over n_r values per boat
-            worst = vals[:, 0]
+            worst = values[:, 0]
             for r in range(1, n_r):
-                np.maximum(worst, vals[:, r], out=worst)
+                np.maximum(worst, values[:, r], out=worst)
             scores -= worst
         return scores
 
-    return score
+    return tags, score
 
 
 @dataclass(frozen=True)
@@ -386,16 +406,16 @@ def simulate(config: SimConfig) -> SimResult:
     strictly below the tracked boat}."""
     n_b, n_r, tracked = config.n_b, config.n_r, config.tracked_ranks
     if tracked is None:
-        width, threshold = n_b, config.n_t
+        width, threshold, tags = n_b, config.n_t, None
         score = _rank_sums(config.trials, n_r, width, config.drop_worst)
     else:
         width = n_b - 1
         threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
-        score = _leftover_sums(tracked, n_b, config.trials, config.drop_worst)
+        tags, score = _leftover_sums(tracked, n_b, config.trials, config.drop_worst)
     counts = np.zeros(width + 1, dtype=np.int64)
-    for orders in _order_chunks(config.seed, config.stream, config.trials, n_r, width):
-        counts += _tally(score(orders) < threshold)
-        del orders
+    for rows in _order_chunks(config.seed, config.stream, config.trials, n_r, width, tags):
+        counts += _tally(score(rows) < threshold)
+        del rows
     return _result_from_counts(config, counts)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import racerank.montecarlo as mc
 from racerank.asymptotics import rank_moments_theory
-from racerank.lattice_oracle import brute_force_composition
+from racerank.lattice_oracle import brute_force_composition, brute_force_score
 from racerank.montecarlo import (
     SimConfig,
     curve_sweep,
@@ -121,7 +121,7 @@ def test_ranks_invert_random_permutation_rows(shape, drop_worst, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 200, 2048, 2049]),
+    width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 200, 2046, 2047, 2048, 2049]),
     rows=st.integers(1, 4),
     distinct=st.integers(1, 3),
     base=st.integers(0, (1 << 53) - 3),
@@ -142,6 +142,13 @@ def test_order_words_breaks_exact_ties_by_column(width, rows, distinct, base, se
         # keys tagged with one broadcast arange
         keys = (words & ~mc._COLUMN_MASK) | np.arange(width, dtype=np.uint64)
         assert (orders == (np.sort(keys, axis=-1) & mc._COLUMN_MASK)).all()
+    # tracked mode's tags, one row a race of a width + 1 boat fleet, come
+    # back taken along the same stable order (keyed up to width 2046)
+    ranks = rng.integers(1, width + 2, size=rows).tolist()
+    tags, _ = mc._leftover_sums(ranks, width + 1, 1)
+    values = mc._order_words(words.copy()[None], tags)
+    assert values.dtype == np.int64
+    assert (values[0] == np.take_along_axis(tags[0], expected, axis=-1)).all()
 
 
 @pytest.mark.parametrize("width", sorted(mc._NETWORKS))
@@ -172,10 +179,21 @@ def test_tally_equals_shifted_bincount_of_axis_sums(width):
 
 
 def _broadcast_leftover_sums(tracked, n_b, orders, drop_worst):
-    # reference: the race offsets broadcast from shape (n_r, 1)
+    # reference: the leftover values gathered along the column orders, with
+    # the race offsets broadcast from shape (n_r, 1)
     leftover = np.array([[v for v in range(1, n_b + 1) if v != r] for r in tracked])
     vals = leftover.ravel()[orders + (n_b - 1) * np.arange(len(tracked))[:, None]]
     return vals.sum(axis=1) - (vals.max(axis=1) if drop_worst else 0)
+
+
+def _tracked_chunks(tracked, n_b, trials, drop_worst):
+    # (tag-sorted scores, reference over the same trials' column orders) per chunk
+    n_r, width = len(tracked), n_b - 1
+    tags, score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
+    tagged = mc._order_chunks(SEED, 3, trials, n_r, width, tags)
+    columns = mc._order_chunks(SEED, 3, trials, n_r, width)
+    for values, orders in zip(tagged, columns, strict=True):
+        yield score(values), _broadcast_leftover_sums(tracked, n_b, orders, drop_worst)
 
 
 @pytest.mark.parametrize(
@@ -184,18 +202,17 @@ def _broadcast_leftover_sums(tracked, n_b, orders, drop_worst):
 )
 @pytest.mark.parametrize("extra", [-5000, 0, 777])
 def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, extra):
-    # runs shorter than one chunk (by 5000 trials, or by half of a shorter
-    # chunk), of exactly one chunk, and with a final partial chunk after a
-    # full one
-    n_r, width = len(tracked), n_b - 1
-    step = mc._chunk_trials(n_r, width)
+    # the tag tile's sorted values score as the leftover values gathered
+    # along the column orders, in runs shorter than one chunk (by 5000
+    # trials, or by half of a shorter chunk), of exactly one chunk, and
+    # with a final partial chunk after a full one
+    step = mc._chunk_trials(len(tracked), n_b - 1, True)
     trials = max(step + extra, step // 2)
-    score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
     lengths = []
-    for orders in mc._order_chunks(SEED, 3, trials, n_r, width):
-        expected = _broadcast_leftover_sums(tracked, n_b, orders, drop_worst)
-        assert (score(orders) == expected).all()
-        lengths.append(len(orders))
+    for scores, expected in _tracked_chunks(tracked, n_b, trials, drop_worst):
+        assert scores.dtype == np.int64
+        assert (scores == expected).all()
+        lengths.append(len(scores))
     assert lengths == ([trials] if extra <= 0 else [step, extra])
 
 
@@ -206,16 +223,28 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
 def test_tracked_drop_worst_passes_and_max_agree(tracked, n_b, tail, branches):
     # 3 x 3: a full chunk by race passes and a 10-trial one by the max over
     # the race axis; 30 races of 200 boats: 7-trial chunks, all by the max
-    n_r, width = len(tracked), n_b - 1
-    trials = 2 * mc._chunk_trials(n_r, width) + tail
-    score = mc._leftover_sums(tracked, n_b, trials, True)
+    trials = 2 * mc._chunk_trials(len(tracked), n_b - 1, True) + tail
     lengths = []
-    for orders in mc._order_chunks(SEED, 3, trials, n_r, width):
-        expected = _broadcast_leftover_sums(tracked, n_b, orders, True)
-        assert (score(orders) == expected).all()
-        lengths.append(len(orders))
+    for scores, expected in _tracked_chunks(tracked, n_b, trials, True):
+        assert (scores == expected).all()
+        lengths.append(len(scores))
     assert len({n < mc._RACE_PASS_TRIALS for n in lengths}) == branches
     assert min(lengths) < mc._RACE_PASS_TRIALS
+
+
+@pytest.mark.parametrize("n_b", [2047, 2048, 2049])
+def test_tracked_tags_past_the_column_bits_take_the_argsort(n_b):
+    # the largest leftover value n_b fits the 11 column bits up to 2047
+    # boats; wider fleets gather their tags along the stable argsort, and
+    # their chunks are charged its orders
+    width = n_b - 1
+    assert mc._keyed(width, True) == (n_b < 1 << 11)
+    assert mc._keyed(width)  # as column tags, every one of these widths is keyed
+    assert mc._trial_bytes(2, width, True) - mc._trial_bytes(2, width) == (
+        0 if n_b < 1 << 11 else 8 * 2 * width
+    )
+    for scores, expected in _tracked_chunks((1, n_b), n_b, 5, False):
+        assert (scores == expected).all()
 
 
 def test_simconfig_validation():
@@ -362,13 +391,13 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def _chunk_bound(n_r, width):
+def _chunk_bound(n_r, width, tagged=False):
     # one chunk's charge plus half its unpadded words: the trial offsets and
     # the sort and tally temporaries the charge leaves out fit in that half,
     # while a second chunk's orders, held as the next chunk is drawn, would
     # not (they are a whole chunk's unpadded words)
-    step = mc._chunk_trials(n_r, width)
-    return step * mc._trial_bytes(n_r, width) + 4 * step * n_r * width
+    step = mc._chunk_trials(n_r, width, tagged)
+    return step * mc._trial_bytes(n_r, width, tagged) + 4 * step * n_r * width
 
 
 def test_moments_hold_one_batch_and_one_chunk():
@@ -389,13 +418,15 @@ def test_simulate_holds_one_chunk_at_a_time():
 
 # every other path through a chunk: the key sort, the argsort of rows over
 # 2048 wide (whose orders are a second copy of the words), padded drop-worst
-# with its running maximum, and tracked mode with and without drop-worst
+# with its running maximum, and tracked mode with and without drop-worst and
+# on the argsort path (whose tags are gathered into the words)
 PEAK_PATHS = {
     "sort": dict(n_b=8, n_r=3, n_t=12),
     "argsort": dict(n_b=2100, n_r=2, n_t=2101),
     "padded drop-worst": dict(n_b=5, n_r=3, n_t=7, drop_worst=True),
     "tracked": dict(n_b=3, n_r=3, tracked_ranks=(1, 2, 3)),
     "tracked drop-worst": dict(n_b=3, n_r=3, tracked_ranks=(1, 2, 3), drop_worst=True),
+    "tracked argsort": dict(n_b=2100, n_r=2, tracked_ranks=(1, 2100)),
 }
 
 
@@ -403,9 +434,10 @@ PEAK_PATHS = {
 def test_each_path_holds_one_chunk_budget(path):
     # three full chunks and a partial one
     kwargs = PEAK_PATHS[path]
-    n_r, width = kwargs["n_r"], kwargs["n_b"] - ("tracked_ranks" in kwargs)
-    config = SimConfig(trials=3 * mc._chunk_trials(n_r, width) + 1, seed=SEED, **kwargs)
-    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(n_r, width)
+    tagged = "tracked_ranks" in kwargs
+    n_r, width = kwargs["n_r"], kwargs["n_b"] - tagged
+    config = SimConfig(trials=3 * mc._chunk_trials(n_r, width, tagged) + 1, seed=SEED, **kwargs)
+    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(n_r, width, tagged)
 
 
 def test_simulate_counts_sum_to_trials():
@@ -437,6 +469,36 @@ def test_simulate_law_matches_exact_two_race_law(n_b, n_t):
     assert p > 1e-3 / len(_LAW_CASES), f"chi2 = {chi2:.1f} on {df} df"
 
 
+# tracked fleets at 2 and 3 races against the composition enumeration, and
+# virtual n_r = 3 against the score enumeration, below, at and above the
+# middle score; all on the network path
+_TRACKED_LAW_CASES = [
+    (4, (1, 4)), (5, (2, 2)), (6, (1, 5)), (6, (3, 4)),
+    (3, (1, 2, 3)), (4, (1, 1, 4)), (5, (1, 3, 5)), (6, (2, 4, 6)),
+]
+_THREE_RACE_LAW_CASES = [(3, 4), (3, 7), (4, 7), (4, 9), (5, 6), (5, 9), (5, 12)]
+_ENUMERATED_LAW_TESTS = len(_TRACKED_LAW_CASES) + len(_THREE_RACE_LAW_CASES)
+
+
+def _assert_law_fits(config, law):
+    # 10^5 trials, ranks pooled to expect >= 5, family alpha 10^-3
+    # Bonferroni-split over the enumerated-law cases
+    chi2, df, p = pooled_chi2(simulate(config).counts, law.probs)
+    assert df >= 1
+    assert p > 1e-3 / _ENUMERATED_LAW_TESTS, f"chi2 = {chi2:.1f} on {df} df"
+
+
+@pytest.mark.parametrize("n_b, ranks", _TRACKED_LAW_CASES)
+def test_tracked_law_matches_composition_enumeration(n_b, ranks):
+    config = SimConfig(n_b, len(ranks), 10**5, SEED, tracked_ranks=ranks)
+    _assert_law_fits(config, brute_force_composition(n_b, ranks))
+
+
+@pytest.mark.parametrize("n_b, n_t", _THREE_RACE_LAW_CASES)
+def test_three_race_law_matches_score_enumeration(n_b, n_t):
+    _assert_law_fits(SimConfig(n_b, 3, 10**5, SEED, n_t), brute_force_score(n_b, 3, n_t))
+
+
 @pytest.mark.parametrize("trials, seed, counts, se", [
     (1, SEED, (0, 1, 0, 0), 0.0),  # one trial estimates no spread
     (2, SEED + 1, (0, 1, 1, 0), 0.5),  # Bessel variance 1/2, SE sqrt(1/2 / 2)
@@ -466,13 +528,14 @@ def test_simulate_lowest_score_always_first():
 def test_race_sums_are_exact_in_both_modes():
     # no trial within the budget scores above n_r * n_b <= TRIAL_WORD_BUDGET:
     # virtual rank sums are float64, exact for integers below 2**53, and
-    # tracked leftover sums stay int32
+    # tracked leftover sums are int64
     assert mc.TRIAL_WORD_BUDGET < 2**53
-    assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int32).max
+    assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int64).max
     virtual = mc._rank_sums(10, 3, 4)(_trial_orders(0, 0, 10, 3, 4))
     assert virtual.dtype == np.float64
-    tracked = mc._leftover_sums((1, 2, 4), 4, 10)(_trial_orders(0, 0, 10, 3, 3))
-    assert tracked.dtype == np.int32
+    tags, score = mc._leftover_sums((1, 2, 4), 4, 10)
+    (values,) = mc._order_chunks(SEED, 0, 10, 3, 3, tags)
+    assert score(values).dtype == np.int64
 
 
 @pytest.mark.parametrize("drop_worst", [False, True])

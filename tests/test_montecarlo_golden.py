@@ -55,8 +55,9 @@ def test_tracked_padded_counts(tracked, counts):
 
 # Recorded with the broadcast column tag, race offsets and axis-sum tally,
 # before rows up to 5 wide tagged each column on its own, tracked mode took
-# its race offsets from a chunk-length tile and the tally became one matrix
-# product: width-2 and width-3 runs that span several chunks.
+# its race offsets from a chunk-length tile (and later sorted its leftover
+# values as key tags) and the tally became one matrix product: width-2 and
+# width-3 runs that span several chunks.
 @pytest.mark.parametrize(
     "config, counts",
     [
