@@ -33,12 +33,11 @@ The rule is stated on the words, so it holds exactly:
   Among keys that tie in their 53 bits the tag order is the column order,
   so sorting the keys gives exactly the stable order.  Rows up to 5 wide
   sort with a fixed compare-exchange network, wider ones with
-  ``ndarray.sort``; column tags go in one column view at a time on the
-  network path and from one broadcast ``arange`` on the sort path, and
-  tracked tags from one contiguous tile.  Other rows (over 2048 wide, or
-  tracked rows of 2048 boats or more, whose largest tag n_b needs a 12th
-  bit) take a stable argsort of ``word >> 11``, and gather their tags along
-  it.  All three sorts give the same order.
+  ``ndarray.sort``; in both modes the tags go in from one uint64 tile, built
+  once per run at chunk length, in one contiguous pass.  Other rows, whose
+  largest tag needs a 12th bit (over 2048 wide, or tracked rows of 2048
+  boats or more), take a stable argsort of ``word >> 11`` and gather their
+  tags along it.  All three sorts give the same order.
 
 This is the only ranking path.  A sorted row's low bits are its tags in
 that order.  Virtual mode and the moments estimator read them as columns
@@ -57,6 +56,7 @@ would run a numpy inner loop of 2 to 6 elements once per row.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -87,12 +87,12 @@ _MASK64 = (1 << 64) - 1
 # through L3.  _trial_bytes charges a trial 8 bytes for each of its drawn
 # words, its unpadded copy (padded rows only), its argsort orders (argsort
 # rows only; keyed rows' orders overwrite the words), its share of the run's
-# chunk-length rank or tag tile and its scores; the trial and row offsets
-# and tally temporaries are fractions of a chunk.  Counting the
-# drawn words alone (2**17 of them) let a chunk hold 2-4 MiB.  On a 2-vCPU
-# Xeon (numpy 2.4) this keeps 200 x 30 rows at 10 trials a chunk, where a
-# flat 2**15-word chunk ran their sweep ~5 % slower; the former 2**22-word
-# (34 MB) chunks ran them ~30 % slower.
+# chunk-length tag tile (and in virtual mode of its float64 rank tile) and
+# its scores; the trial and row offsets and tally temporaries are fractions
+# of a chunk.  Counting the drawn words alone (2**17 of them) let a chunk
+# hold 2-4 MiB.  On a 2-vCPU Xeon (numpy 2.4) this keeps 200 x 30 rows at 7
+# trials a chunk, where a flat 2**15-word chunk ran their sweep ~5 % slower;
+# the former 2**22-word (34 MB) chunks ran them ~30 % slower.
 _CHUNK_BYTES = 1 << 20
 _COLUMN_BITS = 11  # low word bits that (word >> 11) * 2**-53 discards
 _COLUMN_MASK = np.uint64((1 << _COLUMN_BITS) - 1)
@@ -154,81 +154,78 @@ def _check_trial_words(label: str, words: int) -> None:
         )
 
 
-def _keyed(width: int, tagged: bool = False) -> bool:
-    """Whether rows of ``width`` columns sort as keys: their largest tag,
-    the column width - 1 or (``tagged``, tracked mode) the leftover rank
-    value n_b = width + 1, fits the column bits."""
-    return (width + 1 if tagged else width - 1) < 1 << _COLUMN_BITS
+def _keyed(largest_tag: int) -> bool:
+    """Whether rows whose largest tag is ``largest_tag`` sort as keys: it
+    fits the column bits."""
+    return largest_tag < 1 << _COLUMN_BITS
 
 
-def _trial_bytes(n_r: int, width: int, tagged: bool = False) -> int:
+def _trial_bytes(n_r: int, width: int, largest_tag: int, tiles: int) -> int:
     """Bytes one trial of n_r rows of ``width`` columns holds in a chunk, by
-    the charge stated at _CHUNK_BYTES."""
+    the charge stated at _CHUNK_BYTES, with ``tiles`` chunk-length tiles."""
     words = n_r * width
     drawn = -(-words // 4) * 4
-    copies = (drawn != words) + (not _keyed(width, tagged))  # unpadded words, argsort orders
-    return 8 * (drawn + copies * words + words + width)
+    copies = (drawn != words) + (not _keyed(largest_tag))  # unpadded words, argsort orders
+    return 8 * (drawn + (copies + tiles) * words + width)
 
 
-def _chunk_trials(n_r: int, width: int, tagged: bool = False) -> int:
+def _chunk_trials(n_r: int, width: int, largest_tag: int, tiles: int) -> int:
     """Trials per chunk of n_r rows of ``width`` columns: as many as
     _CHUNK_BYTES holds, and at least 1."""
-    return max(1, _CHUNK_BYTES // max(_trial_bytes(n_r, width, tagged), 8))
+    return max(1, _CHUNK_BYTES // max(_trial_bytes(n_r, width, largest_tag, tiles), 8))
 
 
-def _order_chunks(
-    seed: int, stream: int, trials: int, n_r: int, width: int, tags: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
+def _tag_tile(trials: int, tags: np.ndarray, tiles: int) -> np.ndarray:
+    """One trial's tags, uint64 of shape (n_r, width) and strictly
+    increasing along each row, tiled once at chunk length for a
+    ``trials``-trial run whose chunks hold ``tiles`` such tiles (this one,
+    and virtual mode's float64 rank weights)."""
+    n_r, width = tags.shape
+    step = _chunk_trials(n_r, width, int(tags.max(initial=0)), tiles)
+    return np.tile(tags, (min(trials, step), 1, 1))
+
+
+def _order_chunks(seed: int, stream: int, trials: int, tags: np.ndarray) -> Iterator[np.ndarray]:
     """Sorted rows of a ``trials``-trial run, one chunk at a time: int64 of
     shape (n, n_r, width) whose entry [t, r] lists race r's tags by
-    ascending uniform, under the module docstring's ranking rule.  The tags
-    are the columns, so the rows are orders, unless ``tags`` gives a tile of
-    them (uint64, one trial per row of its first axis, at least a chunk
-    long), whose first n trials tag each n-trial chunk.  Trial t reads its
-    own counter blocks [t * B, (t + 1) * B) (4 raw words per block, padding
-    discarded when n_r * width is not a multiple of 4).  One Philox
-    generator, keyed ``seed + (stream << 64)``, reads the chunks in order:
-    every chunk takes whole blocks, so its counter runs on exactly where a
-    fresh generator for the next trial would start, and any split of a run
-    returns identical rows."""
+    ascending uniform, under the module docstring's ranking rule.  ``tags``
+    is the run's tile from _tag_tile, of shape (step, n_r, width); each
+    chunk holds step trials, the last one fewer, and takes the tile's first
+    n.  Trial t reads its own counter blocks [t * B, (t + 1) * B) (4 raw
+    words per block, padding discarded when n_r * width is not a multiple
+    of 4).  One Philox generator, keyed ``seed + (stream << 64)``, reads
+    the chunks in order: every chunk takes whole blocks, so its counter
+    runs on exactly where a fresh generator for the next trial would start,
+    and any split of a run returns identical rows."""
+    step, n_r, width = tags.shape
     per_trial = n_r * width
     blocks = -(-per_trial // 4)
     bitgen = np.random.Philox(key=seed | (stream << 64), counter=0)
-    step = _chunk_trials(n_r, width, tags is not None)
     for offset in range(0, trials, step):
         n = min(step, trials - offset)
         words = bitgen.random_raw(n * blocks * 4).reshape(n, blocks * 4)
         if blocks * 4 != per_trial:
             words = np.ascontiguousarray(words[:, :per_trial])
-        yield _order_words(words.reshape(n, n_r, width), None if tags is None else tags[:n])
+        yield _order_words(words.reshape(n, n_r, width), tags[:n])
         del words  # before the next chunk is drawn
 
 
-def _order_words(words: np.ndarray, tags: np.ndarray | None = None) -> np.ndarray:
+def _order_words(words: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Order each last-axis row of raw uint64 words as a stable sort of the
-    doubles ``(word >> 11) * 2**-53`` would, and return its tags in that
-    order: the column indices, or ``tags`` (uint64 of the words' shape,
-    strictly increasing along each row).  Overwrites ``words``; the int64
-    result is a view of them, except for untagged argsort rows, whose
-    orders are returned as argsort made them."""
+    doubles ``(word >> 11) * 2**-53`` would, and return its ``tags``
+    (uint64 of the words' shape, strictly increasing along each row and the
+    same at every index of the first axis, as a tag tile's trials are) in
+    that order.  Overwrites ``words``; the int64 result is a view of them."""
     width = words.shape[-1]
-    if not _keyed(width, tags is not None):
+    if not _keyed(int(tags[:1, ..., -1:].max(initial=0))):  # a row's last tag is its largest
         words >>= np.uint64(_COLUMN_BITS)
         orders = np.argsort(words, axis=-1, kind="stable")
-        if tags is None:
-            return orders
         orders += width * np.arange(orders.size // width).reshape(orders.shape[:-1] + (1,))
         tags.take(orders, out=words, mode="clip")  # clip: no buffered copy of out
         return words.view(np.int64)
     words &= ~_COLUMN_MASK
+    words |= tags  # one contiguous pass
     network = _NETWORKS.get(width)
-    if tags is not None:
-        words |= tags  # one contiguous pass
-    elif network is None:
-        words |= np.arange(width, dtype=np.uint64)
-    else:
-        for j in range(1, width):  # one long pass per column view
-            words[..., j] |= np.uint64(j)
     if network is None:
         words.sort(axis=-1)
     else:
@@ -244,23 +241,24 @@ def _order_words(words: np.ndarray, tags: np.ndarray | None = None) -> np.ndarra
 
 def _rank_sums(
     trials: int, n_r: int, width: int, drop_worst: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Scorer for the order chunks of a ``trials``-trial run: every
-    column's ranks summed over the races (less its worst rank with
-    ``drop_worst``), float64 of shape (n, width).  One weighted bincount
-    over the trial-offset column indices does the sum; the rank weights
-    1..width are tiled once, at chunk length.  The sums stay exact: a
-    score is at most n_r * n_b <= TRIAL_WORD_BUDGET = 2**22, far below
-    2**53.  Overwrites the orders."""
-    per_trial = n_r * width
-    chunk_trials = min(trials, _chunk_trials(n_r, width))
-    rank_tile = np.tile(np.arange(1, width + 1, dtype=np.float64), chunk_trials * n_r)
-    trial_offsets = width * np.arange(chunk_trials)[:, None, None]
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Tags and scorer for a ``trials``-trial run of virtual rows.  Every
+    race's tags are the column indices 0..width - 1, so each sorted row is
+    an order.  The scorer sums every column's ranks over the races (less
+    its worst rank with ``drop_worst``): float64 of shape (n, width).  One
+    weighted bincount over the trial-offset column indices does the sum;
+    the rank weights 1..width are tiled once, at the tag tile's length.
+    The sums stay exact: a score is at most n_r * n_b <= TRIAL_WORD_BUDGET
+    = 2**22, far below 2**53.  Overwrites the orders."""
+    columns = np.broadcast_to(np.arange(width, dtype=np.uint64), (n_r, width))
+    tags = _tag_tile(trials, columns, 2)
+    rank_tile = np.tile(np.arange(1, width + 1, dtype=np.float64), len(tags) * n_r)
+    trial_offsets = width * np.arange(len(tags))[:, None, None]
 
     def score(orders: np.ndarray) -> np.ndarray:
         n = len(orders)
         orders += trial_offsets[:n]
-        idx, ranks = orders.reshape(-1), rank_tile[: n * per_trial]
+        idx, ranks = orders.reshape(-1), rank_tile[: orders.size]
         scores = np.bincount(idx, weights=ranks, minlength=n * width)
         if drop_worst:
             worst = np.zeros(n * width)
@@ -268,7 +266,7 @@ def _rank_sums(
             scores -= worst
         return scores.reshape(n, width)
 
-    return score
+    return tags, score
 
 
 def _leftover_sums(
@@ -276,16 +274,14 @@ def _leftover_sums(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Tags and scorer for a ``trials``-trial run against a tracked boat.
     Race r's tags are its leftover rank values 1..n_b without
-    ``tracked[r]``, ascending, in one uint64 tile built once at chunk length
-    for _order_chunks; each sorted row then holds the values its n_b - 1
-    other boats score.  The scorer sums them over the races (less each
-    boat's worst with ``drop_worst``): int64 of shape (n, n_b - 1), which
-    einsum keeps (a score is at most n_r * n_b <= TRIAL_WORD_BUDGET =
+    ``tracked[r]``, ascending, so each sorted row holds the values its
+    n_b - 1 other boats score.  The scorer sums them over the races (less
+    each boat's worst with ``drop_worst``): int64 of shape (n, n_b - 1),
+    which einsum keeps (a score is at most n_r * n_b <= TRIAL_WORD_BUDGET =
     2**22).  Overwrites the sorted rows."""
     width, n_r = n_b - 1, len(tracked)
-    chunk_trials = min(trials, _chunk_trials(n_r, width, True))
-    tags = np.empty((chunk_trials, n_r, width), dtype=np.uint64)
-    tags[...] = np.array([[v for v in range(1, n_b + 1) if v != r] for r in tracked], np.uint64)
+    leftover = [[v for v in range(1, n_b + 1) if v != r] for r in tracked]
+    tags = _tag_tile(trials, np.array(leftover, np.uint64).reshape(n_r, width), 1)
 
     def score(values: np.ndarray) -> np.ndarray:
         scores = np.einsum("trw->tw", values)
@@ -338,6 +334,8 @@ class SimConfig:
         if self.tracked_ranks is None:
             if self.n_t is None:
                 raise ValueError("n_t is required unless tracked_ranks is given")
+            if not isinstance(self.n_t, numbers.Real):  # [5] and "5" failed inside numpy
+                raise ValueError(f"n_t must be a real number, got {self.n_t!r}")
             if self.n_t != self.n_t:  # every trial would tally m = 1
                 raise ValueError("n_t must not be NaN")
         elif self.n_t is not None:
@@ -406,14 +404,13 @@ def simulate(config: SimConfig) -> SimResult:
     strictly below the tracked boat}."""
     n_b, n_r, tracked = config.n_b, config.n_r, config.tracked_ranks
     if tracked is None:
-        width, threshold, tags = n_b, config.n_t, None
-        score = _rank_sums(config.trials, n_r, width, config.drop_worst)
+        threshold = config.n_t
+        tags, score = _rank_sums(config.trials, n_r, n_b, config.drop_worst)
     else:
-        width = n_b - 1
         threshold = sum(tracked) - (max(tracked) if config.drop_worst else 0)
         tags, score = _leftover_sums(tracked, n_b, config.trials, config.drop_worst)
-    counts = np.zeros(width + 1, dtype=np.int64)
-    for rows in _order_chunks(config.seed, config.stream, config.trials, n_r, width, tags):
+    counts = np.zeros(tags.shape[-1] + 1, dtype=np.int64)
+    for rows in _order_chunks(config.seed, config.stream, config.trials, tags):
         counts += _tally(score(rows) < threshold)
         del rows
     return _result_from_counts(config, counts)
@@ -463,11 +460,11 @@ def empirical_rank_moments(
     # one race's rank sums are its ranks; boats 1 and 2 are rows 0 and 1 of
     # the one batch held.  Only the 50 whole batches' trials are drawn.
     size = trials // _BATCHES
-    score = _rank_sums(_BATCHES * size, 1, n_b)
+    tags, score = _rank_sums(_BATCHES * size, 1, n_b)
     batch = np.empty((2, size))
     stats = np.empty((3, _BATCHES))  # per batch: boat 1's mean and variance, the covariance
     filled = done = 0
-    for orders in _order_chunks(seed, stream, _BATCHES * size, 1, n_b):
+    for orders in _order_chunks(seed, stream, _BATCHES * size, tags):
         pair = score(orders)[:, :2].T
         del orders
         while pair.shape[1]:

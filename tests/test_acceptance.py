@@ -228,8 +228,8 @@ def test_12_correlated_rank_moments():
         # sum rule holds exactly on every sample the estimator consumed,
         # ranked by the estimator's own scorer
         expected_sum = n_b * (n_b + 1) // 2
-        score = mc._rank_sums(trials, 1, n_b)
-        for orders in mc._order_chunks(SEED, 0, trials, 1, n_b):
+        tags, score = mc._rank_sums(trials, 1, n_b)
+        for orders in mc._order_chunks(SEED, 0, trials, tags):
             ranks = score(orders)
             ok = ok and bool((ranks.sum(axis=1) == expected_sum).all())
     report("12", "permutation moments match theory at 4 SE; sum rule exact", ok)

@@ -31,8 +31,21 @@ SEED = 20260809
 def _trial_orders(stream, first, n_trials, n_r, width):
     """Row orders of trials [first, first + n_trials): rows [first:] of a
     run of first + n_trials trials."""
-    chunks = mc._order_chunks(SEED, stream, first + n_trials, n_r, width)
+    tags, _ = mc._rank_sums(first + n_trials, n_r, width)
+    chunks = mc._order_chunks(SEED, stream, first + n_trials, tags)
     return np.concatenate(list(chunks))[first:]
+
+
+def _columns(shape):
+    # column tags 0..width - 1 along every row of a words array's shape
+    return np.broadcast_to(np.arange(shape[-1], dtype=np.uint64), shape)
+
+
+def _chunk_args(n_b, n_r, tracked=False):
+    # _trial_bytes' arguments for a run: tracked rows tag their leftover
+    # values (largest n_b) in one tile, virtual rows their columns (largest
+    # n_b - 1) in a tag tile beside the float64 rank weights
+    return (n_r, n_b - 1, n_b, 1) if tracked else (n_r, n_b, n_b - 1, 2)
 
 
 def test_trial_uniforms_blocking_invariance():
@@ -65,7 +78,8 @@ def test_permutation_sum_rule_exact_on_samples():
         ranks = rank_rows(trial_uniforms(SEED, 0, 0, 500, n_b))
         assert (ranks.sum(axis=1) == n_b * (n_b + 1) // 2).all()
         # also on the keyed-sort path and the scorer used by simulate
-        fast = mc._rank_sums(500, 1, n_b)(_trial_orders(0, 0, 500, 1, n_b))
+        _, score = mc._rank_sums(500, 1, n_b)
+        fast = score(_trial_orders(0, 0, 500, 1, n_b))
         assert (fast == ranks).all()
 
 
@@ -97,9 +111,12 @@ def test_ranks_equal_put_along_axis_inverse(width, n_r):
         assert (_summed_inverse(orders, False) == inverse_orders(orders)[:, 0]).all()
     for drop_worst in (False, True):
         expected = _summed_inverse(orders, drop_worst)
-        # built for a longer run, so the chunk reads a prefix of the weight tile
-        score = mc._rank_sums(n_trials + 3, n_r, width, drop_worst)
-        scores = score(orders.copy())
+        # built for a longer run, so each chunk reads a prefix of the weight
+        # tile (rows 2049 wide hold 3 trials a chunk at 3 races)
+        tags, score = mc._rank_sums(n_trials + 3, n_r, width, drop_worst)
+        step = len(tags)
+        chunks = [orders[i : i + step].copy() for i in range(0, n_trials, step)]
+        scores = np.concatenate([score(chunk) for chunk in chunks])
         assert scores.dtype == np.float64
         assert scores.shape == (n_trials, width)
         assert (scores == expected).all()
@@ -115,7 +132,7 @@ def test_ranks_invert_random_permutation_rows(shape, drop_worst, seed):
     rng = np.random.default_rng(seed)
     orders = rng.permuted(np.broadcast_to(np.arange(shape[-1]), shape), axis=-1)
     expected = _summed_inverse(orders, drop_worst)
-    score = mc._rank_sums(shape[0], shape[1], shape[2], drop_worst)
+    _, score = mc._rank_sums(shape[0], shape[1], shape[2], drop_worst)
     assert (score(orders.copy()) == expected).all()
 
 
@@ -135,10 +152,10 @@ def test_order_words_breaks_exact_ties_by_column(width, rows, distinct, base, se
     low = rng.integers(0, 1 << 11, size=(rows, width), dtype=np.uint64)
     words = (high << np.uint64(11)) | low
     expected = np.argsort((words >> np.uint64(11)) * 2.0**-53, axis=-1, kind="stable")
-    orders = mc._order_words(words.copy())
+    orders = mc._order_words(words.copy(), _columns(words.shape))
     assert (orders == expected).all()
     if width <= 1 << 11:
-        # the keyed rows, tagged column by column up to width 5, order as
+        # the keyed rows, sorted by the network up to width 5, order as
         # keys tagged with one broadcast arange
         keys = (words & ~mc._COLUMN_MASK) | np.arange(width, dtype=np.uint64)
         assert (orders == (np.sort(keys, axis=-1) & mc._COLUMN_MASK)).all()
@@ -164,7 +181,7 @@ def test_networks_sort_every_permutation(width):
     # and through the kernel: high bits hold the permutation
     perms = np.array(perms, dtype=np.uint64)
     expected = np.argsort(perms, axis=-1)
-    assert (mc._order_words(perms << np.uint64(11)) == expected).all()
+    assert (mc._order_words(perms << np.uint64(11), _columns(perms.shape)) == expected).all()
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 6, 10, 200])
@@ -190,8 +207,8 @@ def _tracked_chunks(tracked, n_b, trials, drop_worst):
     # (tag-sorted scores, reference over the same trials' column orders) per chunk
     n_r, width = len(tracked), n_b - 1
     tags, score = mc._leftover_sums(tracked, n_b, trials, drop_worst)
-    tagged = mc._order_chunks(SEED, 3, trials, n_r, width, tags)
-    columns = mc._order_chunks(SEED, 3, trials, n_r, width)
+    tagged = mc._order_chunks(SEED, 3, trials, tags)
+    columns = mc._order_chunks(SEED, 3, trials, np.ascontiguousarray(_columns(tags.shape)))
     for values, orders in zip(tagged, columns, strict=True):
         yield score(values), _broadcast_leftover_sums(tracked, n_b, orders, drop_worst)
 
@@ -206,7 +223,7 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
     # along the column orders, in runs shorter than one chunk (by 5000
     # trials, or by half of a shorter chunk), of exactly one chunk, and
     # with a final partial chunk after a full one
-    step = mc._chunk_trials(len(tracked), n_b - 1, True)
+    step = mc._chunk_trials(*_chunk_args(n_b, len(tracked), tracked=True))
     trials = max(step + extra, step // 2)
     lengths = []
     for scores, expected in _tracked_chunks(tracked, n_b, trials, drop_worst):
@@ -223,7 +240,7 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
 def test_tracked_drop_worst_passes_and_max_agree(tracked, n_b, tail, branches):
     # 3 x 3: a full chunk by race passes and a 10-trial one by the max over
     # the race axis; 30 races of 200 boats: 7-trial chunks, all by the max
-    trials = 2 * mc._chunk_trials(len(tracked), n_b - 1, True) + tail
+    trials = 2 * mc._chunk_trials(*_chunk_args(n_b, len(tracked), tracked=True)) + tail
     lengths = []
     for scores, expected in _tracked_chunks(tracked, n_b, trials, True):
         assert (scores == expected).all()
@@ -232,19 +249,41 @@ def test_tracked_drop_worst_passes_and_max_agree(tracked, n_b, tail, branches):
     assert min(lengths) < mc._RACE_PASS_TRIALS
 
 
-@pytest.mark.parametrize("n_b", [2047, 2048, 2049])
-def test_tracked_tags_past_the_column_bits_take_the_argsort(n_b):
-    # the largest leftover value n_b fits the 11 column bits up to 2047
-    # boats; wider fleets gather their tags along the stable argsort, and
-    # their chunks are charged its orders
-    width = n_b - 1
-    assert mc._keyed(width, True) == (n_b < 1 << 11)
-    assert mc._keyed(width)  # as column tags, every one of these widths is keyed
-    assert mc._trial_bytes(2, width, True) - mc._trial_bytes(2, width) == (
-        0 if n_b < 1 << 11 else 8 * 2 * width
-    )
-    for scores, expected in _tracked_chunks((1, n_b), n_b, 5, False):
-        assert (scores == expected).all()
+@pytest.mark.parametrize(
+    "n_b, tracked",
+    [
+        pytest.param(2047, True, id="2047"),
+        pytest.param(2048, True, id="2048"),
+        pytest.param(2049, True, id="2049"),
+        pytest.param(2048, False, id="virtual-2048"),
+        pytest.param(2049, False, id="virtual-2049"),
+    ],
+)
+def test_tracked_tags_past_the_column_bits_take_the_argsort(monkeypatch, n_b, tracked):
+    # a row sorts as keys while its largest tag fits the 11 column bits: the
+    # leftover value n_b up to 2047 boats, the column n_b - 1 up to 2048;
+    # other rows gather their tags along the stable argsort, and their
+    # chunks are charged its orders
+    n_r, width, largest, tiles = _chunk_args(n_b, 2, tracked)
+    keyed = largest < 1 << 11
+    assert mc._keyed(largest) == keyed
+    assert mc._trial_bytes(n_r, width, largest, tiles) - mc._trial_bytes(
+        n_r, width, 0, tiles
+    ) == (0 if keyed else 8 * n_r * width)
+    argsort, argsorts = np.argsort, []
+    monkeypatch.setattr(mc.np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+    if tracked:
+        for scores, expected in _tracked_chunks((1, n_b), n_b, 5, False):
+            assert (scores == expected).all()
+        assert len(argsorts) == (not keyed)  # the column reference, at most 2048 wide, is keyed
+    else:
+        tags, score = mc._rank_sums(5, n_r, width)
+        assert int(tags.max()) == largest
+        (orders,) = mc._order_chunks(SEED, 3, 5, tags)
+        assert len(argsorts) == (not keyed)
+        u = trial_uniforms(SEED, 3, 0, 5, n_r * width).reshape(5, n_r, width)
+        expected = _summed_inverse(argsort(u, axis=-1, kind="stable"), False)
+        assert (score(orders) == expected).all()
 
 
 def test_simconfig_validation():
@@ -264,6 +303,15 @@ def test_simconfig_validation():
         SimConfig(n_b=3, n_r=3, trials=10, seed=1, n_t=4, tracked_ranks=(2, 2, 2))
     cfg = SimConfig(n_b=3, n_r=2, trials=10, seed=1, tracked_ranks=[1, 2])
     assert cfg.tracked_ranks == (1, 2)
+
+
+@pytest.mark.parametrize("n_t", [4.5, np.float64(4.5), np.int64(5), Fraction(9, 2)])
+def test_real_n_t_is_compared_as_given(n_t):
+    # scores are integers, so every real score between 4 and 5 ranks as 5
+    def counts(n_t):
+        return simulate(SimConfig(n_b=3, n_r=2, trials=1000, seed=SEED, n_t=n_t)).counts
+
+    assert counts(n_t) == counts(5)
 
 
 @pytest.mark.parametrize(
@@ -391,13 +439,13 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def _chunk_bound(n_r, width, tagged=False):
+def _chunk_bound(n_r, width, largest_tag, tiles):
     # one chunk's charge plus half its unpadded words: the trial offsets and
     # the sort and tally temporaries the charge leaves out fit in that half,
     # while a second chunk's orders, held as the next chunk is drawn, would
     # not (they are a whole chunk's unpadded words)
-    step = mc._chunk_trials(n_r, width, tagged)
-    return step * mc._trial_bytes(n_r, width, tagged) + 4 * step * n_r * width
+    step = mc._chunk_trials(n_r, width, largest_tag, tiles)
+    return step * mc._trial_bytes(n_r, width, largest_tag, tiles) + 4 * step * n_r * width
 
 
 def test_moments_hold_one_batch_and_one_chunk():
@@ -406,14 +454,15 @@ def test_moments_hold_one_batch_and_one_chunk():
     trials = 1 << 22
     batch_bytes = 2 * 8 * (trials // 50)
     peak = _traced_peak(lambda: empirical_rank_moments(3, trials, seed=SEED))
-    assert peak <= 2 * batch_bytes + _chunk_bound(1, 3)
+    assert peak <= 2 * batch_bytes + _chunk_bound(*_chunk_args(3, 1))
 
 
 def test_simulate_holds_one_chunk_at_a_time():
     # 4 chunks at n_b = 4, n_r = 2 (the network path), whose comparators'
     # `smaller` temporary is a quarter of the words
-    config = SimConfig(n_b=4, n_r=2, trials=4 * mc._chunk_trials(2, 4), seed=SEED, n_t=5)
-    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(2, 4)
+    args = _chunk_args(4, 2)
+    config = SimConfig(n_b=4, n_r=2, trials=4 * mc._chunk_trials(*args), seed=SEED, n_t=5)
+    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(*args)
 
 
 # every other path through a chunk: the key sort, the argsort of rows over
@@ -434,10 +483,9 @@ PEAK_PATHS = {
 def test_each_path_holds_one_chunk_budget(path):
     # three full chunks and a partial one
     kwargs = PEAK_PATHS[path]
-    tagged = "tracked_ranks" in kwargs
-    n_r, width = kwargs["n_r"], kwargs["n_b"] - tagged
-    config = SimConfig(trials=3 * mc._chunk_trials(n_r, width, tagged) + 1, seed=SEED, **kwargs)
-    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(n_r, width, tagged)
+    args = _chunk_args(kwargs["n_b"], kwargs["n_r"], "tracked_ranks" in kwargs)
+    config = SimConfig(trials=3 * mc._chunk_trials(*args) + 1, seed=SEED, **kwargs)
+    assert _traced_peak(lambda: simulate(config)) <= _chunk_bound(*args)
 
 
 def test_simulate_counts_sum_to_trials():
@@ -519,6 +567,17 @@ def test_std_error_variance_from_the_fourth_central_moment():
     assert res.std_error_variance == pytest.approx(math.sqrt((m4 - var * var) / 1000), rel=1e-12)
 
 
+def test_argsort_rows_match_the_eulerian_moments():
+    # rows 2100 wide take the stable argsort; at the middle score of two
+    # races the final rank less 1 is the descent count of a random
+    # permutation of n_b (Eulerian numbers), so the rank has mean
+    # (n_b + 1) / 2 and variance (n_b + 1) / 12
+    n_b = 2100
+    res = simulate(SimConfig(n_b=n_b, n_r=2, trials=2000, seed=SEED, n_t=n_b + 1))
+    assert abs(res.mean - (n_b + 1) / 2) <= 4 * res.std_error_mean
+    assert abs(res.variance - (n_b + 1) / 12) <= 4 * res.std_error_variance
+
+
 def test_simulate_lowest_score_always_first():
     res = simulate(SimConfig(n_b=6, n_r=2, trials=2000, seed=SEED, n_t=2))
     assert res.empirical_probs[0] == 1.0
@@ -531,10 +590,10 @@ def test_race_sums_are_exact_in_both_modes():
     # tracked leftover sums are int64
     assert mc.TRIAL_WORD_BUDGET < 2**53
     assert mc.TRIAL_WORD_BUDGET < np.iinfo(np.int64).max
-    virtual = mc._rank_sums(10, 3, 4)(_trial_orders(0, 0, 10, 3, 4))
-    assert virtual.dtype == np.float64
+    _, score = mc._rank_sums(10, 3, 4)
+    assert score(_trial_orders(0, 0, 10, 3, 4)).dtype == np.float64
     tags, score = mc._leftover_sums((1, 2, 4), 4, 10)
-    (values,) = mc._order_chunks(SEED, 0, 10, 3, 3, tags)
+    (values,) = mc._order_chunks(SEED, 0, 10, tags)
     assert score(values).dtype == np.int64
 
 

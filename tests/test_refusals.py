@@ -98,6 +98,20 @@ REFUSALS = {
         lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=float("nan")),
         "n_t must not be NaN",
     ),
+    # [5] simulated, 1+2j tallied every trial at m = 1, and "5" failed inside
+    # numpy after the first Philox chunk was drawn
+    "SimConfig n_t list": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=[5]),
+        "n_t must be a real number, got [5]",
+    ),
+    "SimConfig n_t complex": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=1 + 2j),
+        "n_t must be a real number, got (1+2j)",
+    ),
+    "SimConfig n_t str": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t="5"),
+        "n_t must be a real number, got '5'",
+    ),
     "middle_band_grid budget": (
         lambda: middle_band_grid(200, 30, points=10**8),
         "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
