@@ -167,6 +167,7 @@ def stirling_diagonal(score: int, i: int) -> int:
     and score - 1 within ``TRIANGLE_ROW_BUDGET`` like the Stirling row the
     value belongs to.
     """
+    score, i = operator.index(score), operator.index(i)
     if score < 2:
         raise ValueError(f"stirling_diagonal: score must be >= 2, got {score}")
     _check_row(score - 1)
@@ -190,6 +191,7 @@ def eulerian_from_stirling(n: int, k: int) -> int:
     an independent route to the same triangle as :func:`eulerian`.
     Requires 0 <= k <= n - 1.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError(f"eulerian_from_stirling: n must be >= 1, got {n}")
     if not 0 <= k <= n - 1:
@@ -207,6 +209,7 @@ def stirling_binomial_sum(n: int, k: int) -> int:
     which collapses to S(n+1, k+1).  Returned from the sum itself so tests
     can pit it against the recurrence value.  Requires 0 <= k <= n.
     """
+    n, k = operator.index(n), operator.index(k)
     if not 0 <= k <= n:
         raise ValueError(f"stirling_binomial_sum: k must be in [0, {n}], got {k}")
     _check_row(n)  # the sum reads rows k..n; refuse before it builds row k

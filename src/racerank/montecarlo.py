@@ -119,10 +119,14 @@ MOMENTS_TRIAL_BUDGET = 1 << 24
 # Shortest chunk whose tracked drop-worst takes each boat's worst by n_r - 1
 # np.maximum passes over the race slices rather than by one max over the
 # race axis.  A pass costs a ufunc call, the max a short inner loop per trial
-# and race; on a 2-vCPU Xeon (numpy 2.4) at the chunk lengths _chunk_trials
-# gives, the passes take 0.14x the max's time at 3 x 3 (5957 trials) and
-# 4.2x at 30 races of 200 boats (7 trials); they tie at ~40-90 trials.
-_RACE_PASS_TRIALS = 64
+# and race.  Timed alone on one chunk of the length _chunk_trials gives, in
+# two runs of 10 alternating pairs (2-vCPU Xeon, numpy 2.4), the passes took
+# 7x the max's time at 200 boats x 30 races (7 trials), 1.3-2.2x from 145 to
+# 321 trials (30 x 10, 50 x 8, 40 x 5, 20 x 10, 25 x 8) and 1.06-1.4x at 405
+# and 420 (20 x 8, 25 x 6); they tied within the runs' spread from 382 to 466
+# trials (12 x 10, 20 x 5, 10 x 10), and the passes won from 543 trials on
+# (0.7-0.95x at 16 x 5, 15 x 8, 12 x 6, 15 x 6, 10 x 8, 10 x 5; 0.3x at 3 x 3).
+_RACE_PASS_TRIALS = 450
 # Bound once: a numpy stand-in put in place of this module's ``np`` (the
 # benchmark's tracing view) wraps ufuncs as plain functions without ``.at``.
 _maximum_at = np.maximum.at

@@ -15,7 +15,11 @@ from pathlib import Path
 import pytest
 
 import racerank
-from racerank import combinatorics, lattice_oracle, montecarlo, series, two_race
+from _budgets import (
+    COMBINATORICS, ENUMERATION, FLEET, GRID, MONTECARLO, NEEDS, ORDER, PHILOX, ROW, SERIES,
+    TWO_RACE, WORDS, block,
+)
+from racerank import combinatorics, montecarlo, series, two_race
 from racerank.cli import CURVE_COLUMNS, _build_parser, main
 from racerank.two_race import full_distribution
 
@@ -355,8 +359,7 @@ def test_generated_seed_is_eight_urandom_bytes(capsys, monkeypatch):
          "bad --tracked-ranks: invalid literal for int() with base 10: 'x'"),
         (("curve", "3", "2", "--points", "0"), "points must be >= 1, got 0"),
         (("curve", "3", "2", "--trials", "0"), "trials must be >= 1"),
-        (("curve", "5000", "1000"),
-         "one trial needs n_b*n_r = 5000000 words, budget is 4194304 (montecarlo.TRIAL_WORD_BUDGET)"),
+        (("curve", "5000", "1000"), WORDS("n_b*n_r = 5000000")),
     ],
 )
 def test_refused_run_logs_no_seed(capsys, argv, message):
@@ -436,70 +439,38 @@ def test_simulate_missing_score(capsys):
     ],
 )
 def test_trial_budget_is_one_error_line(capsys, monkeypatch, argv):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("Philox reached past the budget check")
-
-    monkeypatch.setattr(montecarlo.np.random, "Philox", unreachable)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == (
-        "error: one trial needs n_b*n_r = 5000000 words, "
-        f"budget is {montecarlo.TRIAL_WORD_BUDGET} (montecarlo.TRIAL_WORD_BUDGET)\n"
-    )
+    block(monkeypatch, PHILOX)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {WORDS('n_b*n_r = 5000000')}\n")
 
 
 @pytest.mark.parametrize("form", ["exact", "stirling"])
 def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a term was computed past the budget check")
-
-    monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "_stirling_numbers", unreachable)
+    block(monkeypatch, TWO_RACE)
     n_b = two_race.EXACT_N_B_BUDGET + 1
-    code, out, err = run_cli(capsys, "dist", str(n_b), "10", "--form", form)
-    assert code == 2 and out == ""
-    assert err == (
-        f"error: n_b = {n_b} exceeds the exact-row budget "
-        f"{two_race.EXACT_N_B_BUDGET} (two_race.EXACT_N_B_BUDGET)\n"
-    )
+    argv = "dist", str(n_b), "10", "--form", form
+    assert run_cli(capsys, *argv) == (2, "", f"error: {FLEET(n_b)}\n")
 
 
 @pytest.mark.parametrize("command", ["eulerian", "stirling"])
-def test_triangle_budget_is_one_error_line(capsys, command):
+def test_triangle_budget_is_one_error_line(capsys, monkeypatch, command):
+    block(monkeypatch, COMBINATORICS)
     n = combinatorics.TRIANGLE_ROW_BUDGET + 100
-    code, out, err = run_cli(capsys, command, str(n))
-    assert code == 2 and out == ""
-    assert err == (
-        f"error: row n = {n} exceeds the triangle budget "
-        f"{combinatorics.TRIANGLE_ROW_BUDGET} (combinatorics.TRIANGLE_ROW_BUDGET)\n"
-    )
+    assert run_cli(capsys, command, str(n)) == (2, "", f"error: {ROW(n)}\n")
 
 
 @pytest.mark.parametrize("offset", [1, 0])
 def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a series was built past the budget check")
-
-    monkeypatch.setattr(series, "comb", unreachable)
+    block(monkeypatch, SERIES)
     n_b = series.SERIES_ORDER_BUDGET + 1
-    code, out, err = run_cli(capsys, "dist", str(n_b), str(n_b + offset), "--form", "series")
-    assert code == 2 and out == ""
-    assert err == (
-        f"error: order = {n_b} exceeds the series budget "
-        f"{series.SERIES_ORDER_BUDGET} (series.SERIES_ORDER_BUDGET)\n"
-    )
+    argv = "dist", str(n_b), str(n_b + offset), "--form", "series"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {ORDER(n_b)}\n")
 
 
 def test_bruteforce_budget_is_one_error_line(capsys, monkeypatch):
     # 2000! has 5736 digits; the refusal names it without building it
-    monkeypatch.setattr(lattice_oracle, "math", None)
-    monkeypatch.setattr(lattice_oracle, "itertools", None)
-    code, out, err = run_cli(capsys, "dist", "2000", "2000", "--form", "bruteforce")
-    assert code == 2 and out == ""
-    assert err == (
-        "error: enumeration needs 2000! configurations, budget is "
-        f"{lattice_oracle.DEFAULT_BUDGET} (lattice_oracle.DEFAULT_BUDGET)\n"
-    )
+    block(monkeypatch, ENUMERATION)
+    argv = "dist", "2000", "2000", "--form", "bruteforce"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {NEEDS('2000!')}\n")
 
 
 def _readme_commands():
@@ -528,13 +499,10 @@ def test_dist_has_no_enumeration_cap(capsys):
     assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
-def test_curve_grid_budget_is_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "curve", "200", "30", "--points", "100000000", "--seed", "1")
-    assert code == 2 and out == ""
-    assert err == (
-        "error: points = 100000000 exceeds the grid budget "
-        f"{montecarlo.GRID_POINT_BUDGET} (montecarlo.GRID_POINT_BUDGET)\n"
-    )
+def test_curve_grid_budget_is_one_error_line(capsys, monkeypatch):
+    block(monkeypatch, MONTECARLO)
+    argv = "curve", "200", "30", "--points", "100000000", "--seed", "1"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {GRID(10**8)}\n")
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _budgets import ENUMERATION, NEEDS, WALK, assert_refused
 from racerank import lattice_oracle
 from racerank.combinatorics import stirling_diagonal
 from racerank.lattice_oracle import (
@@ -52,11 +53,10 @@ def test_count_compatible_subsets_matches_diagonal_stirling():
         assert count_compatible_subsets(n_t) == row
 
 
-def test_count_compatible_subsets_budget_edge():
+def test_count_compatible_subsets_budget_edge(monkeypatch):
     assert math.factorial(11) <= lattice_oracle.DEFAULT_BUDGET < math.factorial(12)
     assert count_compatible_subsets(12)[1] == math.comb(11, 2) == 55
-    with pytest.raises(ValueError, match=r"^enumeration needs 12! configurations"):
-        count_compatible_subsets(13)
+    assert_refused(monkeypatch, WALK, lambda: count_compatible_subsets(13), NEEDS("12!"))
 
 
 def test_brute_force_two_race_examples():
@@ -72,8 +72,8 @@ def test_brute_force_two_race_examples():
 
 def test_brute_force_two_race_budget_and_range(monkeypatch):
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 1000)
-    with pytest.raises(ValueError, match="budget"):
-        brute_force_two_race(9, 5)
+    run = lambda: brute_force_two_race(9, 5)
+    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("9!", budget=1000))
     # `racerank dist --form bruteforce` prints these messages verbatim
     for args, message in (
         ((3, 8), "score n_t must be in [2, 7], got 8"),
@@ -227,8 +227,8 @@ def test_order_table_holds_every_order_once(k):
 
 def test_brute_force_score_budget(monkeypatch):
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**6)
-    with pytest.raises(ValueError, match="budget"):
-        brute_force_score(6, 5, 12)
+    run = lambda: brute_force_score(6, 5, 12)
+    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("(6!)^4", budget=10**6))
 
 
 @pytest.mark.parametrize(
@@ -247,55 +247,43 @@ def test_brute_force_score_rejects_unreachable_scores(n_b, n_r, n_t, message):
 
 
 @pytest.mark.parametrize(
-    "oracle, args",
+    "oracle, args, label",
     [
-        (brute_force_two_race, (9, 5)),
-        (brute_force_score, (6, 2, 7)),
-        (brute_force_score, (4, 3, 7)),
-        (brute_force_composition, (5, (1, 2, 3))),
+        (brute_force_two_race, (9, 5), "9!"),
+        (brute_force_score, (6, 2, 7), "6!"),
+        (brute_force_score, (4, 3, 7), "(4!)^2"),
+        (brute_force_composition, (5, (1, 2, 3)), "(4!)^3"),
     ],
+    ids=["brute_force_two_race-args0", "brute_force_score-args1", "brute_force_score-args2",
+         "brute_force_composition-args3"],
 )
-def test_budget_trips_before_any_permutation(monkeypatch, oracle, args):
-    def refuse(*_):
-        raise AssertionError("a permutation was generated over budget")
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"np.{name} was used over budget")
-
-    monkeypatch.setattr(lattice_oracle.itertools, "permutations", refuse)
-    monkeypatch.setattr(lattice_oracle, "np", NoNumpy())
+def test_budget_trips_before_any_permutation(monkeypatch, oracle, args, label):
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10)
-    with pytest.raises(ValueError, match="budget"):
-        oracle(*args)
+    assert_refused(monkeypatch, ENUMERATION, lambda: oracle(*args), NEEDS(label, budget=10))
 
 
-# each enumeration with its configuration count and the label that names it
+# each enumeration with its configuration count, the label that names it
+# and the builders its refusal comes before
 ENUMERATIONS = [
-    (lambda: count_compatible_subsets(5), 24, "4!"),
-    (lambda: brute_force_two_race(3, 4), 6, "3!"),
-    (lambda: brute_force_score(3, 3, 6), 36, "(3!)^2"),
-    (lambda: brute_force_composition(4, (1, 2)), 36, "(3!)^2"),
+    (lambda: count_compatible_subsets(5), 24, "4!", WALK),
+    (lambda: brute_force_two_race(3, 4), 6, "3!", ENUMERATION),
+    (lambda: brute_force_score(3, 3, 6), 36, "(3!)^2", ENUMERATION),
+    (lambda: brute_force_composition(4, (1, 2)), 36, "(3!)^2", ENUMERATION),
 ]
 
 
 @pytest.mark.parametrize(
-    "call, need, label",
+    "call, need, label, builders",
     ENUMERATIONS,
     ids=["count_compatible_subsets", "brute_force_two_race", "brute_force_score",
          "brute_force_composition"],
 )
-def test_default_budget_governs_every_enumeration(monkeypatch, call, need, label):
+def test_default_budget_governs_every_enumeration(monkeypatch, call, need, label, builders):
     # read when called: a patched budget moves every bound to the same edge
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", need)
     call()
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", need - 1)
-    message = (
-        f"enumeration needs {label} configurations, budget is {need - 1} "
-        "(lattice_oracle.DEFAULT_BUDGET)"
-    )
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
+    assert_refused(monkeypatch, builders, call, NEEDS(label, budget=need - 1))
 
 
 def test_no_enumeration_takes_a_budget():
@@ -336,8 +324,8 @@ def test_brute_force_composition_trivial_and_errors(monkeypatch):
     with pytest.raises(ValueError):
         brute_force_composition(3, (4, 2, 2))
     monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**3)
-    with pytest.raises(ValueError, match="budget"):
-        brute_force_composition(8, (1,) * 8)
+    run = lambda: brute_force_composition(8, (1,) * 8)
+    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("(7!)^8", budget=10**3))
 
 
 def test_distributions_sum_to_one():

@@ -23,6 +23,7 @@ from racerank.montecarlo import (
 )
 from racerank.two_race import full_distribution
 
+from _budgets import GRID, MOMENTS, MONTECARLO, WORDS, assert_refused
 from _reference import inverse_orders, pooled_chi2, rank_rows, trial_uniforms
 
 SEED = 20260809
@@ -235,11 +236,17 @@ def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, ext
 
 @pytest.mark.parametrize(
     "tracked, n_b, tail, branches",
-    [((1, 2, 3), 3, 10, 2), ((1, 100, 200) * 10, 200, 6, 1)],
+    [
+        ((1, 2, 3), 3, 10, 2),
+        ((1, 100, 200) * 10, 200, 6, 1),
+        (tuple(range(1, 11)), 10, 10, 2),
+        ((1, 20, 5, 9, 13, 17, 20, 2), 20, 6, 1),
+    ],
 )
 def test_tracked_drop_worst_passes_and_max_agree(tracked, n_b, tail, branches):
-    # 3 x 3: a full chunk by race passes and a 10-trial one by the max over
-    # the race axis; 30 races of 200 boats: 7-trial chunks, all by the max
+    # 3 x 3 (5957-trial chunks) and 10 x 10 (466, just over the crossover):
+    # full chunks by race passes and the tail by the max over the race axis;
+    # 20 x 8 (405, just under it) and 30 races of 200 boats (7): all by the max
     trials = 2 * mc._chunk_trials(*_chunk_args(n_b, len(tracked), tracked=True)) + tail
     lengths = []
     for scores, expected in _tracked_chunks(tracked, n_b, trials, True):
@@ -323,14 +330,9 @@ def test_real_n_t_is_compared_as_given(n_t):
     ],
 )
 def test_trial_budget_trips_before_allocating(monkeypatch, kwargs):
-    def unreachable(*args, **kw):
-        raise AssertionError("Philox reached past the budget check")
-
-    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
-    need = kwargs["n_b"] * kwargs["n_r"]
-    message = f"n_b\\*n_r = {need} words, budget is {mc.TRIAL_WORD_BUDGET}"
-    with pytest.raises(ValueError, match=message):
-        simulate(SimConfig(trials=10**9, seed=1, **kwargs))
+    run = lambda: simulate(SimConfig(trials=10**9, seed=1, **kwargs))
+    message = WORDS(f"n_b*n_r = {kwargs['n_b'] * kwargs['n_r']}")
+    assert_refused(monkeypatch, MONTECARLO, run, message)
 
 
 @pytest.mark.parametrize(
@@ -528,12 +530,12 @@ _THREE_RACE_LAW_CASES = [(3, 4), (3, 7), (4, 7), (4, 9), (5, 6), (5, 9), (5, 12)
 _ENUMERATED_LAW_TESTS = len(_TRACKED_LAW_CASES) + len(_THREE_RACE_LAW_CASES)
 
 
-def _assert_law_fits(config, law):
+def _assert_law_fits(config, law, family=_ENUMERATED_LAW_TESTS):
     # 10^5 trials, ranks pooled to expect >= 5, family alpha 10^-3
-    # Bonferroni-split over the enumerated-law cases
+    # Bonferroni-split over the family's cases
     chi2, df, p = pooled_chi2(simulate(config).counts, law.probs)
     assert df >= 1
-    assert p > 1e-3 / _ENUMERATED_LAW_TESTS, f"chi2 = {chi2:.1f} on {df} df"
+    assert p > 1e-3 / family, f"chi2 = {chi2:.1f} on {df} df"
 
 
 @pytest.mark.parametrize("n_b, ranks", _TRACKED_LAW_CASES)
@@ -545,6 +547,19 @@ def test_tracked_law_matches_composition_enumeration(n_b, ranks):
 @pytest.mark.parametrize("n_b, n_t", _THREE_RACE_LAW_CASES)
 def test_three_race_law_matches_score_enumeration(n_b, n_t):
     _assert_law_fits(SimConfig(n_b, 3, 10**5, SEED, n_t), brute_force_score(n_b, 3, n_t))
+
+
+# a tracked boat of 7, whose 6-wide rows take ndarray.sort, at scores below,
+# at and above the middle 8 (its enumeration takes ~7 ms a law), in a family
+# of its own
+_SORTED_TRACKED_LAW_CASES = [(2, 3), (2, 5), (4, 4), (6, 7)]
+
+
+@pytest.mark.parametrize("ranks", _SORTED_TRACKED_LAW_CASES)
+def test_sorted_tracked_law_matches_composition_enumeration(ranks):
+    config = SimConfig(7, 2, 10**5, SEED, tracked_ranks=ranks)
+    law = brute_force_composition(7, ranks)
+    _assert_law_fits(config, law, family=len(_SORTED_TRACKED_LAW_CASES))
 
 
 @pytest.mark.parametrize("trials, seed, counts, se", [
@@ -666,30 +681,15 @@ def test_empirical_rank_moments_validation():
 
 
 def test_moments_budget_trips_before_allocating(monkeypatch):
-    def unreachable(*args, **kw):
-        raise AssertionError("allocation reached past the budget check")
-
-    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
-    monkeypatch.setattr(mc.np, "empty", unreachable)
     n_b = mc.TRIAL_WORD_BUDGET + 1
-    message = f"n_b = {n_b} words, budget is {mc.TRIAL_WORD_BUDGET}"
-    with pytest.raises(ValueError, match=message):
-        empirical_rank_moments(n_b, 10**9, seed=1)
+    run = lambda: empirical_rank_moments(n_b, 10**9, seed=1)
+    assert_refused(monkeypatch, MONTECARLO, run, WORDS(f"n_b = {n_b}"))
 
 
 def test_moments_trial_budget_trips_before_allocating(monkeypatch):
-    def unreachable(*args, **kw):
-        raise AssertionError("allocation reached past the budget check")
-
-    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
-    monkeypatch.setattr(mc.np, "empty", unreachable)
     trials = mc.MOMENTS_TRIAL_BUDGET + 1
-    message = (
-        f"trials = {trials} exceeds the moments budget {mc.MOMENTS_TRIAL_BUDGET} "
-        "\\(montecarlo.MOMENTS_TRIAL_BUDGET\\)"
-    )
-    with pytest.raises(ValueError, match=message):
-        empirical_rank_moments(3, trials, seed=1)
+    run = lambda: empirical_rank_moments(3, trials, seed=1)
+    assert_refused(monkeypatch, MONTECARLO, run, MOMENTS(trials))
 
 
 def test_moments_trial_budget_admits_its_cap(monkeypatch):
@@ -697,8 +697,8 @@ def test_moments_trial_budget_admits_its_cap(monkeypatch):
     assert mc.MOMENTS_TRIAL_BUDGET >= 10 * 200_000
     monkeypatch.setattr(mc, "MOMENTS_TRIAL_BUDGET", 1000)
     assert empirical_rank_moments(3, 1000, seed=SEED).trials == 1000
-    with pytest.raises(ValueError, match="trials = 1001 exceeds the moments budget 1000"):
-        empirical_rank_moments(3, 1001, seed=SEED)
+    run = lambda: empirical_rank_moments(3, 1001, seed=SEED)
+    assert_refused(monkeypatch, MONTECARLO, run, MOMENTS(1001, budget=1000))
 
 
 def test_middle_band_grid():
@@ -718,13 +718,8 @@ def test_middle_band_grid():
 def test_grid_budget_trips_before_linspace(monkeypatch):
     monkeypatch.setattr(mc, "GRID_POINT_BUDGET", 21)
     assert len(middle_band_grid(200, 30, points=21)) == 21
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a grid was made past the budget check")
-
-    monkeypatch.setattr(mc.np, "linspace", unreachable)
-    with pytest.raises(ValueError, match="exceeds the grid budget 21"):
-        middle_band_grid(200, 30, points=22)
+    run = lambda: middle_band_grid(200, 30, points=22)
+    assert_refused(monkeypatch, MONTECARLO, run, GRID(22, budget=21))
 
 
 def test_curve_sweep_checks_every_score_before_simulating(monkeypatch):

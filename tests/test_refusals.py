@@ -1,10 +1,13 @@
 """Every argument check the other tests never reach refuses with its message.
 
-The ``… budget`` rows repeat calls of the table in ``tests/test_budgets.py``,
-which also blocks the builders and covers every path to each budget."""
+The ``… budget`` rows are pairs of the ``OVERSIZED`` table, which
+``tests/test_budgets.py`` also checks with the builders blocked, and whose
+refusals, like every budget refusal the tests compare, are written in
+``tests/_budgets.py`` alone."""
 
 import pytest
 
+from _budgets import OVERSIZED
 from racerank import (
     AsymptoticParams,
     RankDistribution,
@@ -21,7 +24,6 @@ from racerank import (
     eulerian_from_stirling,
     eulerian_gf,
     eulerian_triangle,
-    factorial,
     full_distribution,
     mean_final_rank,
     middle_band_grid,
@@ -29,6 +31,7 @@ from racerank import (
     second_gf_expand,
     stirling2,
     stirling_binomial_sum,
+    stirling_diagonal,
     stirling_form_distribution,
     stirling_triangle,
     variance_final_rank,
@@ -40,14 +43,8 @@ REFUSALS = {
     "eulerian_triangle": (
         lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
     ),
-    "factorial budget": (
-        lambda: factorial(10**6),
-        "n = 1000000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
-    ),
-    "binomial budget": (
-        lambda: binomial(300000, 150000),
-        "n = 300000 exceeds the factorial budget 100000 (combinatorics.FACTORIAL_BUDGET)",
-    ),
+    "factorial budget": OVERSIZED["factorial"][1],
+    "binomial budget": OVERSIZED["binomial"][1],
     "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
     "stirling_triangle": (
         lambda: stirling_triangle(0), "stirling_triangle: n_max must be >= 1, got 0"
@@ -61,28 +58,10 @@ REFUSALS = {
     "count_compatible_subsets n_t": (
         lambda: count_compatible_subsets(1), "n_t must be >= 2, got 1"
     ),
-    # one recursion level per staircase row: 1498 rows raised RecursionError
-    "count_compatible_subsets budget": (
-        lambda: count_compatible_subsets(1500),
-        "enumeration needs 1499! configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    # 300000! was multiplied out (1.15 s) and then failed to print
-    "brute_force_two_race budget": (
-        lambda: brute_force_two_race(300000, 3),
-        "enumeration needs 300000! configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    "brute_force_score budget": (
-        lambda: brute_force_score(6, 5, 12),
-        "enumeration needs (6!)^4 configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
-    "brute_force_composition budget": (
-        lambda: brute_force_composition(1000, (1, 2, 3)),
-        "enumeration needs (999!)^3 configurations, budget is 100000000 "
-        "(lattice_oracle.DEFAULT_BUDGET)",
-    ),
+    "count_compatible_subsets budget": OVERSIZED["count_compatible_subsets"][1],
+    "brute_force_two_race budget": OVERSIZED["brute_force_two_race"][1],
+    "brute_force_score budget": OVERSIZED["brute_force_score"][1],
+    "brute_force_composition budget": OVERSIZED["brute_force_composition"][1],
     "brute_force_composition n_b": (
         lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
     ),
@@ -112,10 +91,7 @@ REFUSALS = {
         lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t="5"),
         "n_t must be a real number, got '5'",
     ),
-    "middle_band_grid budget": (
-        lambda: middle_band_grid(200, 30, points=10**8),
-        "points = 100000000 exceeds the grid budget 100000 (montecarlo.GRID_POINT_BUDGET)",
-    ),
+    "middle_band_grid budget": OVERSIZED["middle_band_grid"][1],
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
     ),
@@ -213,6 +189,13 @@ NOT_AN_INTEGER = {
     # failed indexing a triangle row after the rows up to it were cached
     "eulerian k": lambda: eulerian(5, 2.0),
     "stirling2 k": lambda: stirling2(5, 2.0),
+    # built Stirling rows 1..40 before range(1, k + 2) refused 1.0
+    "eulerian_from_stirling k": lambda: eulerian_from_stirling(40, 1.0),
+    "eulerian_from_stirling n": lambda: eulerian_from_stirling(40.0, 1),
+    "stirling_diagonal score": lambda: stirling_diagonal(5.0, 2),
+    "stirling_diagonal i": lambda: stirling_diagonal(5, 2.0),
+    "stirling_binomial_sum n": lambda: stirling_binomial_sum(5.0, 2),
+    "stirling_binomial_sum k": lambda: stirling_binomial_sum(5, 2.0),
     "eulerian_triangle n_max": lambda: eulerian_triangle(2.5),
     "stirling_triangle n_max": lambda: stirling_triangle(3.5),
 }

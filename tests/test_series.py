@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from _budgets import ORDER, SERIES, assert_refused
 from _reference import EULERIAN_ROWS, SECOND_GF_ROWS
 from racerank import lattice_oracle, series, two_race
 from racerank.combinatorics import eulerian, factorial
@@ -127,14 +128,8 @@ def test_coefficient_to_distribution_beyond_truncation():
 
 @pytest.mark.parametrize("gf", [eulerian_gf, second_gf_expand])
 def test_order_budget_trips_before_any_series(monkeypatch, gf):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a series was built past the budget check")
-
-    monkeypatch.setattr(series, "comb", unreachable)
-    order = series.SERIES_ORDER_BUDGET + 1
-    message = f"order = {order} exceeds the series budget {series.SERIES_ORDER_BUDGET}"
-    with pytest.raises(ValueError, match=message):
-        gf(order)
+    order = SERIES_ORDER_BUDGET + 1
+    assert_refused(monkeypatch, SERIES, lambda: gf(order), ORDER(order))
 
 
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():

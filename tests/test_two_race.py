@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _budgets import FLEET, TWO_RACE, assert_refused
 from _reference import (
     alternating_row_by_convolution,
     moments_by_fraction_sums,
@@ -163,11 +164,6 @@ def test_rows_vanish_past_the_band():
 
 
 def test_exact_budget_trips_before_any_term(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a term was computed past the budget check")
-
-    monkeypatch.setattr(two_race, "factorial", unreachable)
-    monkeypatch.setattr(two_race, "_stirling_numbers", unreachable)
     n_b = EXACT_N_B_BUDGET + 1
     calls = [
         lambda: full_distribution(n_b, 2),
@@ -176,8 +172,7 @@ def test_exact_budget_trips_before_any_term(monkeypatch):
         lambda: stirling_form_distribution(n_b, 2 * n_b),  # upper half, via reflection
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=r"two_race\.EXACT_N_B_BUDGET"):
-            call()
+        assert_refused(monkeypatch, TWO_RACE, call, FLEET(n_b))
 
 
 def test_exact_budget_admits_its_bound():
