@@ -17,11 +17,14 @@ mirror, and the row is handed to :class:`RankDistribution` as built.  A
 lower-half score can beat at most n_t - 2 boats (k beaten boats hold
 distinct ranks in each race, so their scores sum to at least k(k+1) and at
 most k(n_t - 1)), so P(m) = 0 for m >= n_t and each row computes only its
-band m < n_t: zeros past m = n_t - 1, O(n_b n_t) big-integer additions for
-the alternating row (one list of n_t - 1 entries differenced n_b + 1 times),
-O(n_t^2) for the Stirling row (a polynomial in (1 + y) expanded by Horner's
-rule), and no binomial coefficient.  ``_assemble`` reads and checks every
-argument once and refuses n_b above ``EXACT_N_B_BUDGET`` before any term.
+band m < n_t, with zeros past m = n_t - 1.  The alternating row's n_t - 1
+live entries cost n_t (n_t - 1)/2 big-integer multiply-adds against the
+signed binomials (-1)^k C(n_b + 1, k), k < n_t - 1, or (n_b + 1)(n_t - 1)
+subtractions when differenced n_b + 1 times; ``_CONVOLVED_BAND`` picks the
+cheaper order from (n_b, n_t).  The Stirling row costs O(n_t^2) additions (a
+polynomial in (1 + y) expanded by Horner's rule) and no binomial
+coefficient.  ``_assemble`` reads and checks every argument once and refuses
+n_b above ``EXACT_N_B_BUDGET`` before any term.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, index, sub
+from operator import add, index, mul, sub
 
 from .combinatorics import _stirling_row as _stirling_numbers
 from .combinatorics import factorial
@@ -110,15 +113,36 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
 
 
 # Largest fleet the closed-form rows evaluate; larger n_b is rejected before
-# any term is computed.  A row costs O(n_b n_t) big-integer additions
-# (alternating sum) or O(n_t^2) (Stirling form).  Measured on a 2-vCPU Xeon
-# (Python 3.11.7) at n_b = 450: n_t = n_b + 1, the slowest row, takes
-# ~0.04-0.06 s (alternating) and ~0.02-0.03 s (Stirling), n_t = 2 ~0.2-0.3 ms
-# and ~0.02 ms; n_b = 500, n_t = 501 takes ~0.05-0.08 s and ~0.03-0.04 s.
-# So the cached triangle, not the rows, sets the bound: the Stirling rows to
-# 450, one read per Stirling-form row, hold ~18 MB by tracemalloc (built once
-# in ~0.03 s; see combinatorics.TRIANGLE_ROW_BUDGET).
+# any term is computed.  An alternating row costs n_t (n_t - 1)/2 big-integer
+# multiply-adds below _CONVOLVED_BAND and (n_b + 1)(n_t - 1) subtractions above
+# it, a Stirling row O(n_t^2) additions.  Measured on a 2-vCPU Xeon (Python
+# 3.11.7) at n_b = 450, alternating / Stirling: n_t = 2 ~0.015 / ~0.018 ms
+# and n_t = 7 ~0.03 / ~0.03 ms (convolved), n_t = 8 ~0.8 / ~0.02 ms,
+# n_t = 226 ~17 / ~4 ms and n_t = n_b + 1, the slowest row, ~31 / ~14 ms;
+# n_b = 500, n_t = 501 takes ~49 / ~24 ms.  So the cached triangle, not the
+# rows, sets the bound: the Stirling rows to 450, one read per Stirling-form
+# row, hold ~18 MB by tracemalloc (built once in ~0.03 s; see
+# combinatorics.TRIANGLE_ROW_BUDGET).
 EXACT_N_B_BUDGET = 450
+
+# Largest (n_b + 1)(n_t - 1) whose alternating row is convolved rather than
+# differenced (see _alternating_row).  With L = n_t - 1 and N = n_b + 1, the
+# whole row's time by convolution over its time by differencing (min of
+# timeit, same machine; L/N = 1.0 stands for the middle score, L = n_b):
+#
+#   L/N      0.1  0.2  0.3  0.4  0.5  0.6  0.7  0.8  0.9  1.0
+#   n_b=20   0.30 0.40 0.52 0.60 0.68 0.80 0.87 0.93 0.96 1.00
+#   n_b=60   0.22 0.33 0.43 0.52 0.61 0.71 0.80 0.87 0.99 1.04
+#   n_b=100  0.21 0.32 0.42 0.52 0.66 0.77 0.89 1.00 1.15 1.25
+#   n_b=200  0.19 0.36 0.55 0.75 0.98 1.22 1.46 1.69 1.94 2.16
+#   n_b=450  0.20 0.49 0.81 1.17 1.58 1.99 2.39 2.78 3.16 3.47
+#
+# The binomials grow to ~n_b bits, so the crossover falls from L/N ~0.9 at
+# n_b <= 60 to ~0.35 at n_b = 450, and convolving every row would slow the
+# middle rows at n_b = 450 3.5-fold.  L N <= 3000 convolves n_t <= 50 at
+# n_b = 60 and n_t <= 7 at n_b = 450; fleets up to n_b = 54 convolve every
+# score, the middle ones at most ~7 % slower than differencing.
+_CONVOLVED_BAND = 3000
 
 
 def _check_score(n_b: int, n_t: int) -> tuple[int, int]:
@@ -139,10 +163,11 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
     b_j = (e+1+j)^(n_t-1) (e+j)! / j!: the x^(m-1) coefficient of
     (1-x)^(n_b+1) sum_j b_j x^j, which reads only b_0..b_(m-1).  Entries
     m >= n_t are zero (see the module docstring), so only b_j with
-    j < n_t - 1 is built: that list differenced n_b + 1 times and padded
-    with zeros is the row, O(n_b n_t) big-integer subtractions with no
-    binomial.  The ratios (e+j)!/j! come from one running product, each step
-    exact.
+    j < n_t - 1 is built, the ratios (e+j)!/j! from one running product,
+    each step exact.  The band is then :func:`_convolved` (n_t(n_t - 1)/2
+    multiply-adds, whatever n_b is) or :func:`_differenced` ((n_b + 1)(n_t - 1)
+    subtractions, cheaper once the binomials grow long), whichever
+    ``_CONVOLVED_BAND`` says costs less at (n_b, n_t).
     """
     e = n_b - n_t + 1
     b = []
@@ -150,9 +175,26 @@ def _alternating_row(n_b: int, n_t: int) -> list[int]:
     for j in range(n_t - 1):
         b.append((e + 1 + j) ** (n_t - 1) * ratio)
         ratio = ratio * (e + j + 1) // (j + 1)
+    order = _convolved if (n_b + 1) * (n_t - 1) <= _CONVOLVED_BAND else _differenced
+    return order(n_b, b) + [0] * (n_b + 2 - n_t)
+
+
+def _convolved(n_b: int, b: list[int]) -> list[int]:
+    """The first len(b) coefficients of (1-x)^(n_b+1) sum_j b_j x^j, each
+    one sum of products with the signed binomials (-1)^k C(n_b+1, k), k <
+    len(b), which come from one running product."""
+    signed = [1]
+    for k in range(1, len(b)):
+        signed.append(-signed[-1] * (n_b + 2 - k) // k)
+    return [sum(map(mul, signed[m::-1], b)) for m in range(len(b))]
+
+
+def _differenced(n_b: int, b: list[int]) -> list[int]:
+    """The same coefficients as :func:`_convolved`: b differenced n_b + 1
+    times, with no binomial."""
     for _ in range(n_b + 1):
         b = [b[0], *map(sub, b[1:], b)]  # times (1 - x), truncated
-    return b + [0] * (n_b + 2 - n_t)
+    return b
 
 
 def _stirling_row(n_b: int, n_t: int) -> list[int]:

@@ -15,11 +15,14 @@ from the explicit alternating sum ``stirling_diagonal``, the rows' from the
 ``alternating_row_by_convolution`` and ``stirling_row_by_binomial_sums``
 are the rows' earlier evaluations, kept verbatim but for the budget check:
 each row entry as its own sum of products with binomial coefficients.  They
-share the library rows' formulas and Stirling triangle but not their
-evaluation order (n_b + 1 differences, Horner's rule), so the tests can
-require the two evaluations to give equal integers at sizes up to the
-exact-row budget, where the term-by-term ``Fraction`` references are too
-slow.
+share the library rows' formulas and Stirling triangle.  The Stirling row
+evaluates by Horner's rule, and the alternating row by n_b + 1 differences
+above ``two_race._CONVOLVED_BAND``, so there the tests can require two
+evaluation orders to give equal integers at sizes up to the exact-row
+budget, where the term-by-term ``Fraction`` references are too slow.  Below
+that bound the alternating row convolves as this reference does, with its
+binomials from a running product rather than ``math.comb``, so the two
+share their evaluation order there.
 
 ``moments_by_fraction_sums`` is the earlier evaluation of
 ``racerank.two_race.distribution_moments``: one ``Fraction`` term per rank,

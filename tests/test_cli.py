@@ -359,7 +359,9 @@ def test_generated_seed_is_eight_urandom_bytes(capsys, monkeypatch):
          "bad --tracked-ranks: invalid literal for int() with base 10: 'x'"),
         (("curve", "3", "2", "--points", "0"), "points must be >= 1, got 0"),
         (("curve", "3", "2", "--trials", "0"), "trials must be >= 1"),
-        (("curve", "5000", "1000"), WORDS("n_b*n_r = 5000000")),
+        # an explicit id, so that editing the WORDS template renames no test
+        pytest.param(("curve", "5000", "1000"), WORDS("n_b*n_r = 5000000"),
+                     id="argv5-trial word budget"),
     ],
 )
 def test_refused_run_logs_no_seed(capsys, argv, message):

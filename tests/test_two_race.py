@@ -126,7 +126,14 @@ def test_rows_equal_term_by_term_reference(case):
     assert mirror.p(n_b + 2 - m) == p_exact_terms(n_b, n_t, m)
 
 
-@pytest.mark.parametrize("n_t", [2, 3, 31, 60, 61])
+# The alternating row convolves while (n_b + 1)(n_t - 1) <= _CONVOLVED_BAND
+# and differences above it.  verify's forms check stops at n_b <= 8, where
+# every row convolves, so in tier-1 only larger fleets reach the
+# differencing side: the n_b = 60 and n_b = 450 rows below, the binomial-sum
+# rows to n_b = 80, the budget-edge rows, the property over both orders and
+# the golden rows.  n_t = 50 | 51 at n_b = 60 and n_t = 7 | 8 at n_b = 450
+# are the two sides of the bound.
+@pytest.mark.parametrize("n_t", [2, 3, 31, 50, 51, 60, 61])
 def test_n_b60_rows_equal_term_by_term_reference(n_t):
     _assert_rows_match_reference(60, n_t)
 
@@ -145,9 +152,33 @@ def test_rows_equal_binomial_sum_rows(n_b):
         _assert_rows_match_reference_rows(n_b, n_t)
 
 
-@pytest.mark.parametrize("n_t", [2, 226, 451])
+@pytest.mark.parametrize("n_t", [2, 7, 8, 226, 451])
 def test_rows_equal_binomial_sum_rows_at_n_b450(n_t):
     _assert_rows_match_reference_rows(450, n_t)
+
+
+@pytest.mark.parametrize(
+    "n_b, n_t, order",
+    [(60, 50, "_convolved"), (60, 51, "_differenced"), (450, 7, "_convolved"), (450, 8, "_differenced")],
+)
+def test_alternating_row_order_at_the_band_edge(monkeypatch, n_b, n_t, order):
+    # both orders give equal rows, so only a spy sees the rule's choice
+    taken = []
+    for name in ("_convolved", "_differenced"):
+        spied = getattr(two_race, name)
+        monkeypatch.setattr(two_race, name, lambda *a, f=spied, name=name: taken.append(name) or f(*a))
+    two_race._alternating_row(n_b, n_t)
+    assert taken == [order]
+
+
+# ~0.1 s an example at n_b = 120, both orders at every lower-half score.
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 120))
+def test_alternating_row_orders_agree(n_b):
+    for n_t in range(2, n_b + 2):
+        e = n_b - n_t + 1
+        b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_t - 1)]
+        assert two_race._convolved(n_b, b) == two_race._differenced(n_b, b)
 
 
 def test_rows_vanish_past_the_band():
