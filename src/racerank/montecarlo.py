@@ -9,15 +9,16 @@ the leftover rank values.
 
 Reproducibility contract
 ------------------------
-All randomness comes from Philox4x64-10 counter streams (numpy's
-``np.random.Philox``).  A run is addressed by ``(seed, stream)`` through
-the 128-bit Philox key ``seed + (stream << 64)``; each must lie in
-[0, 2**64) and is refused, never wrapped, outside it.  Every trial owns a
-fixed, disjoint slice of the counter space: trial t reads counter blocks
-``[t * B, (t + 1) * B)``, where B is the per-trial block quota implied by
-the configuration, and raw 64-bit outputs become doubles as
-``(word >> 11) * 2**-53``.  Chunk size therefore cannot change any
-result: a SimConfig determines its SimResult bit for bit.
+All randomness comes from Random123's Philox4x64-10 (numpy's
+``np.random.Philox``).  A run is addressed by ``(seed, stream)``, the key's
+words 0 and 1 (numpy's 128-bit key ``seed + (stream << 64)``); each must
+lie in [0, 2**64) and is refused, never wrapped, outside it.  With B the
+per-trial block quota the configuration implies, trial t reads the 4-word
+blocks of the spec's counters ``t * B + 1`` to ``(t + 1) * B``: numpy
+increments its counter before each block, so these are the first blocks
+``np.random.Philox(key=..., counter=t * B)`` returns.  Raw 64-bit outputs
+become doubles as ``(word >> 11) * 2**-53``.  Chunk size therefore cannot
+change any result: a SimConfig determines its SimResult bit for bit.
 
 Each race's row of uniforms becomes a rank permutation by its sort order.
 The rule is stated on the words, so it holds exactly:
@@ -195,12 +196,13 @@ def _order_chunks(seed: int, stream: int, trials: int, tags: np.ndarray) -> Iter
     ascending uniform, under the module docstring's ranking rule.  ``tags``
     is the run's tile from _tag_tile, of shape (step, n_r, width); each
     chunk holds step trials, the last one fewer, and takes the tile's first
-    n.  Trial t reads its own counter blocks [t * B, (t + 1) * B) (4 raw
-    words per block, padding discarded when n_r * width is not a multiple
-    of 4).  One Philox generator, keyed ``seed + (stream << 64)``, reads
-    the chunks in order: every chunk takes whole blocks, so its counter
-    runs on exactly where a fresh generator for the next trial would start,
-    and any split of a run returns identical rows."""
+    n.  Trial t reads the spec's counters t * B + 1 to (t + 1) * B, the
+    first B blocks a generator at numpy counter t * B returns (4 raw words
+    per block, padding discarded when n_r * width is not a multiple of 4).
+    One Philox generator, key words (seed, stream), reads the chunks in
+    order: every chunk takes whole blocks, so its counter runs on exactly
+    where a fresh generator for the next trial would start, and any split
+    of a run returns identical rows."""
     step, n_r, width = tags.shape
     per_trial = n_r * width
     blocks = -(-per_trial // 4)

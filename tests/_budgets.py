@@ -8,12 +8,11 @@ constant's value and which a test that patches the constant passes in.
 name, the builders its oversized calls must not touch first, then one
 (oversized call, exact refusal) pair per path to its budget.  Every other
 budget test reads its refusal and its builders here, and checks its own call
-with :func:`assert_refused`, or blocks the builders with :func:`block` around
-a command line.  So a refusal's text is written in this file alone, and
+with :func:`assert_refused`, or blocks the builders with ``_doubles.block``
+around a command line.  So a refusal's text is written in this file alone, and
 ``REFUSAL_TEXT`` finds a copy of one anywhere else in ``tests/``.
 """
 
-import builtins
 import itertools
 import re
 
@@ -21,6 +20,7 @@ import numpy as np
 import pytest
 
 import racerank
+from _doubles import block
 from racerank import combinatorics, lattice_oracle, montecarlo, series, two_race
 
 # bound here: racerank reads a name from its module when first asked, and
@@ -63,27 +63,8 @@ GRID = _template(
 )
 
 
-class _Unreachable:
-    """Stands in for a builder: any use of it means work began before the
-    budget check."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def _fail(self, *_, **__):
-        raise AssertionError(f"{self.name} was used before the budget check")
-
-    __call__ = __getattr__ = __len__ = __iter__ = __getitem__ = _fail
-
-
 def _builders(module, *names):
     return [(module, name) for name in names]
-
-
-def _is_live(module, name):
-    # a builder that was renamed or removed would otherwise be added to the
-    # module by the patch and block nothing
-    return hasattr(module, name) or hasattr(builtins, name)
 
 
 COMBINATORICS = _builders(
@@ -96,14 +77,6 @@ ENUMERATION = _builders(lattice_oracle, "itertools", "math", "np") + [(itertools
 # the curve command makes its grid before its first trial is refused
 PHILOX = _builders(np.random, "Philox")
 MONTECARLO = [(montecarlo, "np"), *PHILOX, *_builders(np, "empty", "linspace")]
-
-
-def block(monkeypatch, builders):
-    """Put a stand-in that fails on any use in place of each of ``builders``."""
-    assert [b for b in builders if not _is_live(*b)] == []
-    for module, name in builders:
-        blocked = _Unreachable(f"{module.__name__}.{name}")
-        monkeypatch.setattr(module, name, blocked, raising=False)
 
 
 def assert_refused(monkeypatch, builders, call, message):

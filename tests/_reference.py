@@ -12,17 +12,19 @@ require every row entry to equal them exactly.  The Stirling weights here come
 from the explicit alternating sum ``stirling_diagonal``, the rows' from the
 ``stirling2`` recurrence triangle, so the two share no Stirling engine.
 
+``alternating_row_by_recurrence`` shares no arithmetic with ``two_race``:
+it builds the alternating row as one polynomial, by a recurrence in the
+operator x d/dx that its docstring derives, with no b_j, no binomial and no
+difference.  So the tests require it to equal the library row in either of
+``two_race``'s evaluation orders, at sizes up to the exact-row budget, where
+the term-by-term ``Fraction`` references are too slow.
 ``alternating_row_by_convolution`` and ``stirling_row_by_binomial_sums``
 are the rows' earlier evaluations, kept verbatim but for the budget check:
 each row entry as its own sum of products with binomial coefficients.  They
-share the library rows' formulas and Stirling triangle.  The Stirling row
-evaluates by Horner's rule, and the alternating row by n_b + 1 differences
-above ``two_race._CONVOLVED_BAND``, so there the tests can require two
-evaluation orders to give equal integers at sizes up to the exact-row
-budget, where the term-by-term ``Fraction`` references are too slow.  Below
-that bound the alternating row convolves as this reference does, with its
-binomials from a running product rather than ``math.comb``, so the two
-share their evaluation order there.
+share the library rows' formulas and Stirling triangle, but the Stirling row
+evaluates by Horner's rule, so the two evaluation orders must give equal
+integers; the convolution also computes the entries past the band, which
+the library row never builds.
 
 ``moments_by_fraction_sums`` is the earlier evaluation of
 ``racerank.two_race.distribution_moments``: one ``Fraction`` term per rank,
@@ -47,6 +49,9 @@ import mpmath
 import numpy as np
 
 from racerank.combinatorics import binomial, factorial, stirling2, stirling_diagonal
+
+# the seed of every seeded test run
+SEED = 20260809
 
 # Eulerian rows 1..7; row 7 is the palindromic completion of the truncated
 # printed row: 7 entries, sum 7!
@@ -143,6 +148,31 @@ def alternating_row_by_convolution(n_b: int, n_t: int) -> list[int]:
     signed_binomials = [(-1) ** k * comb(n_b + 1, k) for k in range(n_b + 1)]
     b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_b + 1)]
     return [sum(map(mul, signed_binomials[m - 1 :: -1], b)) for m in range(1, n_b + 2)]
+
+
+def alternating_row_by_recurrence(n_b: int, n_t: int) -> list[int]:
+    """n_b! * P(m) for m = 1..n_b+1 from the alternating sum, 2 <= n_t <= n_b+1,
+    by a polynomial recurrence.
+
+    With e = n_b - n_t + 1 and theta = x d/dx, the row's b_j =
+    (e+1+j)^(n_t-1) (e+j)!/j! have sum_j b_j x^j =
+    e! (theta + e + 1)^(n_t-1) (1 - x)^-(e+1).  Each theta + e + 1 step
+    keeps the form (1 - x)^-(e+1+k) p_k(x), from p_0 = 1 by
+
+        p_{k+1}[i] = (e + 1 + i) p_k[i] + (k + 1 - i) p_k[i - 1],
+
+    so after k = n_t - 1 steps (1 - x)^(n_b+1), the library row's factor,
+    cancels the whole power and the row is e! p followed by zeros.  At the
+    middle score (e = 0) this is the Eulerian recurrence.
+    """
+    e = n_b - n_t + 1
+    p = [1]
+    for k in range(n_t - 1):
+        p = [
+            (e + 1 + i) * c + (k + 1 - i) * below
+            for i, (c, below) in enumerate(zip(p + [0], [0] + p))
+        ]
+    return [factorial(e) * c for c in p] + [0] * (n_b + 1 - len(p))
 
 
 def stirling_row_by_binomial_sums(n_b: int, n_t: int) -> list[int]:

@@ -39,7 +39,7 @@ import math
 import pytest
 
 import racerank.montecarlo as mc
-from _reference import EULERIAN_ROWS, SECOND_GF_ROWS
+from _reference import EULERIAN_ROWS, SECOND_GF_ROWS, SEED
 from racerank.asymptotics import rank_moments_theory
 from racerank.checks import CHECKS
 from racerank.combinatorics import eulerian_triangle
@@ -57,8 +57,6 @@ from racerank.series import (
     second_gf_expand,
 )
 from racerank.two_race import full_distribution
-
-SEED = 20260809
 
 
 def report(gate: str, label: str, ok: bool) -> None:

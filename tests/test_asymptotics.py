@@ -1,10 +1,12 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from _doubles import record
 from racerank import asymptotics
 from racerank.asymptotics import (
     AsymptoticParams,
@@ -100,16 +102,9 @@ def test_variance_damping_and_peak():
 @pytest.mark.parametrize("route", [mean_final_rank, variance_final_rank])
 def test_rank_route_builds_params_once(monkeypatch, route):
     expected = route(200, 30, 2900)
-    built = []
-
-    class Counted(AsymptoticParams):
-        def __new__(cls, n_b, n_r):
-            built.append((n_b, n_r))
-            return super().__new__(cls, n_b, n_r)
-
-    monkeypatch.setattr(asymptotics, "AsymptoticParams", Counted)
+    built = record(monkeypatch, asymptotics, "AsymptoticParams")
     assert route(200, 30, 2900) == expected
-    assert built == [(200, 30)]
+    assert built == Counter({(200, 30): 1})
 
 
 def test_rank_moments_theory_small_cases():

@@ -11,9 +11,12 @@ builders is touched.  A new public name with neither entry fails
 ``test_every_public_name_has_an_entry``, a budget constant that no pinned
 message names fails ``test_every_budget_is_proved``, and a refusal's text
 written outside ``tests/_budgets.py`` fails
-``test_refusal_texts_are_written_once``.
+``test_refusal_texts_are_written_once``.  A blocked builder fails through
+the one stand-in of ``tests/_doubles.py``, and a test module that writes its
+own fails ``test_stand_ins_are_written_once``.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,26 @@ def test_refusal_texts_are_written_once():
         if REFUSAL_TEXT.search(line)
     ]
     assert copies == []
+
+
+def _is_stand_in(node):
+    # a function whose whole body, past a docstring, is `raise AssertionError(...)`
+    if not isinstance(node, ast.FunctionDef):
+        return False
+    match node.body[1:] if ast.get_docstring(node) else node.body:
+        case [ast.Raise(exc=ast.Name("AssertionError") | ast.Call(func=ast.Name("AssertionError")))]:
+            return True
+    return False
+
+
+def test_stand_ins_are_written_once():
+    # code that must not run is blocked with _doubles.block, whose failure
+    # names what was reached
+    stand_ins = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        if path.name != "_doubles.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_stand_in(node)
+    ]
+    assert stand_ins == []

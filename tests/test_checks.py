@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from _doubles import record
 from racerank import checks, combinatorics, lattice_oracle, series, two_race
 from racerank.two_race import RankDistribution
 
@@ -244,37 +245,15 @@ _COUNT_WALKS = Counter({(n_t,): 1 for n_t in range(2, 9)})
 _RECURRENCE_WALKS = Counter({(n_t,): 1 for n_t in range(2, 10)})
 
 
-def _counting(monkeypatch, module, name):
-    """Patch ``module.name`` with a wrapper that counts its argument tuples."""
-    calls = Counter()
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls[args] += 1
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def _counting_walks(monkeypatch):
-    """Patch ``lattice_oracle._rank_law`` with a wrapper that counts its
-    walks by (boats, races, thresholds)."""
-    walks = Counter()
-    real = lattice_oracle._rank_law
-
-    def counted(fixed, races, thresholds):
-        walks[len(fixed), len(races), tuple(thresholds)] += 1
-        return real(fixed, races, thresholds)
-
-    monkeypatch.setattr(lattice_oracle, "_rank_law", counted)
-    return walks
+def _walk(fixed, races, thresholds):
+    # a walk of lattice_oracle._rank_law, by (boats, races, thresholds)
+    return len(fixed), len(races), tuple(thresholds)
 
 
 def test_forms_check_builds_each_row_pair_once(monkeypatch):
-    alternating = _counting(monkeypatch, two_race, "_alternating_row")
-    stirling = _counting(monkeypatch, two_race, "_stirling_row")
-    law = _counting(monkeypatch, two_race, "stirling_form_distribution")
+    alternating = record(monkeypatch, two_race, "_alternating_row")
+    stirling = record(monkeypatch, two_race, "_stirling_row")
+    law = record(monkeypatch, two_race, "stirling_form_distribution")
     assert checks._forms_agree_ok(8)
     assert len(_FORMS_ROWS) == 36
     assert alternating == stirling == _FORMS_ROWS
@@ -282,14 +261,14 @@ def test_forms_check_builds_each_row_pair_once(monkeypatch):
 
 
 def test_oracle_check_enumerates_each_fleet_once(monkeypatch):
-    walks = _counting_walks(monkeypatch)
+    walks = record(monkeypatch, lattice_oracle, "_rank_law", key=_walk)
     assert checks._oracle_agrees_ok(7)
     assert len(_ORACLE_WALKS) == 7
     assert walks == _ORACLE_WALKS
 
 
 def test_lattice_checks_walk_each_staircase_once(monkeypatch):
-    walks = _counting(monkeypatch, lattice_oracle, "count_compatible_subsets")
+    walks = record(monkeypatch, lattice_oracle, "count_compatible_subsets")
     assert checks._lattice_counts_ok(8)
     assert walks == _COUNT_WALKS
     walks.clear()
@@ -299,10 +278,10 @@ def test_lattice_checks_walk_each_staircase_once(monkeypatch):
 
 def test_checks_keep_nothing_between_runs(monkeypatch):
     work = [
-        _counting(monkeypatch, two_race, "_alternating_row"),
-        _counting(monkeypatch, two_race, "_stirling_row"),
-        _counting(monkeypatch, lattice_oracle, "count_compatible_subsets"),
-        _counting_walks(monkeypatch),
+        record(monkeypatch, two_race, "_alternating_row"),
+        record(monkeypatch, two_race, "_stirling_row"),
+        record(monkeypatch, lattice_oracle, "count_compatible_subsets"),
+        record(monkeypatch, lattice_oracle, "_rank_law", key=_walk),
     ]
     per_run = []
     for _ in range(2):

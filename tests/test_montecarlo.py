@@ -23,10 +23,9 @@ from racerank.montecarlo import (
 )
 from racerank.two_race import full_distribution
 
-from _budgets import GRID, MOMENTS, MONTECARLO, WORDS, assert_refused
-from _reference import inverse_orders, pooled_chi2, rank_rows, trial_uniforms
-
-SEED = 20260809
+from _budgets import GRID, MOMENTS, MONTECARLO, PHILOX, WORDS, assert_refused
+from _doubles import block, record
+from _reference import SEED, inverse_orders, pooled_chi2, rank_rows, trial_uniforms
 
 
 def _trial_orders(stream, first, n_trials, n_r, width):
@@ -47,6 +46,35 @@ def _chunk_args(n_b, n_r, tracked=False):
     # values (largest n_b) in one tile, virtual rows their columns (largest
     # n_b - 1) in a tag tile beside the float64 rank weights
     return (n_r, n_b - 1, n_b, 1) if tracked else (n_r, n_b, n_b - 1, 2)
+
+
+def _words(*words):
+    # one integer of 64-bit words, word 0 the low 64 bits, as Random123 lists them
+    return sum(w << 64 * i for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize(
+    "counter, key, answer",
+    [
+        pytest.param(
+            _words(0, 0, 0, 0),
+            _words(0, 0),
+            "16554d9eca36314c db20fe9d672d0fdc d7e772cee186176b 7e68b68aec7ba23b",
+            id="zero",
+        ),
+        pytest.param(
+            _words(0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+            _words(0x452821E638D01377, 0xBE5466CF34E90C6C),
+            "a528f45403e61d95 38c72dbd566e9788 a5a1610e72fd18b5 57bd43b5e52b7fe6",
+            id="pi",
+        ),
+    ],
+)
+def test_philox_gives_the_random123_known_answers(counter, key, answer):
+    # the generator itself, before any kernel reads it: numpy increments the
+    # counter before each block, so the spec's counter c is numpy's c - 1
+    bitgen = np.random.Philox(key=key, counter=(counter - 1) % 2**256)
+    assert [f"{w:016x}" for w in bitgen.random_raw(4)] == answer.split()
 
 
 def test_trial_uniforms_blocking_invariance():
@@ -219,7 +247,7 @@ def _tracked_chunks(tracked, n_b, trials, drop_worst):
     [((1, 2, 3), 3, False), ((1, 2, 3), 3, True), ((1, 4, 6), 6, True), ((2, 9), 10, False)],
 )
 @pytest.mark.parametrize("extra", [-5000, 0, 777])
-def test_race_offset_tile_equals_broadcast_offsets(tracked, n_b, drop_worst, extra):
+def test_tracked_tag_tile_scores_as_gathered_leftover_values(tracked, n_b, drop_worst, extra):
     # the tag tile's sorted values score as the leftover values gathered
     # along the column orders, in runs shorter than one chunk (by 5000
     # trials, or by half of a shorter chunk), of exactly one chunk, and
@@ -277,19 +305,18 @@ def test_tracked_tags_past_the_column_bits_take_the_argsort(monkeypatch, n_b, tr
     assert mc._trial_bytes(n_r, width, largest, tiles) - mc._trial_bytes(
         n_r, width, 0, tiles
     ) == (0 if keyed else 8 * n_r * width)
-    argsort, argsorts = np.argsort, []
-    monkeypatch.setattr(mc.np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+    argsorts = record(monkeypatch, mc.np, "argsort", key=lambda words, **kw: kw["kind"])
     if tracked:
         for scores, expected in _tracked_chunks((1, n_b), n_b, 5, False):
             assert (scores == expected).all()
-        assert len(argsorts) == (not keyed)  # the column reference, at most 2048 wide, is keyed
+        assert argsorts.total() == (not keyed)  # the column reference, at most 2048 wide, is keyed
     else:
         tags, score = mc._rank_sums(5, n_r, width)
         assert int(tags.max()) == largest
         (orders,) = mc._order_chunks(SEED, 3, 5, tags)
-        assert len(argsorts) == (not keyed)
+        assert argsorts.total() == (not keyed)
         u = trial_uniforms(SEED, 3, 0, 5, n_r * width).reshape(5, n_r, width)
-        expected = _summed_inverse(argsort(u, axis=-1, kind="stable"), False)
+        expected = _summed_inverse(u.argsort(axis=-1, kind="stable"), False)
         assert (score(orders) == expected).all()
 
 
@@ -350,10 +377,7 @@ def test_trial_budget_trips_before_allocating(monkeypatch, kwargs):
 )
 def test_key_words_outside_64_bits_are_refused(monkeypatch, run):
     # -1 once wrapped to 2**64 - 1 and silently aliased that seed or stream
-    def unreachable(*args, **kw):
-        raise AssertionError("Philox reached past the seed/stream check")
-
-    monkeypatch.setattr(mc.np.random, "Philox", unreachable)
+    block(monkeypatch, PHILOX)
     with pytest.raises(ValueError, match="(seed|stream) must be a 64-bit unsigned integer"):
         run()
 
@@ -418,18 +442,12 @@ def test_simulate_bit_identical_and_chunk_independent(chunk_bytes):
 @pytest.mark.parametrize("config", CHUNK_CASES[:3])
 def test_one_philox_generator_per_run(monkeypatch, config):
     reference = _reference_results()
-    philox, counters = np.random.Philox, []
-
-    def counting(*args, **kw):
-        counters.append(kw["counter"])
-        return philox(*args, **kw)
-
-    monkeypatch.setattr(mc.np.random, "Philox", counting)
+    counters = record(monkeypatch, mc.np.random, "Philox", key=lambda **kw: kw["counter"])
     monkeypatch.setattr(mc, "_CHUNK_BYTES", 2048)  # dozens of chunks per run
     assert simulate(config) == reference[0][CHUNK_CASES.index(config)]
     assert empirical_rank_moments(4, 1000, seed=SEED) == reference[1]
     assert empirical_rank_moments(4, 1049, seed=SEED) == reference[2]
-    assert counters == [0, 0, 0]
+    assert counters == Counter({0: 3})
 
 
 def _traced_peak(run):
@@ -723,10 +741,7 @@ def test_grid_budget_trips_before_linspace(monkeypatch):
 
 
 def test_curve_sweep_checks_every_score_before_simulating(monkeypatch):
-    def unreachable(config):
-        raise AssertionError("a grid point was simulated before the scores were checked")
-
-    monkeypatch.setattr(mc, "simulate", unreachable)
+    block(monkeypatch, [(mc, "simulate")])
     with pytest.raises(ValueError, match=r"^score must be in \[2, 6\], got 100$"):
         curve_sweep(3, 2, [4, 100], 2_000_000, 1)
 

@@ -13,10 +13,9 @@ from dataclasses import astuple
 
 import pytest
 
+from _reference import SEED
 from racerank.cli import main
 from racerank.montecarlo import SimConfig, empirical_rank_moments, simulate
-
-SEED = 20260809
 
 
 def _digest(counts: tuple[int, ...]) -> str:

@@ -7,7 +7,8 @@ refusals, like every budget refusal the tests compare, are written in
 
 import pytest
 
-from _budgets import OVERSIZED
+from _budgets import COMBINATORICS, OVERSIZED, TWO_RACE
+from _doubles import block
 from racerank import (
     AsymptoticParams,
     RankDistribution,
@@ -36,7 +37,7 @@ from racerank import (
     stirling_triangle,
     variance_final_rank,
 )
-from racerank import checks, combinatorics, two_race
+from racerank import checks
 
 REFUSALS = {
     "rank_moments_theory": (lambda: rank_moments_theory(0), "n_b must be >= 1, got 0"),
@@ -218,9 +219,6 @@ def test_non_integer_refusal(case):
 def test_non_integer_refusal_reads_no_triangle_row(monkeypatch, case):
     # the cached rows are neither read nor grown, and no two-race term is
     # computed, before the refusal
-    monkeypatch.setattr(combinatorics, "_eulerian_rows", None)
-    monkeypatch.setattr(combinatorics, "_stirling_rows", None)
-    monkeypatch.setattr(two_race, "factorial", None)
-    monkeypatch.setattr(two_race, "_stirling_numbers", None)
+    block(monkeypatch, COMBINATORICS + TWO_RACE)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         NOT_AN_INTEGER[case]()

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _budgets import FLEET, TWO_RACE, assert_refused
+from _doubles import record
 from _reference import (
     alternating_row_by_convolution,
+    alternating_row_by_recurrence,
     moments_by_fraction_sums,
     p_exact_terms,
     p_stirling_terms,
@@ -139,7 +141,7 @@ def test_n_b60_rows_equal_term_by_term_reference(n_t):
 
 
 def _assert_rows_match_reference_rows(n_b, n_t):
-    assert two_race._alternating_row(n_b, n_t) == alternating_row_by_convolution(n_b, n_t)
+    assert two_race._alternating_row(n_b, n_t) == alternating_row_by_recurrence(n_b, n_t)
     assert two_race._stirling_row(n_b, n_t) == stirling_row_by_binomial_sums(n_b, n_t)
 
 
@@ -162,23 +164,23 @@ def test_rows_equal_binomial_sum_rows_at_n_b450(n_t):
     [(60, 50, "_convolved"), (60, 51, "_differenced"), (450, 7, "_convolved"), (450, 8, "_differenced")],
 )
 def test_alternating_row_order_at_the_band_edge(monkeypatch, n_b, n_t, order):
-    # both orders give equal rows, so only a spy sees the rule's choice
-    taken = []
-    for name in ("_convolved", "_differenced"):
-        spied = getattr(two_race, name)
-        monkeypatch.setattr(two_race, name, lambda *a, f=spied, name=name: taken.append(name) or f(*a))
+    # both orders give equal rows, so only a record sees the rule's choice
+    names = "_convolved", "_differenced"
+    taken = {name: record(monkeypatch, two_race, name, key=lambda _, b: len(b)) for name in names}
     two_race._alternating_row(n_b, n_t)
-    assert taken == [order]
+    assert {name: c for name, c in taken.items() if c} == {order: Counter({n_t - 1: 1})}
 
 
-# ~0.1 s an example at n_b = 120, both orders at every lower-half score.
+# both orders at every lower-half score: a band of 0 differences every row,
+# and one of (n_b + 1) n_b convolves every row
 @settings(max_examples=12, deadline=None)
 @given(st.integers(1, 120))
 def test_alternating_row_orders_agree(n_b):
-    for n_t in range(2, n_b + 2):
-        e = n_b - n_t + 1
-        b = [(e + 1 + j) ** (n_t - 1) * (factorial(e + j) // factorial(j)) for j in range(n_t - 1)]
-        assert two_race._convolved(n_b, b) == two_race._differenced(n_b, b)
+    rows = [alternating_row_by_recurrence(n_b, n_t) for n_t in range(2, n_b + 2)]
+    for band in 0, (n_b + 1) * n_b:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(two_race, "_CONVOLVED_BAND", band)
+            assert [two_race._alternating_row(n_b, n_t) for n_t in range(2, n_b + 2)] == rows
 
 
 def test_rows_vanish_past_the_band():
@@ -225,16 +227,9 @@ def test_routes_agree_at_the_budget_edge(n_t):
 
 @pytest.mark.parametrize("route", [full_distribution, stirling_form_distribution])
 def test_upper_half_builds_one_distribution(monkeypatch, route):
-    built = []
-
-    class Counted(RankDistribution):
-        def __new__(cls, n_b, n_t, counts, total=1):
-            built.append(n_t)
-            return super().__new__(cls, n_b, n_t, counts, total)
-
-    monkeypatch.setattr(two_race, "RankDistribution", Counted)
+    built = record(monkeypatch, two_race, "RankDistribution", key=lambda n_b, n_t, *_: n_t)
     d = route(5, 8)
-    assert built == [8]
+    assert built == Counter({8: 1})
     assert d.probs == tuple(reversed(full_distribution(5, 5).probs))
 
 
