@@ -337,6 +337,8 @@ class SimConfig:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", stream)
         _check_trial_words("n_b*n_r", self.n_b * self.n_r)
+        if not isinstance(self.drop_worst, (bool, np.bool_)):  # "no" dropped each worst race
+            raise ValueError(f"drop_worst must be a bool, got {self.drop_worst!r}")
         if self.tracked_ranks is None:
             if self.n_t is None:
                 raise ValueError("n_t is required unless tracked_ranks is given")

@@ -107,6 +107,7 @@ class RankDistribution(namedtuple("RankDistribution", "n_b n_t counts total")):
 
     def p(self, m: int) -> Fraction:
         """P(final rank = m), 1-based."""
+        m = index(m)
         if not 1 <= m <= len(self.counts):
             raise ValueError(f"rank m must be in [1, {len(self.counts)}], got {m}")
         return Fraction(self.counts[m - 1], self.total)

@@ -4,13 +4,16 @@ budget guards.
 Each template writes one refusal's text: the sized argument goes in as its
 first argument, and the budget as ``budget``, which defaults to the
 constant's value and which a test that patches the constant passes in.
-``OVERSIZED`` is the table ``tests/test_budgets.py`` proves: for each public
-name, the builders its oversized calls must not touch first, then one
-(oversized call, exact refusal) pair per path to its budget.  Every other
-budget test reads its refusal and its builders here, and checks its own call
-with :func:`assert_refused`, or blocks the builders with ``_doubles.block``
-around a command line.  So a refusal's text is written in this file alone, and
-``REFUSAL_TEXT`` finds a copy of one anywhere else in ``tests/``.
+``OVERSIZED`` is the table ``tests/test_budgets.py`` proves, the one test of
+every budget path: for each public name, the builders its oversized calls
+must not touch first, then one (oversized call, exact refusal) pair per path
+to its budget.  The other budget tests prove what the table does not: each
+module's edge tests show a budget admits its bound, or that a patched budget
+moves the edge, with :func:`assert_refused`, and ``tests/test_cli.py`` blocks
+the builders with ``_doubles.block`` around each command line a budget
+refuses.  They read their refusals and builders here, so a refusal's text is
+written in this file alone, and ``REFUSAL_TEXT`` finds a copy of one anywhere
+else in ``tests/``.
 """
 
 import itertools

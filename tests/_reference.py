@@ -32,7 +32,8 @@ where the library sums integer counts and divides once.
 
 ``pooled_chi2`` is Pearson's goodness-of-fit test of sampled rank counts
 against an exact law, its survival function from ``mpmath`` (scipy is not a
-dependency).
+dependency).  ``binwise_ok`` is the per-rank check of sampled frequencies
+against an exact law, each bin within 4 binomial standard errors.
 
 ``EULERIAN_ROWS`` and ``SECOND_GF_ROWS`` are the tests' one copy of the
 paper's printed tables, as the integer rows n! [x^n] that a
@@ -42,7 +43,7 @@ paper's printed tables, as the integer rows n! [x^n] that a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, sqrt
 from operator import mul
 
 import mpmath
@@ -221,3 +222,14 @@ def pooled_chi2(counts, probs, floor: float = 5) -> tuple[float, int, float]:
         chi2 = sum((o - e) ** 2 / e for o, e in pools)
     df = len(pools) - 1
     return chi2, df, float(mpmath.gammainc(df / 2, chi2 / 2, mpmath.inf, regularized=True))
+
+
+def binwise_ok(empirical, exact, trials: int) -> bool:
+    """Whether every sampled frequency ``empirical[m - 1]`` lies within 4
+    binomial standard errors of the exact P(m) ``exact[m - 1]`` over
+    ``trials`` trials; a standard error below 1e-12 counts as 1e-12."""
+    for p_hat, p in zip(empirical, exact):
+        se = sqrt(p_hat * (1 - p_hat) / trials)
+        if abs(p_hat - float(p)) > 4 * max(se, 1e-12):
+            return False
+    return True

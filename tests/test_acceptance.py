@@ -34,12 +34,10 @@ truncation, and the "Recent" section of ROADMAP.md gives the measured
 offsets at every grid point.
 """
 
-import math
-
 import pytest
 
 import racerank.montecarlo as mc
-from _reference import EULERIAN_ROWS, SECOND_GF_ROWS, SEED
+from _reference import EULERIAN_ROWS, SECOND_GF_ROWS, SEED, binwise_ok
 from racerank.asymptotics import rank_moments_theory
 from racerank.checks import CHECKS
 from racerank.combinatorics import eulerian_triangle
@@ -150,14 +148,6 @@ def test_09_generating_functions():
     assert ok
 
 
-def _binwise_ok(empirical, exact, trials, sigmas=4.0):
-    for p_hat, p in zip(empirical, exact):
-        se = math.sqrt(p_hat * (1 - p_hat) / trials)
-        if abs(p_hat - float(p)) > sigmas * max(se, 1e-12):
-            return False
-    return True
-
-
 def test_10_composition_dependence():
     d_equal = brute_force_composition(3, (2, 2, 2))
     d_split = brute_force_composition(3, (1, 2, 3))
@@ -171,8 +161,8 @@ def test_10_composition_dependence():
         SimConfig(n_b=3, n_r=3, trials=trials, seed=SEED, tracked_ranks=(1, 2, 3),
                   stream=1)
     )
-    ok = ok and _binwise_ok(mc_equal.empirical_probs, d_equal.probs, trials)
-    ok = ok and _binwise_ok(mc_split.empirical_probs, d_split.probs, trials)
+    ok = ok and binwise_ok(mc_equal.empirical_probs, d_equal.probs, trials)
+    ok = ok and binwise_ok(mc_split.empirical_probs, d_split.probs, trials)
     report("10", "same-score compositions differ; Monte Carlo agrees per bin", ok)
     assert ok
 

@@ -1,4 +1,5 @@
-"""One budget table over ``racerank.__all__``, the proof of every budget path.
+"""One budget table over ``racerank.__all__``, the one proof of every budget
+path; the other budget tests check each budget's edge.
 
 Every public name either has oversized calls or an entry saying why no
 argument of it sizes the work.  The ``OVERSIZED`` table, in

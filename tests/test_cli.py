@@ -21,7 +21,7 @@ from _budgets import (
     TWO_RACE, WORDS,
 )
 from _doubles import block, record
-from racerank import combinatorics, montecarlo, series, two_race
+from racerank import combinatorics, montecarlo, series
 from racerank.cli import CURVE_COLUMNS, _build_parser, main
 from racerank.two_race import full_distribution
 
@@ -426,47 +426,40 @@ def test_simulate_missing_score(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "5000", "1000", "--n-t", "4", "--seed", "1"],
-        ["simulate", "5000", "1000", "--tracked-ranks", ",".join(["1"] * 1000), "--seed", "1"],
-        ["curve", "5000", "1000", "--seed", "1"],
-    ],
-)
-def test_trial_budget_is_one_error_line(capsys, monkeypatch, argv):
-    block(monkeypatch, PHILOX)
-    assert run_cli(capsys, *argv) == (2, "", f"error: {WORDS('n_b*n_r = 5000000')}\n")
+_WIDE = WORDS("n_b*n_r = 5000000")
+_TRACKED = ",".join(["1"] * 1000)
 
-
-@pytest.mark.parametrize("form", ["exact", "stirling"])
-def test_exact_budget_is_one_error_line(capsys, monkeypatch, form):
-    block(monkeypatch, TWO_RACE)
-    n_b = two_race.EXACT_N_B_BUDGET + 1
-    argv = "dist", str(n_b), "10", "--form", form
-    assert run_cli(capsys, *argv) == (2, "", f"error: {FLEET(n_b)}\n")
-
-
-@pytest.mark.parametrize("command", ["eulerian", "stirling"])
-def test_triangle_budget_is_one_error_line(capsys, monkeypatch, command):
-    block(monkeypatch, COMBINATORICS)
-    n = combinatorics.TRIANGLE_ROW_BUDGET + 100
-    assert run_cli(capsys, command, str(n)) == (2, "", f"error: {ROW(n)}\n")
-
-
-@pytest.mark.parametrize("offset", [1, 0])
-def test_series_budget_is_one_error_line(capsys, monkeypatch, offset):
-    block(monkeypatch, SERIES)
-    n_b = series.SERIES_ORDER_BUDGET + 1
-    argv = "dist", str(n_b), str(n_b + offset), "--form", "series"
-    assert run_cli(capsys, *argv) == (2, "", f"error: {ORDER(n_b)}\n")
-
-
-def test_bruteforce_budget_is_one_error_line(capsys, monkeypatch):
+# id -> (a command line a budget refuses, the builders it must not touch
+# first, its refusal); the ids are written out, so that editing a template
+# in tests/_budgets.py renames no test
+ONE_LINE_REFUSALS = {
+    "simulate n_t trial words": (["simulate", "5000", "1000", "--n-t", "4", "--seed", "1"],
+                                 PHILOX, _WIDE),
+    "simulate tracked trial words": (
+        ["simulate", "5000", "1000", "--tracked-ranks", _TRACKED, "--seed", "1"], PHILOX, _WIDE
+    ),
+    "curve trial words": (["curve", "5000", "1000", "--seed", "1"], PHILOX, _WIDE),
+    "dist exact fleet": (["dist", "451", "10", "--form", "exact"], TWO_RACE, FLEET(451)),
+    "dist stirling fleet": (["dist", "451", "10", "--form", "stirling"], TWO_RACE, FLEET(451)),
+    "eulerian row": (["eulerian", "600"], COMBINATORICS, ROW(600)),
+    "stirling row": (["stirling", "600"], COMBINATORICS, ROW(600)),
+    # n_t = n_b + 1 reads the first series, n_t = n_b the second
+    "dist series first order": (["dist", "61", "62", "--form", "series"], SERIES, ORDER(61)),
+    "dist series second order": (["dist", "61", "61", "--form", "series"], SERIES, ORDER(61)),
     # 2000! has 5736 digits; the refusal names it without building it
-    block(monkeypatch, ENUMERATION)
-    argv = "dist", "2000", "2000", "--form", "bruteforce"
-    assert run_cli(capsys, *argv) == (2, "", f"error: {NEEDS('2000!')}\n")
+    "dist bruteforce enumeration": (["dist", "2000", "2000", "--form", "bruteforce"],
+                                    ENUMERATION, NEEDS("2000!")),
+    "curve grid points": (["curve", "200", "30", "--points", "100000000", "--seed", "1"],
+                          MONTECARLO, GRID(10**8)),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, builders, message", ONE_LINE_REFUSALS.values(), ids=ONE_LINE_REFUSALS.keys()
+)
+def test_oversized_command_is_one_error_line(capsys, monkeypatch, argv, builders, message):
+    block(monkeypatch, builders)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def _readme_commands():
@@ -493,12 +486,6 @@ def test_dist_has_no_enumeration_cap(capsys):
     with pytest.raises(SystemExit):
         run_cli(capsys, "dist", "3", "4", "--form", "bruteforce", "--cap", "10")
     assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
-
-
-def test_curve_grid_budget_is_one_error_line(capsys, monkeypatch):
-    block(monkeypatch, MONTECARLO)
-    argv = "curve", "200", "30", "--points", "100000000", "--seed", "1"
-    assert run_cli(capsys, *argv) == (2, "", f"error: {GRID(10**8)}\n")
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from _budgets import COMBINATORICS, ROW, assert_refused
 from racerank import combinatorics, two_race
 from racerank.combinatorics import (
     binomial,
@@ -173,12 +172,6 @@ TRIANGLE_ENTRY_POINTS = {
     "stirling_binomial_sum": lambda n: stirling_binomial_sum(n, 0),
     "stirling_diagonal": lambda n: stirling_diagonal(n + 1, 1),  # reads row score - 1
 }
-
-
-@pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)
-def test_triangle_budget_trips_before_any_row(monkeypatch, entry):
-    n = combinatorics.TRIANGLE_ROW_BUDGET + 1
-    assert_refused(monkeypatch, COMBINATORICS, lambda: TRIANGLE_ENTRY_POINTS[entry](n), ROW(n))
 
 
 @pytest.mark.parametrize("entry", TRIANGLE_ENTRY_POINTS)

@@ -70,10 +70,7 @@ def test_brute_force_two_race_examples():
     assert brute_force_two_race(2, 2).probs == (1, 0, 0)
 
 
-def test_brute_force_two_race_budget_and_range(monkeypatch):
-    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 1000)
-    run = lambda: brute_force_two_race(9, 5)
-    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("9!", budget=1000))
+def test_brute_force_two_race_budget_and_range():
     # `racerank dist --form bruteforce` prints these messages verbatim
     for args, message in (
         ((3, 8), "score n_t must be in [2, 7], got 8"),
@@ -225,12 +222,6 @@ def test_order_table_holds_every_order_once(k):
     assert set(orders) == set(itertools.permutations(range(k)))
 
 
-def test_brute_force_score_budget(monkeypatch):
-    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**6)
-    run = lambda: brute_force_score(6, 5, 12)
-    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("(6!)^4", budget=10**6))
-
-
 @pytest.mark.parametrize(
     "n_b, n_r, n_t, message",
     [
@@ -244,22 +235,6 @@ def test_brute_force_score_budget(monkeypatch):
 def test_brute_force_score_rejects_unreachable_scores(n_b, n_r, n_t, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         brute_force_score(n_b, n_r, n_t)
-
-
-@pytest.mark.parametrize(
-    "oracle, args, label",
-    [
-        (brute_force_two_race, (9, 5), "9!"),
-        (brute_force_score, (6, 2, 7), "6!"),
-        (brute_force_score, (4, 3, 7), "(4!)^2"),
-        (brute_force_composition, (5, (1, 2, 3)), "(4!)^3"),
-    ],
-    ids=["brute_force_two_race-args0", "brute_force_score-args1", "brute_force_score-args2",
-         "brute_force_composition-args3"],
-)
-def test_budget_trips_before_any_permutation(monkeypatch, oracle, args, label):
-    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10)
-    assert_refused(monkeypatch, ENUMERATION, lambda: oracle(*args), NEEDS(label, budget=10))
 
 
 # each enumeration with its configuration count, the label that names it
@@ -317,15 +292,12 @@ def test_brute_force_composition_unrelabeled_crosscheck(n_b, ranks):
     assert brute_force_composition(n_b, ranks).probs == expected
 
 
-def test_brute_force_composition_trivial_and_errors(monkeypatch):
+def test_brute_force_composition_trivial_and_errors():
     assert brute_force_composition(2, (1, 1)).probs == (1, 0)
     with pytest.raises(ValueError):
         brute_force_composition(3, (0, 2, 2))
     with pytest.raises(ValueError):
         brute_force_composition(3, (4, 2, 2))
-    monkeypatch.setattr(lattice_oracle, "DEFAULT_BUDGET", 10**3)
-    run = lambda: brute_force_composition(8, (1,) * 8)
-    assert_refused(monkeypatch, ENUMERATION, run, NEEDS("(7!)^8", budget=10**3))
 
 
 def test_distributions_sum_to_one():

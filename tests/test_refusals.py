@@ -1,13 +1,12 @@
 """Every argument check the other tests never reach refuses with its message.
 
-The ``… budget`` rows are pairs of the ``OVERSIZED`` table, which
-``tests/test_budgets.py`` also checks with the builders blocked, and whose
-refusals, like every budget refusal the tests compare, are written in
-``tests/_budgets.py`` alone."""
+Budgets are not among them: ``tests/test_budgets.py`` proves every budget
+refusal, one ``OVERSIZED`` row per path with the builders blocked, and
+``tests/_budgets.py`` writes each refusal's text."""
 
 import pytest
 
-from _budgets import COMBINATORICS, OVERSIZED, TWO_RACE
+from _budgets import COMBINATORICS, TWO_RACE
 from _doubles import block
 from racerank import (
     AsymptoticParams,
@@ -44,8 +43,6 @@ REFUSALS = {
     "eulerian_triangle": (
         lambda: eulerian_triangle(0), "eulerian_triangle: n_max must be >= 1, got 0"
     ),
-    "factorial budget": OVERSIZED["factorial"][1],
-    "binomial budget": OVERSIZED["binomial"][1],
     "stirling2": (lambda: stirling2(-1, 0), "stirling2: n must be >= 0, got -1"),
     "stirling_triangle": (
         lambda: stirling_triangle(0), "stirling_triangle: n_max must be >= 1, got 0"
@@ -59,10 +56,6 @@ REFUSALS = {
     "count_compatible_subsets n_t": (
         lambda: count_compatible_subsets(1), "n_t must be >= 2, got 1"
     ),
-    "count_compatible_subsets budget": OVERSIZED["count_compatible_subsets"][1],
-    "brute_force_two_race budget": OVERSIZED["brute_force_two_race"][1],
-    "brute_force_score budget": OVERSIZED["brute_force_score"][1],
-    "brute_force_composition budget": OVERSIZED["brute_force_composition"][1],
     "brute_force_composition n_b": (
         lambda: brute_force_composition(0, (1,)), "n_b must be >= 1, got 0"
     ),
@@ -92,7 +85,15 @@ REFUSALS = {
         lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t="5"),
         "n_t must be a real number, got '5'",
     ),
-    "middle_band_grid budget": OVERSIZED["middle_band_grid"][1],
+    # any truthy value was accepted and dropped each boat's worst race
+    "SimConfig drop_worst str": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=4, drop_worst="no"),
+        "drop_worst must be a bool, got 'no'",
+    ),
+    "SimConfig drop_worst list": (
+        lambda: SimConfig(n_b=3, n_r=2, trials=10, seed=1, n_t=4, drop_worst=[0]),
+        "drop_worst must be a bool, got [0]",
+    ),
     "coefficient_to_distribution": (
         lambda: coefficient_to_distribution(eulerian_gf(3), 0), "n_b must be >= 1, got 0"
     ),
@@ -141,6 +142,8 @@ NOT_AN_INTEGER = {
     "stirling_form_distribution n_t": lambda: stirling_form_distribution(3, 4.0),
     # accepted, with n_b=3.0 in its repr
     "RankDistribution n_b": lambda: RankDistribution(3.0, 4, [1, 4, 1, 0], 6),
+    # 2.0 passed the range check and then failed indexing the counts
+    "RankDistribution.p m": lambda: RankDistribution(3, 4, [1, 4, 1, 0], 6).p(2.0),
     # np.fromiter truncated the limits 3.5, ... and returned the n_t = 4 law
     "brute_force_score n_t": lambda: brute_force_score(3, 2, 4.5),
     "brute_force_two_race n_t": lambda: brute_force_two_race(3, 4.5),

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from _budgets import ORDER, SERIES, assert_refused
 from _reference import EULERIAN_ROWS, SECOND_GF_ROWS
 from racerank import lattice_oracle, series, two_race
 from racerank.combinatorics import eulerian, factorial
@@ -124,12 +123,6 @@ def test_coefficient_to_distribution_shifted_flag():
 def test_coefficient_to_distribution_beyond_truncation():
     with pytest.raises(ValueError):
         coefficient_to_distribution(eulerian_gf(4), 5)
-
-
-@pytest.mark.parametrize("gf", [eulerian_gf, second_gf_expand])
-def test_order_budget_trips_before_any_series(monkeypatch, gf):
-    order = SERIES_ORDER_BUDGET + 1
-    assert_refused(monkeypatch, SERIES, lambda: gf(order), ORDER(order))
 
 
 def test_eulerian_gf_rows_equal_eulerian_numbers_to_budget():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _budgets import FLEET, TWO_RACE, assert_refused
 from _doubles import record
 from _reference import (
     alternating_row_by_convolution,
@@ -194,18 +193,6 @@ def test_rows_vanish_past_the_band():
             assert all(c == 0 for c in row[n_t - 1 :])
             if n_b <= 6:
                 assert all(p == 0 for p in brute_force_two_race(n_b, n_t).probs[n_t - 1 :])
-
-
-def test_exact_budget_trips_before_any_term(monkeypatch):
-    n_b = EXACT_N_B_BUDGET + 1
-    calls = [
-        lambda: full_distribution(n_b, 2),
-        lambda: full_distribution(n_b, 2 * n_b + 1),  # upper half, via reflection
-        lambda: stirling_form_distribution(n_b, n_b + 1),
-        lambda: stirling_form_distribution(n_b, 2 * n_b),  # upper half, via reflection
-    ]
-    for call in calls:
-        assert_refused(monkeypatch, TWO_RACE, call, FLEET(n_b))
 
 
 def test_exact_budget_admits_its_bound():
